@@ -13,9 +13,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
-from . import _threads
 from .elliptic import solve_dirichlet
 from .experiments import run_experiment
 from .gridfn import build_grid, extend_by_zero
@@ -248,20 +248,16 @@ def criterion_9(out_dir, shared=None):
 
 
 def criterion_10(out_dir, shared=None):
-    """Criterion runs 1-9 write byte-identical artifacts at 1 and 8 workers."""
-    old = _threads.get_num_threads()
+    """Criterion runs 1-9 write byte-identical artifacts at 1 and 8 FFT workers."""
     dirs = {}
-    try:
-        for workers in (1, 8):
-            _threads.set_num_threads(workers)
-            sub = os.path.join(out_dir, f"criterion_10_threads{workers}")
-            os.makedirs(sub, exist_ok=True)
-            fresh = {}
+    for workers in (1, 8):
+        sub = os.path.join(out_dir, f"criterion_10_threads{workers}")
+        os.makedirs(sub, exist_ok=True)
+        fresh = {}
+        with scipy.fft.set_workers(workers):
             for fn in CRITERIA[:9]:
                 fn(sub, fresh)
-            dirs[workers] = sub
-    finally:
-        _threads.set_num_threads(old)
+        dirs[workers] = sub
     mismatches = _tree_diff(dirs[1], dirs[8])
     passed = not mismatches
     detail = "all artifact bytes identical" if passed else \

@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 
-from . import _threads, __version__
+import scipy.fft
+
+from . import __version__
 from .acceptance import run_criteria
 from .errors import ConfigError, FracLabError
 from .experiments import RECIPES, run_experiment
@@ -43,7 +45,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="config file path")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="worker count")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="FFT worker threads of the operator apply (results do not depend on it)")
     p_run.add_argument("--check", action="store_true",
                        help="also evaluate the experiment's acceptance thresholds")
 
@@ -52,7 +55,8 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="run the embedded acceptance suite")
     p_check.add_argument("--out", default="out/acceptance", help="output directory")
-    p_check.add_argument("--threads", type=int, default=1, help="worker count")
+    p_check.add_argument("--threads", type=int, default=1,
+                         help="FFT worker threads of the operator apply (results do not depend on it)")
     p_check.add_argument("--criteria", default=None,
                          help="comma-separated criterion numbers (default: all)")
     return parser
@@ -71,9 +75,9 @@ def cmd_run(args):
     if name is None:
         print("error: config needs [experiment] name = <recipe>", file=sys.stderr)
         return EXIT_USAGE
-    _threads.set_num_threads(args.threads)
     try:
-        summary = run_experiment(name, cfg, args.out)
+        with scipy.fft.set_workers(max(1, args.threads)):
+            summary = run_experiment(name, cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -118,9 +122,9 @@ def cmd_check(args):
         if not numbers.issubset(set(range(1, 11))):
             print("error: criterion numbers must lie in 1..10", file=sys.stderr)
             return EXIT_USAGE
-    _threads.set_num_threads(args.threads)
     try:
-        results = run_criteria(args.out, numbers=numbers)
+        with scipy.fft.set_workers(max(1, args.threads)):
+            results = run_criteria(args.out, numbers=numbers)
     except FracLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

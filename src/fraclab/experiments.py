@@ -195,8 +195,7 @@ def run_symbol(cfg, out_dir):
                 uv = np.array([ufun(xx) for xx in x])
                 u = GridFunction(grid, np.where(grid.mask, uv, 0.0), dirichlet=True)
                 i0 = grid.node_index((center,))
-                val = float(apply_fractional_laplacian(u, params, rows=[i0],
-                                                       out=np.zeros(grid.n))[i0])
+                val = float(apply_fractional_laplacian(u, params).values[i0])
                 err_sym = abs(val - symbol_ref) / abs(symbol_ref)
                 err_orc = abs(val - oracle)
                 errs.append(err_orc)

@@ -16,26 +16,20 @@ import numpy as np
 
 from .errors import LocalizationError
 from .gridfn import GridFunction
-from .operator import apply_fractional_laplacian, _padded
-from .quadrature import sweep_1d, sweep_2d
+from .operator import apply_fractional_laplacian, convolve, toeplitz_operator
 from .regions import require_nested
 from .spaces import gagliardo_seminorm, lp_norm
 
 
 def _eta_pad_values(eta):
-    """Continuation of eta beyond the box: zero if exterior-zero, else the
-    constant edge value (supported so that a globally constant eta is exact)."""
-    grid = eta.grid
-    if eta.dirichlet:
-        if grid.ndim == 1:
-            return 0.0, 0.0
-        return 0.0
-    vals = eta.values
-    if grid.ndim == 1:
-        return float(vals[0]), float(vals[-1])
-    edge = np.concatenate([vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]])
+    """Continuation of eta beyond the box: the one value eta takes on the
+    whole box edge (zero when exterior-zero), so that a globally constant
+    eta is exact."""
+    edge = np.ones(eta.values.shape, dtype=bool)
+    edge[(slice(1, -1),) * edge.ndim] = False
+    edge = eta.values[edge]
     if np.ptp(edge) != 0.0:
-        raise ValueError("2D eta must be exterior-zero or constant on the box edge")
+        raise ValueError("eta must be exterior-zero or take one value on the whole box edge")
     return float(edge[0])
 
 
@@ -44,7 +38,10 @@ def remainder_Is(u, eta, params):
 
     Pointwise integral of (u(x)-u(y)) (eta(x)-eta(y)) against the kernel,
     with the operator's quadrature split: first-difference near field,
-    cell-exact weighted far field, closed-form tail.
+    cell-exact weighted far field, closed-form tail.  With e = eta - c,
+    which vanishes on the box edge and beyond, the far field and tail
+    expand into u e d - u (t * e) - e (t * u) + t * (u e) for the far
+    kernel t and its diagonal d.
     """
     if not isinstance(u, GridFunction) or not isinstance(eta, GridFunction):
         raise TypeError("u and eta must be GridFunctions")
@@ -53,55 +50,18 @@ def remainder_Is(u, eta, params):
     if u.grid is not eta.grid:
         raise ValueError("u and eta must share one grid")
     grid = u.grid
-    n, h, s, C = grid.n, grid.h, params.s, params.cns
-    uv, ev = u.values, eta.values
-
-    if grid.ndim == 1:
-        eL, eR = _eta_pad_values(eta)
-        up = _padded(uv, n)
-        ep = _padded(ev, n)
-        ep[: n - 1] = eL
-        ep[2 * n - 1:] = eR
-
-        def phi_row(i, K):
-            du_p = uv[i] - up[n + i: n + i + K]
-            du_m = uv[i] - up[n + i - K - 1: n + i - 1][::-1]
-            de_p = ev[i] - ep[n + i: n + i + K]
-            de_m = ev[i] - ep[n + i - K - 1: n + i - 1][::-1]
-            return du_p * de_p + du_m * de_m
-
-        def near_psi(i):
-            return (up[n + i] - up[n + i - 2]) * (ep[n + i] - ep[n + i - 2]) / (2.0 * h ** 2)
-
-        def tail_phi(i):
-            return uv[i] * (2.0 * ev[i] - eL - eR)
-
-        out = sweep_1d(n, h, s, C, phi_row, near_psi, tail_phi)
-    else:
-        ec = _eta_pad_values(eta)
-        up = _padded(uv, n)
-        ep = _padded(ev, n, pad_value=ec)
-        win = 2 * n - 1
-
-        def phi_window(ix, iy):
-            wu = up[ix: ix + win, iy: iy + win]
-            we = ep[ix: ix + win, iy: iy + win]
-            du_p = uv[ix, iy] - wu
-            de_p = ev[ix, iy] - we
-            return du_p * de_p + du_p[::-1, ::-1] * de_p[::-1, ::-1]
-
-        def near_psi(ix, iy):
-            dux = up[ix + n, iy + n - 1] - up[ix + n - 2, iy + n - 1]
-            dex = ep[ix + n, iy + n - 1] - ep[ix + n - 2, iy + n - 1]
-            duy = up[ix + n - 1, iy + n] - up[ix + n - 1, iy + n - 2]
-            dey = ep[ix + n - 1, iy + n] - ep[ix + n - 1, iy + n - 2]
-            return (dux * dex + duy * dey) / (2.0 * h ** 2)
-
-        def tail_phi(ix, iy):
-            return 2.0 * uv[ix, iy] * (ev[ix, iy] - ec)
-
-        out = sweep_2d(grid, s, C / 2.0, phi_window, near_psi, tail_phi)
-    return GridFunction(grid, out)
+    uv = u.values
+    ev = eta.values - _eta_pad_values(eta)
+    op = toeplitz_operator(grid.ndim, grid.n, grid.h, params.s, near=False)
+    out = (uv * ev * op.d - uv * convolve(op, ev) - ev * convolve(op, uv)
+           + convolve(op, uv * ev))
+    # near field: products of central first differences along each axis
+    up, ep = np.pad(uv, 1), np.pad(ev, 1)
+    for axis in range(grid.ndim):
+        fwd = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(grid.ndim))
+        bwd = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(grid.ndim))
+        out += 0.5 * op.near * (up[fwd] - up[bwd]) * (ep[fwd] - ep[bwd])
+    return GridFunction(grid, params.cns * out)
 
 
 def product_rule_residual(u, eta, params):

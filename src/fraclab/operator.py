@@ -1,32 +1,40 @@
 """Pointwise fractional Laplacian and its Dirichlet-restricted matrix.
 
-The singular integral is discretized with nonnegative weights (see
-quadrature module), which makes the restricted matrix symmetric with the
-M-matrix sign pattern: positive diagonal, nonpositive off-diagonal, and a
-strictly positive action on the all-ones vector.  That structure carries
-the discrete maximum principle used by the solvers and semigroup tests.
+The quadrature module writes the operator on the grid box as one
+Toeplitz kernel plus a diagonal,
+
+  (A u)_i = C (d_i u_i - sum_{j != i} t(j - i) u_j),
+
+both built once per (ndim, n, h, s) from nonnegative weights.
+apply_fractional_laplacian evaluates it at every box node with one real
+FFT convolution; assemble_operator_matrix gathers d and t onto Omega
+pairs.  Since t(kappa) = t(-kappa) exactly, the restricted matrix is
+exactly symmetric with the M-matrix sign pattern: positive diagonal,
+nonpositive off-diagonal, and a strictly positive action on the
+all-ones vector.  That structure carries the discrete maximum principle
+used by the solvers and semigroup tests.
+
+The FFTs run on scipy.fft's worker count (scipy.fft.set_workers); the
+results do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
-from . import _threads
 from .errors import MemoryBudgetError
 from .gridfn import Grid, GridFunction
-from .quadrature import (
-    first_cell_moment,
-    interior_weights_1d,
-    sweep_1d,
-    sweep_2d,
-    tail_coefficient_1d,
-)
+from .quadrature import sweep_1d, sweep_2d
 
 DEFAULT_DENSE_CAP = 4500  # max Omega nodes for a dense matrix
+_GATHER_ROWS = 64  # dense rows gathered per block
 
 _MAGIC = b"FLMAT1\x00\x00"
 
@@ -56,17 +64,45 @@ class FractionalParams:
         object.__setattr__(self, "cns", normalization_constant(self.ndim, self.s))
 
 
-def _padded(values, n, pad_value=0.0):
-    if values.ndim == 1:
-        out = np.full(3 * n - 2, pad_value)
-        out[n - 1: 2 * n - 1] = values
-    else:
-        out = np.full((3 * n - 2, 3 * n - 2), pad_value)
-        out[n - 1: 2 * n - 1, n - 1: 2 * n - 1] = values
-    return out
+Toeplitz = namedtuple("Toeplitz", "t d t_hat size near")
 
 
-def apply_fractional_laplacian(u, params, rows=None, out=None):
+@lru_cache(maxsize=16)
+def toeplitz_operator(ndim, n, h, s, near=True):
+    """Kernel t, diagonal d and the size-point real FFT t_hat of t, unnormalized.
+
+    With near=False the near-field stencil is left out of t and d; the
+    cut-off remainder pairs the far field with a near rule of its own and
+    reads the stencil weight from `near`.
+    """
+    kernel = (sweep_1d if ndim == 1 else sweep_2d)(n, h, s)
+    t, d = kernel.far, kernel.diag
+    if near:
+        t = t.copy()
+        for axis in range(ndim):
+            for step in (-1, 1):
+                unit = [n - 1] * ndim
+                unit[axis] += step
+                t[tuple(unit)] += kernel.near
+        d = d + 2 * ndim * kernel.near
+    # t(k) goes to index k mod L: no wrap-around for offsets |k| <= n-1
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    wrapped = np.zeros((size,) * ndim)
+    wrapped[np.ix_(*[np.arange(1 - n, n) % size] * ndim)] = t
+    t_hat = scipy.fft.rfftn(wrapped)
+    for part in (t, d, t_hat):
+        part.setflags(write=False)
+    return Toeplitz(t, d, t_hat, size, kernel.near)
+
+
+def convolve(op, values):
+    """sum_j t(j - i) values_j at every box node i, for the kernel t of op."""
+    size = (op.size,) * values.ndim
+    full = scipy.fft.irfftn(scipy.fft.rfftn(values, size) * op.t_hat, size)
+    return full[tuple(slice(0, n) for n in values.shape)]
+
+
+def apply_fractional_laplacian(u, params):
     """Evaluate the operator at every grid node of an exterior-zero function.
 
     Splits the principal value at radius h: the near field uses the
@@ -82,45 +118,8 @@ def apply_fractional_laplacian(u, params, rows=None, out=None):
     if params.ndim != u.grid.ndim:
         raise ValueError("params dimension does not match the grid")
     grid = u.grid
-    n, h, s, C = grid.n, grid.h, params.s, params.cns
-    vals = u.values
-
-    if grid.ndim == 1:
-        up = _padded(vals, n)
-
-        def phi_row(i, K):
-            plus = up[n + i: n + i + K]
-            minus = up[n + i - K - 1: n + i - 1][::-1]
-            return 2.0 * vals[i] - plus - minus
-
-        result = np.zeros(n) if out is None else out
-        sweep_1d(n, h, s, C,
-                 phi_row,
-                 lambda i: (2.0 * vals[i] - up[n + i] - up[n + i - 2]) / h ** 2,
-                 lambda i: 2.0 * vals[i],
-                 out=result, rows=rows)
-    else:
-        up = _padded(vals, n)
-        win = 2 * n - 1
-
-        def phi_window(ix, iy):
-            w_plus = up[ix: ix + win, iy: iy + win]
-            return 2.0 * vals[ix, iy] - w_plus - w_plus[::-1, ::-1]
-
-        def near_psi(ix, iy):
-            c = vals[ix, iy]
-            dx = 2.0 * c - up[ix + n, iy + n - 1] - up[ix + n - 2, iy + n - 1]
-            dy = 2.0 * c - up[ix + n - 1, iy + n] - up[ix + n - 1, iy + n - 2]
-            return (dx + dy) / h ** 2
-
-        result = np.zeros((n, n)) if out is None else out
-        sweep_2d(grid, s, C / 2.0,
-                 phi_window, near_psi,
-                 lambda ix, iy: 2.0 * vals[ix, iy],
-                 out=result, rows=rows)
-    if out is not None:
-        return out
-    return GridFunction(grid, result)
+    op = toeplitz_operator(grid.ndim, grid.n, grid.h, params.s)
+    return GridFunction(grid, params.cns * (op.d * u.values - convolve(op, u.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,73 +174,25 @@ class OperatorMatrix:
 def assemble_operator_matrix(grid, params, dense_cap=DEFAULT_DENSE_CAP):
     """Dense matrix A with A (u|Omega) = apply(extend_by_zero(u))|Omega.
 
-    Rows are built from the same weights as the matrix-free path, so the
-    two agree to rounding.  Raises MemoryBudgetError above dense_cap
-    Omega nodes.
+    Entries are gathered from the same kernel and diagonal as the
+    matrix-free path, so the two agree to rounding.  Raises
+    MemoryBudgetError above dense_cap Omega nodes.
     """
     m = grid.n_omega
     if m > dense_cap:
         raise MemoryBudgetError(
             f"{m} Omega nodes exceed the dense cap of {dense_cap}; "
             "raise dense_cap explicitly if this size is intended")
-    n, h, s, C = grid.n, grid.h, params.s, params.cns
-
-    if grid.ndim == 1:
-        idx = np.flatnonzero(grid.mask)
-        w, A1 = interior_weights_1d(n, h, s)
-        m0 = first_cell_moment(h, s)
-        mat = np.zeros((m, m))
-        col_of = {j: c for c, j in enumerate(idx)}
-
-        def fill_row(r):
-            i = idx[r]
-            K = max(i, n - 1 - i)
-            wk = w[:K].copy()
-            wk[K - 1] -= A1[K - 1]
-            wk[0] += m0 / h ** 2
-            row = np.zeros(n)
-            row[i] = 2.0 * wk.sum() + 2.0 * tail_coefficient_1d(K * h, s)
-            ks = np.arange(1, K + 1)
-            up_idx = i + ks
-            ok = up_idx < n
-            np.add.at(row, up_idx[ok], -wk[ok])
-            dn_idx = i - ks
-            ok = dn_idx >= 0
-            np.add.at(row, dn_idx[ok], -wk[ok])
-            mat[r, :] = C * row[idx]
-
-        _threads.run_rows(fill_row, m)
-        return OperatorMatrix(grid, params, mat)
-
-    # 2D: one matrix-free sweep per unit vector column is wasteful; build
-    # rows from the weight fields directly.
-    from .quadrature import far_weight_field, near_square_moment, offset_distance_sq, tail_integral_2d
-
-    flat_idx = np.flatnonzero(grid.mask.ravel())
-    q = near_square_moment(s) * h ** (2 - 2 * s)
-    d2 = offset_distance_sq(n, h)
-    mat = np.zeros((m, m))
-    off = n - 1
-    pos_of = -np.ones(n * n, dtype=int)
-    pos_of[flat_idx] = np.arange(m)
-
-    def fill_row(r):
-        flat = flat_idx[r]
-        ix, iy = divmod(flat, n)
-        W = far_weight_field(n, h, s, ix, iy) / d2
-        row = np.zeros((n, n))
-        row[ix, iy] += 2.0 * W.sum() + 2.0 * tail_integral_2d(n, h, s, ix, iy)
-        # coefficient of u at j: -(W(j-i) + W(i-j))
-        row -= W[off - ix: off - ix + n, off - iy: off - iy + n]
-        row -= W[off + ix - (n - 1): off + ix + 1, off + iy - (n - 1): off + iy + 1][::-1, ::-1]
-        # near: axis neighbors
-        row[ix, iy] += 4.0 * q / h ** 2
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < n and 0 <= jy < n:
-                row[jx, jy] -= q / h ** 2
-        mat[r, :] = (C / 2.0) * row.ravel()[flat_idx]
-
-    _threads.run_rows(fill_row, m)
-    sym = 0.5 * (mat + mat.T)  # remove last-bit quadrature asymmetry
-    return OperatorMatrix(grid, params, sym)
+    n, C = grid.n, params.cns
+    op = toeplitz_operator(grid.ndim, n, grid.h, params.s)
+    # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
+    strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
+    key = np.argwhere(grid.mask) @ strides
+    center = (n - 1) * int(strides.sum())
+    coef = -C * op.t.ravel()
+    mat = np.empty((m, m))
+    for r0 in range(0, m, _GATHER_ROWS):
+        rows = key[r0: r0 + _GATHER_ROWS, None]
+        np.take(coef, key - rows + center, out=mat[r0: r0 + len(rows)])
+    mat[np.diag_indices(m)] = C * op.d[grid.mask]
+    return OperatorMatrix(grid, params, mat)

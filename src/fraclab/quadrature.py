@@ -1,9 +1,9 @@
-"""Quadrature machinery for the singular kernel |z|^(-N-2s).
+"""Quadrature of the singular kernel |z|^(-N-2s) as a Toeplitz kernel plus a diagonal.
 
-All operators integrate symmetrized second-difference data
-phi(z) = g(x+z) + g(x-z) - 2g(x)-type combinations, written so that
-psi(z) = phi(z)/|z|^2 is smooth through the origin.  The principal-value
-integral then becomes a weighted sum of lattice values of phi:
+The operator integrates symmetrized second differences
+phi(z) = 2g(x) - g(x+z) - g(x-z), written so that psi(z) = phi(z)/|z|^2
+is smooth through the origin.  The principal value then becomes a
+weighted sum of lattice values of phi:
 
   1D: int_0^inf phi(z) z^(-1-2s) dz
       = m0 * psi(h) + sum_cells int psi_lin(z) z^(1-2s) dz + exact tail,
@@ -16,15 +16,42 @@ Near-cell weights integrate z^(1-2s) exactly; the shifted exponent keeps
 every formula regular for all s in (0,1), including s = 1/2.  Far tails
 beyond the grid box are evaluated in closed form (incomplete-beta in 2D),
 so the exterior-zero extension contributes no truncation error.
+
+On the grid, the weight that the value at node x + kappa h receives in
+the sum for node x depends on the offset kappa alone whenever that node
+lies at least one cell inside the box, as every Omega node does
+(gridfn.MIN_COLLAR_CELLS).  Only the weight of the value at x itself
+depends on x, because the far sum stops at the box edge and the tail
+takes over beyond it.  sweep_1d and sweep_2d therefore build, once per
+(n, h, s), a Kernel of three parts:
+
+  far   off-diagonal far-field weights t(kappa) over the offset window
+        (2n-1)^N, zero at kappa = 0, with t(kappa) = t(-kappa) exactly;
+  near  the near-field weight of each of the 2N unit offsets;
+  diag  the far-field and tail weight of x itself, at every box node.
+
+The 1/2 of the 2D form is folded in, so with the normalization C the
+operator at node x is C (diag + 2N near) u(x) - C sum_kappa t'(kappa)
+u(x + kappa h), where t' adds `near` to `far` at the unit offsets.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import betainc, gammaln
+
+Kernel = namedtuple("Kernel", "far near diag")
+
+
+def _frozen(kernel):
+    for part in (kernel.far, kernel.diag):
+        part.setflags(write=False)
+    return kernel
+
 
 # ---------------------------------------------------------------------------
 # 1D weights
@@ -62,26 +89,20 @@ def tail_coefficient_1d(radius, s):
     return radius ** (-2 * s) / (2 * s)
 
 
-def sweep_1d(n, h, s, prefactor, phi_row, near_psi, tail_phi, out=None, rows=None):
-    """Assemble out[i] = prefactor * (sum_k w_k phi_i(k) + m0 psi_i + tail).
+@lru_cache(maxsize=16)
+def sweep_1d(n, h, s):
+    """Kernel of the 1D operator on n nodes of spacing h.
 
-    phi_row(i, K) returns phi values at offsets k = 1..K; near_psi(i) the
-    psi(0+) estimate; tail_phi(i) the constant phi value beyond the box.
+    far[k + n-1] = w[|k|-1].  The sum for node i reaches K = max(i, n-1-i)
+    cells, so its diagonal is twice the weights up to K, less the share
+    A[K-1] of the cell beyond K, plus twice the tail from K h on.
     """
     w, A = interior_weights_1d(n, h, s)
-    m0 = first_cell_moment(h, s)
-    if out is None:
-        out = np.zeros(n)
-    for i in rows if rows is not None else range(n):
-        K = max(i, n - 1 - i)
-        wk = w[:K].copy()
-        wk[K - 1] -= A[K - 1]
-        out[i] = prefactor * (
-            wk @ phi_row(i, K)
-            + m0 * near_psi(i)
-            + tail_phi(i) * tail_coefficient_1d(K * h, s)
-        )
-    return out
+    far = np.concatenate([w[n - 2::-1], [0.0], w[:n - 1]])
+    i = np.arange(n)
+    K = np.maximum(i, n - 1 - i)
+    diag = 2.0 * (np.cumsum(w)[K - 1] - A[K - 1]) + 2.0 * tail_coefficient_1d(K * h, s)
+    return _frozen(Kernel(far, first_cell_moment(h, s) / h ** 2, diag))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +139,8 @@ def corner_integral(p, q, s):
 def rect_complement_integral(p1, q1, p2, q2, s):
     """int over R^2 minus the rectangle [-p1,q1]x[-p2,q2] of |z|^(-2-2s) dz.
 
-    The origin must be interior (all distances positive).
+    The origin must be interior (all distances positive).  Array
+    arguments broadcast.
     """
     total = sum(halfplane_integral(d, s) for d in (p1, q1, p2, q2))
     for dx in (p1, q1):
@@ -185,29 +207,19 @@ def cell_corner_weights(n, h, s):
     return cw
 
 
-def far_weight_field(n, h, s, ix, iy):
-    """Per-target aggregated corner weights over far cells, shape (2n-1, 2n-1).
+def far_weight_field(n, h, s):
+    """Corner weights of every far cell summed per lattice offset, shape (2n-1, 2n-1).
 
-    Index (a + n-1, b + n-1) holds the total weight of lattice offset
-    (a, b).  Far cells are those inside either shifted box image
-    B+ = box - x_i or B- = -(box - x_i), excluding the four near cells.
+    Index (a + n-1, b + n-1) holds the weight of offset (a, b) when all
+    four cells around it take part in the sum, as they do for every node
+    at least one cell inside the box.
     """
     cw = cell_corner_weights(n, h, s)
     ncell = 2 * n - 2
-    off = n - 1
-    inc = np.zeros((ncell, ncell), dtype=bool)
-    # cells of B+: ka in [-ix, n-2-ix], kb in [-iy, n-2-iy]
-    inc[off - ix: off + n - 1 - ix, off - iy: off + n - 1 - iy] = True
-    # cells of B-: mirrored
-    m = np.zeros_like(inc)
-    m[off - (n - 1 - ix): off + ix, off - (n - 1 - iy): off + iy] = True
-    inc |= m
-    inc[off - 1: off + 1, off - 1: off + 1] = False  # near cells
     W = np.zeros((2 * n - 1, 2 * n - 1))
     for da in (0, 1):
         for db in (0, 1):
-            contrib = cw[da, db] * inc
-            W[da: da + ncell, db: db + ncell] += contrib
+            W[da: da + ncell, db: db + ncell] += cw[da, db]
     return W
 
 
@@ -219,41 +231,50 @@ def offset_distance_sq(n, h):
     return d2
 
 
-def tail_integral_2d(n, h, s, ix, iy):
-    """int of the kernel over R^2 minus (B+ union B-), both box images.
+def tail_integral_2d(n, h, s):
+    """int of the kernel over R^2 minus (B+ union B-) at every box node, shape (n, n).
 
-    Zero when the target sits on the box edge (callers only use it with a
-    vanishing phi factor there).
+    B+ = box - x and B- = x - box are the two box images seen from node x;
+    the kernel is even, so both complements carry the same integral.
+    Zero on the box edge, where the tail always meets a vanishing factor.
     """
-    px, qx = ix * h, (n - 1 - ix) * h
-    py, qy = iy * h, (n - 1 - iy) * h
-    if min(px, qx, py, qy) <= 0:
-        return 0.0
-    r_plus = rect_complement_integral(px, qx, py, qy, s)
-    r_minus = rect_complement_integral(qx, px, qy, py, s)
-    mx, my = min(px, qx), min(py, qy)
-    r_cap = rect_complement_integral(mx, mx, my, my, s)
-    return r_plus + r_minus - r_cap
+    i = np.arange(1, n - 1)
+    p, q = i * h, (n - 1 - i) * h
+    m = np.minimum(p, q)
+    r_plus = rect_complement_integral(p[:, None], q[:, None], p[None, :], q[None, :], s)
+    r_cap = rect_complement_integral(m[:, None], m[:, None], m[None, :], m[None, :], s)
+    tail = np.zeros((n, n))
+    tail[1:-1, 1:-1] = 2.0 * r_plus - r_cap
+    return tail
 
 
-def sweep_2d(grid, s, prefactor, phi_window, near_psi, tail_phi, out=None, rows=None):
-    """2D analog of sweep_1d over all grid nodes.
+@lru_cache(maxsize=8)
+def sweep_2d(n, h, s):
+    """Kernel of the 2D operator on an n x n grid of spacing h.
 
-    phi_window(ix, iy) returns phi at every offset (2n-1, 2n-1); near_psi
-    the psi(0) estimate; tail_phi the constant phi beyond both box images.
+    far(kappa) = (W(kappa) + W(-kappa)) / (2 |kappa h|^2) with W the far
+    weight field.  The far part of the diagonal at node x sums, over the
+    far cells in B+ union B-, each cell's corner weights over
+    |corner h|^2: two rectangle sums less their intersection, read from a
+    summed-area table of those per-cell totals.
     """
-    n, h = grid.n, grid.h
-    q = near_square_moment(s) * h ** (2 - 2 * s)
     d2 = offset_distance_sq(n, h)
-    if out is None:
-        out = np.zeros((n, n))
-    index_list = rows if rows is not None else range(n * n)
-    for flat in index_list:
-        ix, iy = divmod(flat, n)
-        W = far_weight_field(n, h, s, ix, iy)
-        phi = phi_window(ix, iy)
-        far = float(np.sum(W * phi / d2))
-        out[ix, iy] = prefactor * (
-            far + q * near_psi(ix, iy) + tail_phi(ix, iy) * tail_integral_2d(n, h, s, ix, iy)
-        )
-    return out
+    W = far_weight_field(n, h, s)
+    far = 0.5 * (W + W[::-1, ::-1]) / d2
+    cw = cell_corner_weights(n, h, s)
+    ncell = 2 * n - 2
+    per_cell = sum(cw[da, db] / d2[da: da + ncell, db: db + ncell]
+                   for da in (0, 1) for db in (0, 1))
+    sat = np.zeros((ncell + 1, ncell + 1))
+    sat[1:, 1:] = per_cell.cumsum(axis=0).cumsum(axis=1)
+
+    def cells(lo, hi):
+        # sum over cell rows [lo, hi) x columns [lo, hi), one value per node
+        return sat[hi[:, None], hi] - sat[lo[:, None], hi] - sat[hi[:, None], lo] + sat[lo[:, None], lo]
+
+    i = np.arange(n)
+    m = np.minimum(i, n - 1 - i)
+    far_sum = cells(n - 1 - i, 2 * n - 2 - i) + cells(i, n - 1 + i) - cells(n - 1 - m, n - 1 + m)
+    diag = far_sum + tail_integral_2d(n, h, s)
+    near = 0.5 * near_square_moment(s) * h ** (2 - 2 * s) / h ** 2
+    return _frozen(Kernel(far, near, diag))

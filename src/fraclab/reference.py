@@ -70,6 +70,13 @@ def _naive_2d(grid, vals, s, C):
         np.sum(wt * np.cos(theta) ** (2 * s - 2)))
     q = qhat * h ** (2 - 2 * s)
 
+    # Gauss rules per order, with the bilinear shape values (1 - xi, xi)
+    rules = {}
+    for g in set(map(_gauss_order, range(n))):
+        tg, wg = leggauss(g)
+        xi = (tg + 1.0) / 2.0
+        rules[g] = (xi, wg / 2.0, [(1.0 - x, x) for x in xi])
+
     for flat in np.flatnonzero(grid.mask.ravel()):
         ix, iy = divmod(flat, n)
 
@@ -88,21 +95,18 @@ def _naive_2d(grid, vals, s, C):
                     continue
                 dc = max(min(abs(ka), abs(ka + 1)), min(abs(kb), abs(kb + 1)))
                 g = _gauss_order(dc)
-                tg, wg = leggauss(g)
-                xi = (tg + 1.0) / 2.0
-                wq = wg / 2.0
+                xi, wq, shape = rules[g]
+                # phi and |corner|^2 at the four cell corners
+                corners = [(da, db, phi(ka + da, kb + db), ((ka + da) * h) ** 2 + ((kb + db) * h) ** 2)
+                           for da in (0, 1) for db in (0, 1)]
                 cell = 0.0
                 for aq in range(g):
                     for bq in range(g):
                         z1, z2 = (ka + xi[aq]) * h, (kb + xi[bq]) * h
                         ker = (z1 * z1 + z2 * z2) ** (-s)
                         psi = 0.0
-                        for da in (0, 1):
-                            for db in (0, 1):
-                                nx = xi[aq] if da else 1.0 - xi[aq]
-                                ny = xi[bq] if db else 1.0 - xi[bq]
-                                ca, cb = ka + da, kb + db
-                                psi += nx * ny * phi(ca, cb) / ((ca * h) ** 2 + (cb * h) ** 2)
+                        for da, db, ph, d2 in corners:
+                            psi += shape[aq][da] * shape[bq][db] * ph / d2
                         cell += wq[aq] * wq[bq] * ker * psi
                 total += cell * h * h
         px, qx = ix * h, (n - 1 - ix) * h

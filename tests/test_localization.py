@@ -32,6 +32,14 @@ def test_remainder_constant_eta_vanishes(grid65, bump65, params_half):
     assert out.linf() == 0.0
 
 
+def test_remainder_rejects_eta_with_two_end_values(grid65, bump65, params_half):
+    # beyond the box eta continues by the one value it takes at both box ends
+    vals = np.full(grid65.shape, 0.7)
+    vals[-1] = 0.8
+    with pytest.raises(ValueError):
+        remainder_Is(bump65, GridFunction(grid65, vals), params_half)
+
+
 def test_remainder_symmetric_in_arguments(grid65, bump65, eta65, params_half):
     a = remainder_Is(bump65, eta65, params_half)
     b = remainder_Is(eta65, bump65, params_half)

@@ -71,18 +71,25 @@ def test_matrix_2d_matches_naive_double_loop():
 
 def test_rect_complement_integral_against_polar_quadrature():
     # independent oracle: 1/(2s) * int_0^2pi R(theta)^(-2s) dtheta with R the
-    # distance from the origin to the rectangle boundary along theta
+    # distance from the origin to the rectangle boundary along theta.  R is
+    # smooth between the four corner angles, so each of those arcs gets its
+    # own Gauss rule.
     def oracle(p1, q1, p2, q2, s):
-        t, w = leggauss(4000)
-        theta = (t + 1.0) * math.pi
-        weight = w * math.pi
-        cos, sin = np.cos(theta), np.sin(theta)
-        R = np.full_like(theta, np.inf)
-        with np.errstate(divide="ignore"):
-            for d, trig in ((q1, cos), (p1, -cos), (q2, sin), (p2, -sin)):
-                cand = np.where(trig > 0, d / np.where(trig > 0, trig, 1.0), np.inf)
-                R = np.minimum(R, cand)
-        return float((weight * R ** (-2 * s)).sum() / (2 * s))
+        corners = np.sort(np.arctan2([q2, q2, -p2, -p2], [q1, -p1, -p1, q1]) % (2 * math.pi))
+        ends = np.append(corners, corners[0] + 2 * math.pi)
+        t, w = leggauss(48)
+        total = 0.0
+        for a, b in zip(ends[:-1], ends[1:]):
+            theta = a + (t + 1.0) * (b - a) / 2
+            weight = w * (b - a) / 2
+            cos, sin = np.cos(theta), np.sin(theta)
+            R = np.full_like(theta, np.inf)
+            with np.errstate(divide="ignore"):
+                for d, trig in ((q1, cos), (p1, -cos), (q2, sin), (p2, -sin)):
+                    cand = np.where(trig > 0, d / np.where(trig > 0, trig, 1.0), np.inf)
+                    R = np.minimum(R, cand)
+            total += float((weight * R ** (-2 * s)).sum())
+        return total / (2 * s)
 
     for (p1, q1, p2, q2, s) in ((1.0, 1.0, 1.0, 1.0, 0.5),
                                 (0.5, 2.0, 1.0, 3.0, 0.3),

@@ -1,0 +1,171 @@
+"""Property tests: every fast operator path against a slow one on small grids.
+
+Random s, n and Omega (ball, box, disjoint union) in 1D and 2D.  The FFT
+apply is checked against the gathered dense matrix and the naive scalar
+oracle; the dense matrix for its structure; the FFT remainder against a
+per-node pairwise sum that rebuilds each node's truncated weights.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraclab.gridfn import GridFunction, build_grid, extend_by_zero
+from fraclab.localization import remainder_Is
+from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
+from fraclab.quadrature import (
+    cell_corner_weights,
+    first_cell_moment,
+    interior_weights_1d,
+    near_square_moment,
+    offset_distance_sq,
+    rect_complement_integral,
+    tail_coefficient_1d,
+)
+from fraclab.reference import naive_apply_omega
+from fraclab.regions import Ball, Box, DisjointUnion
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def _omega(kind, ndim, size):
+    """Omega inside [-1, 1]^ndim that holds a node of every odd n >= 9."""
+    zero, one = (0.0,) * ndim, (1.0,) * ndim
+    if kind == "ball":
+        return Ball(zero, size)
+    if kind == "box":
+        return Box(tuple(-size * o for o in one), tuple(0.8 * size * o for o in one))
+    return DisjointUnion((Box(tuple(-o for o in one), tuple(-0.1 * o for o in one)),
+                          Ball(tuple(0.6 * o for o in one), 0.4)))
+
+
+@st.composite
+def problems(draw, ndim, n_max):
+    n = 2 * draw(st.integers(4, (n_max - 1) // 2)) + 1
+    omega = _omega(draw(st.sampled_from(["ball", "box", "union"])), ndim,
+                   draw(st.floats(0.5, 1.0)))
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, omega)
+    s = draw(st.floats(0.05, 0.95))
+    return grid, FractionalParams(ndim, s), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _rel_gap(fast, slow):
+    return float(np.abs(fast - slow).max()) / max(1e-300, float(np.abs(slow).max()))
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_fft_apply_matches_dense_matrix(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, rng = problem
+        vec = rng.standard_normal(grid.n_omega)
+        fast = apply_fractional_laplacian(extend_by_zero(vec, grid), params).values[grid.mask]
+        assert _rel_gap(fast, assemble_operator_matrix(grid, params).apply_to_omega(vec)) <= 1e-12
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 11)])
+def test_fft_apply_matches_naive_oracle(ndim, n_max):
+    @settings(PROPERTY, max_examples=8 if ndim == 2 else 20)
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, rng = problem
+        u = extend_by_zero(rng.standard_normal(grid.n_omega), grid)
+        fast = apply_fractional_laplacian(u, params).values[grid.mask]
+        assert _rel_gap(fast, naive_apply_omega(u, params)) <= 1e-12
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_matrix_symmetric_m_matrix(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, _ = problem
+        A = assemble_operator_matrix(grid, params).matrix
+        assert np.array_equal(A, A.T)
+        assert (A - np.diag(np.diag(A))).max() <= 0.0
+        assert np.diag(A).min() > 0.0
+        assert (A @ np.ones(len(A))).min() > 0.0
+
+    check()
+
+
+def _pairwise_remainder(u, eta, c, params):
+    """Remainder node by node, each with its own truncated far weights.
+
+    u is continued by 0 and eta by c beyond the box.  At node i the far
+    field sums V_i(k) (P(k) + P(-k)) over offsets k with
+    P(k) = (u_i - u_{i+k}) (eta_i - eta_{i+k}); the near field multiplies
+    central first differences; the tail beyond the box meets 2 u_i (eta_i - c).
+    """
+    grid = u.grid
+    n, h, s, ndim = grid.n, grid.h, params.s, grid.ndim
+    up = np.pad(u.values, n - 1)
+    ep = np.pad(eta.values, n - 1, constant_values=c)
+    out = np.zeros(grid.shape)
+    for i in np.ndindex(grid.shape):
+        window = tuple(slice(k, k + 2 * n - 1) for k in i)
+        P = (u.values[i] - up[window]) * (eta.values[i] - ep[window])
+        near = 0.0
+        for axis in range(ndim):
+            fwd, bwd = [k + n - 1 for k in i], [k + n - 1 for k in i]
+            fwd[axis] += 1
+            bwd[axis] -= 1
+            near += (up[tuple(fwd)] - up[tuple(bwd)]) * (ep[tuple(fwd)] - ep[tuple(bwd)]) / (2 * h * h)
+        tail_phi = 2.0 * u.values[i] * (eta.values[i] - c)
+        if ndim == 1:
+            w, A = interior_weights_1d(n, h, s)
+            K = max(i[0], n - 1 - i[0])
+            V = np.zeros(2 * n - 1)
+            V[n: n + K] = w[:K]
+            V[n + K - 1] -= A[K - 1]
+            out[i] = params.cns * ((V * (P + P[::-1])).sum() + first_cell_moment(h, s) * near
+                                   + tail_phi * tail_coefficient_1d(K * h, s))
+            continue
+        ix, iy = i
+        off = n - 1
+        # far cells: inside either box image seen from the node, minus the near cells
+        cells = np.zeros((2 * n - 2, 2 * n - 2), dtype=bool)
+        cells[off - ix: off + n - 1 - ix, off - iy: off + n - 1 - iy] = True
+        cells[ix: n - 1 + ix, iy: n - 1 + iy] = True
+        cells[off - 1: off + 1, off - 1: off + 1] = False
+        cw = cell_corner_weights(n, h, s)
+        W = np.zeros((2 * n - 1, 2 * n - 1))
+        for da in (0, 1):
+            for db in (0, 1):
+                W[da: da + 2 * n - 2, db: db + 2 * n - 2] += cw[da, db] * cells
+        V = W / offset_distance_sq(n, h)
+        tail = 0.0
+        if 0 < min(ix, iy) and max(ix, iy) < n - 1:
+            px, qx, py, qy = ix * h, (n - 1 - ix) * h, iy * h, (n - 1 - iy) * h
+            mx, my = min(px, qx), min(py, qy)
+            tail = (rect_complement_integral(px, qx, py, qy, s)
+                    + rect_complement_integral(qx, px, qy, py, s)
+                    - rect_complement_integral(mx, mx, my, my, s))
+        q = near_square_moment(s) * h ** (2 - 2 * s)
+        out[i] = params.cns / 2 * ((V * (P + P[::-1, ::-1])).sum() + q * near + tail_phi * tail)
+    return out
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_fft_remainder_matches_pairwise_sum(ndim, n_max):
+    @settings(PROPERTY, max_examples=10)
+    @given(problems(ndim, n_max), st.floats(-1.0, 1.0), st.booleans())
+    def check(problem, c, exterior_zero):
+        grid, params, rng = problem
+        u = extend_by_zero(rng.standard_normal(grid.n_omega), grid)
+        if exterior_zero:
+            eta, c = extend_by_zero(rng.uniform(0.0, 1.0, grid.n_omega), grid), 0.0
+        else:
+            vals = np.full(grid.shape, c)
+            vals[(slice(1, -1),) * ndim] += rng.standard_normal((grid.n - 2,) * ndim)
+            eta = GridFunction(grid, vals)
+        slow = _pairwise_remainder(u, eta, c, params)
+        assert _rel_gap(remainder_Is(u, eta, params).values, slow) <= 1e-12
+
+    check()
