@@ -15,7 +15,7 @@ import scipy.fft
 from . import __version__
 from .acceptance import run_criteria
 from .errors import ConfigError, FracLabError
-from .experiments import RECIPES, run_experiment
+from .experiments import RECIPE_ALIASES, RECIPES, run_experiment
 from .runconfig import parse_config
 
 EXIT_OK = 0
@@ -23,12 +23,12 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
-# experiments with a direct acceptance criterion, for `run --check`
+# experiments with a direct acceptance criterion, for `run --check`;
+# aliases resolve through RECIPE_ALIASES first
 _CHECKED = {
     "getoor": (1,),
     "symbol": (2,),
     "product-rule": (3,),
-    "identity-check": (3,),
     "parabolic-energy": (4,),
     "semigroup-contraction": (5,),
     "elliptic-regularity": (6, 7),
@@ -88,7 +88,7 @@ def cmd_run(args):
     for key, val in summary.items():
         print(f"  {key}: {val}")
     if args.check:
-        numbers = _CHECKED.get(name)
+        numbers = _CHECKED.get(RECIPE_ALIASES.get(name, name))
         if numbers is None:
             print(f"note: no acceptance criterion covers {name!r}; nothing to check")
             return EXIT_OK

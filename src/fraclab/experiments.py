@@ -83,8 +83,11 @@ def source_profile(cfg, grid):
         return build_cutoff(grid, spec).values[grid.mask]
     if profile == "csv":
         path = cfg.get_str("source", "path", required=True)
-        vals = np.loadtxt(path, delimiter=",", ndmin=1)
-        return np.asarray(vals, float).ravel()
+        vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
+        if vals.size != grid.n_omega:
+            raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
+                            f"values for {grid.n_omega} Omega nodes")
+        return vals
     raise ConfigError(f"unknown source profile {profile!r}", path=cfg.path)
 
 

@@ -59,6 +59,7 @@ class RegularityEstimate:
     sigma_star: float
     levels: int
     mode: str               # "cutoff" or "region"
+    flipped: list           # sweep exponents whose verdict the clean-up flipped
 
     def to_json(self):
         return json.dumps({
@@ -72,11 +73,15 @@ class RegularityEstimate:
             "rates": [float(r) for r in self.rates],
             "verdicts": [bool(b) for b in self.verdicts],
             "sigma_star": self.sigma_star,
+            "flipped": [float(sg) for sg in self.flipped],
         }, sort_keys=True, indent=1)
 
 
 def _clean_verdicts(verdicts, sweep):
-    """Enforce monotone divergence, tolerating one out-of-place entry."""
+    """Enforce monotone divergence, tolerating one out-of-place entry.
+
+    The estimate records the exponent whose verdict was flipped.
+    """
     v = list(verdicts)
     first_div = next((i for i, d in enumerate(v) if d), len(v))
     offenders = [i for i in range(first_div, len(v)) if not v[i]]
@@ -109,15 +114,16 @@ def _sigma_star(sweep, verdicts):
     return float(0.5 * (sweep[first_div - 1] + sweep[first_div]))
 
 
-def _level_seminorm(u, sigma, p, method, mode, region, eta):
+def _level_seminorms(u, sweep, p, method, mode, region, eta):
+    """Seminorms of one level for the whole sweep, from one estimator call."""
     if mode == "cutoff":
         target = u * eta
         if method == "besov":
             q = 2.0 if p < 2.0 else p
-            return besov_seminorm(target, sigma, p, q)
-        return sobolev_seminorm(target, sigma, p, None)
+            return besov_seminorm(target, sweep, p, q)
+        return sobolev_seminorm(target, sweep, p, None)
     # region mode: seminorm of u itself over the window
-    return sobolev_seminorm(u, sigma, p, region)
+    return sobolev_seminorm(u, sweep, p, region)
 
 
 def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
@@ -157,17 +163,16 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         if mode == "cutoff":
             outer = inner.expand(margin / 2.0)
             eta = build_cutoff(grid, CutoffSpec(inner, outer, order=cutoff_order))
-        values.append([
-            _level_seminorm(u, sg, p, method, mode, inner, eta) for sg in sweep
-        ])
+        values.append(_level_seminorms(u, sweep, p, method, mode, inner, eta).tolist())
 
     arr = np.asarray(values)
     rates = [protocol.growth_rate(arr[:, j]) for j in range(len(sweep))]
     raw = [r >= protocol.rate_threshold for r in rates]
     verdicts = _clean_verdicts(raw, sweep)
     star = _sigma_star(sweep, verdicts)
+    flipped = [sg for sg, a, b in zip(sweep, raw, verdicts) if a != b]
     return RegularityEstimate(str(inner.describe()), float(p), method, sweep,
-                              values, rates, verdicts, star, levels, mode)
+                              values, rates, verdicts, star, levels, mode, flipped)
 
 
 @dataclass(frozen=True)

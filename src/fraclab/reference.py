@@ -1,10 +1,13 @@
-"""Deliberately naive scalar re-evaluation of the operator quadrature.
+"""Deliberately naive re-evaluation of the operator and the seminorms.
 
-This is the slow cross-check path: plain Python loops over node pairs and
-cells, recomputing every weight from the defining formulas with scalar
-arithmetic.  It shares no array bookkeeping with the fast path and exists
-so the matrix/apply implementations can be verified against an
-independent traversal on small grids.
+This is the slow cross-check path.  The operator is recomputed by plain
+Python loops over node pairs and cells, every weight from the defining
+formulas with scalar arithmetic.  The seminorms are recomputed the
+direct way: the Gagliardo double sum over dense node-pair arrays, and
+the Besov lattice sum as one shifted copy and one L^p norm per shift.
+None of this shares array bookkeeping with the fast paths; it exists so
+the matrix/apply implementations and the shift-domain estimators can be
+verified against an independent traversal on small grids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .gridfn import GridFunction
 from .quadrature import _gauss_order, rect_complement_integral
+from .spaces import _region_selector, lp_norm
 
 
 def naive_apply_omega(u, params):
@@ -117,3 +122,87 @@ def _naive_2d(grid, vals, s, C):
         total += 2.0 * vals[ix, iy] * tail
         out.append(C / 2.0 * total)
     return np.array(out)
+
+
+def pairwise_gagliardo(u, sigma, p, region=None):
+    """Gagliardo double sum over dense (N, N) node-pair arrays.
+
+    sum over x != y in the region of |u(x)-u(y)|^p / |x-y|^(N+p sigma),
+    times h^(2N), to the power 1/p.  O(N^2) memory: small grids only.
+    """
+    grid = u.grid
+    sel = _region_selector(u, region)
+    pts = grid.nodes()[sel.ravel()]
+    vals = u.values[sel]
+    if vals.size < 2:
+        return 0.0
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dist, 1.0)
+    ker = dist ** (-(grid.ndim + p * sigma))
+    np.fill_diagonal(ker, 0.0)
+    total = float((diff ** p * ker).sum()) * grid.h ** (2 * grid.ndim)
+    return total ** (1.0 / p)
+
+
+def _shifted(values, n, ndim, shift):
+    """u(x + shift) on the box lattice, zero beyond the box."""
+    if ndim == 1:
+        k = shift
+        out = np.zeros(n)
+        if k >= 0:
+            out[: n - k] = values[k:]
+        else:
+            out[-k:] = values[: n + k]
+        return out
+    kx, ky = shift
+    out = np.zeros((n, n))
+    sx = slice(max(0, -kx), min(n, n - kx))
+    sy = slice(max(0, -ky), min(n, n - ky))
+    out[sx, sy] = values[sx.start + kx: sx.stop + kx, sy.start + ky: sy.stop + ky]
+    return out
+
+
+def shift_loop_besov(u, sigma, p, q):
+    """Besov lattice sum with one shifted copy and one lp_norm call per shift."""
+    grid = u.grid
+    n, h, ndim = grid.n, grid.h, grid.ndim
+    second = sigma > 1.0
+    vals = u.values
+
+    if ndim == 1:
+        shifts = [(k,) for k in range(-(n - 1), n) if k != 0]
+    else:
+        shifts = [(kx, ky) for kx in range(-(n - 1), n) for ky in range(-(n - 1), n)
+                  if (kx, ky) != (0, 0)]
+
+    up_norm = lp_norm(u, p)
+    width = (n - 1) * h
+    tail_radius = width * np.sqrt(ndim)
+    surface = 2.0 if ndim == 1 else 2.0 * np.pi
+    if second:
+        disjoint_level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
+    else:
+        disjoint_level = 2.0 ** (1.0 / p) * up_norm
+
+    q_inf = np.isinf(q)
+    acc = 0.0
+    sup = 0.0
+    for sh in shifts:
+        y = np.asarray(sh, float) * h
+        ynorm = float(np.sqrt((y ** 2).sum()))
+        shift = sh[0] if ndim == 1 else sh
+        if second:
+            neg = -shift if ndim == 1 else (-shift[0], -shift[1])
+            d = _shifted(vals, n, ndim, shift) - 2.0 * vals + _shifted(vals, n, ndim, neg)
+        else:
+            d = _shifted(vals, n, ndim, shift) - vals
+        dn = lp_norm(GridFunction(grid, d), p)
+        if q_inf:
+            sup = max(sup, dn / ynorm ** sigma)
+        else:
+            acc += h ** ndim * dn ** q / ynorm ** (ndim + q * sigma)
+    if q_inf:
+        return max(sup, disjoint_level / tail_radius ** sigma)
+    acc += disjoint_level ** q * surface * tail_radius ** (-q * sigma) / (q * sigma)
+    return float(acc) ** (1.0 / q)

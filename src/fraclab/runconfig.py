@@ -2,7 +2,8 @@
 
 The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
-separated lists.  Parse errors carry 1-based line and column numbers.
+separated lists.  Parse errors carry 1-based line and column numbers, and
+so do the value-range checks made at load time (s, ndim, nt, theta).
 
 Schema (sections and keys understood by the experiment drivers):
 
@@ -104,6 +105,11 @@ class RunConfig:
             out.append(int(v))
         return out
 
+    def error(self, section, key, message):
+        """ConfigError located at the value of `key` in `section`."""
+        cv = self.section(section)[key]
+        return ConfigError(message, cv.line, cv.column, self.path)
+
     def region(self, section, required=False):
         sec = self.section(section)
         if not sec:
@@ -166,4 +172,25 @@ def parse_config_text(text, path="<config>"):
                               ln, indent + 1, path)
         col = line.index(value, line.index("=")) + 1
         cfg.sections[current][key_stripped] = ConfigValue(value, ln, col)
+    _check_ranges(cfg)
     return cfg
+
+
+# Values outside these ranges fail here, at load time, instead of deep in
+# a recipe: (section, key, integer-valued, test, allowed range).
+_RANGES = (
+    ("params", "s", False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("params", "ndim", True, lambda v: v in (1, 2), "1 or 2"),
+    ("time", "nt", True, lambda v: v >= 2, ">= 2"),
+    ("time", "theta", False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
+)
+
+
+def _check_ranges(cfg):
+    for section, key, integer, ok, allowed in _RANGES:
+        if not cfg.has(section, key):
+            continue
+        values = (cfg.get_ints if integer else cfg.get_floats)(section, key)
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            raise cfg.error(section, key, f"{key} must be {allowed}, got {bad[0]:g}")

@@ -189,3 +189,45 @@ def test_cli_check_subset(tmp_path, capsys):
 def test_cli_check_rejects_bad_criteria(tmp_path):
     assert main(["check", "--criteria", "abc"]) == 2
     assert main(["check", "--criteria", "0,11"]) == 2
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[experiment]\nname = getoor\n[params]\ns = 0.5, 1.5\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[params]\nndim = 3\n", ":4:8:"),
+    ("[experiment]\nname = parabolic-energy\n[time]\nnt = 1\n", ":4:6:"),
+    ("[experiment]\nname = parabolic-energy\n[time]\ntheta = 0.3\n", ":4:9:"),
+], ids=["s", "ndim", "nt", "theta"])
+def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
+    cfg_path = tmp_path / "range.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}{where}" in capsys.readouterr().err
+
+
+def test_cli_run_csv_source_of_wrong_length_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("1, 2, 3\n")
+    cfg_path = tmp_path / "csv.cfg"
+    cfg_path.write_text(f"""[experiment]
+name = parabolic-energy
+[grid]
+n = 17
+[time]
+nt = 4
+[source]
+profile = csv
+path = {csv_path}
+""")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}:9:8:" in err
+    assert "holds 3 values for 7 Omega nodes" in err
+
+
+def test_cli_run_check_resolves_alias(tmp_path, capsys):
+    cfg_path = tmp_path / "alias.cfg"
+    cfg_path.write_text("[experiment]\nname = identity-check\n[params]\ns = 0.5\n"
+                        "[grid]\nn = 33, 65, 129\n")
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--check"])
+    assert "criterion  3" in capsys.readouterr().out
+    assert rc == 0

@@ -99,9 +99,24 @@ def test_estimate_json_round_trip():
                                   sweep=(0.5, 1.5), levels=3)
     payload = json.loads(est.to_json())
     assert set(payload) == {"region", "p", "method", "sweep", "levels", "mode",
-                            "values", "rates", "verdicts", "sigma_star"}
+                            "values", "rates", "verdicts", "sigma_star", "flipped"}
     assert len(payload["values"]) == 3
     assert len(payload["values"][0]) == 2
+    assert payload["flipped"] == []
+
+
+def test_estimate_records_flipped_verdict():
+    import json
+
+    # out of order, 0.7 comes after the divergent 1.5: its convergent
+    # verdict is the one out-of-place entry, flipped to divergent
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, Box((0.5,), (1.5,)),
+                                  sweep=(0.5, 1.5, 0.7, 1.7, 1.9), levels=3)
+    assert est.rates[2] < est.rates[1]
+    assert est.verdicts == [False, True, True, True, True]
+    assert est.flipped == [0.7]
+    assert json.loads(est.to_json())["flipped"] == [0.7]
 
 
 def test_probe_validates_inputs():

@@ -1,9 +1,11 @@
-"""Property tests: every fast operator path against a slow one on small grids.
+"""Property tests: every fast path against a slow one on small grids.
 
 Random s, n and Omega (ball, box, disjoint union) in 1D and 2D.  The FFT
 apply is checked against the gathered dense matrix and the naive scalar
 oracle; the dense matrix for its structure; the FFT remainder against a
-per-node pairwise sum that rebuilds each node's truncated weights.
+per-node pairwise sum that rebuilds each node's truncated weights.  The
+shift-domain seminorm sweeps are checked against the pairwise Gagliardo
+sum and the per-shift Besov loop, over random p, q, sigma and regions.
 """
 
 import numpy as np
@@ -23,8 +25,9 @@ from fraclab.quadrature import (
     rect_complement_integral,
     tail_coefficient_1d,
 )
-from fraclab.reference import naive_apply_omega
+from fraclab.reference import naive_apply_omega, pairwise_gagliardo, shift_loop_besov
 from fraclab.regions import Ball, Box, DisjointUnion
+from fraclab.spaces import _gradient_components, besov_seminorm, lp_norm, sobolev_seminorm
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -169,3 +172,74 @@ def test_fft_remainder_matches_pairwise_sum(ndim, n_max):
         assert _rel_gap(remainder_Is(u, eta, params).values, slow) <= 1e-12
 
     check()
+
+
+def _region(kind, ndim):
+    """Region of a seminorm: whole box (None), Omega, ball, box or union."""
+    one = (1.0,) * ndim
+    return {"box-all": None, "omega": "omega",
+            "ball": Ball(tuple(0.3 * o for o in one), 0.9),
+            "box": Box(tuple(-1.2 * o for o in one), tuple(0.5 * o for o in one)),
+            "union": DisjointUnion((Box(tuple(-1.5 * o for o in one), tuple(-0.6 * o for o in one)),
+                                    Ball(tuple(0.5 * o for o in one), 0.6)))}[kind]
+
+
+def _pairwise_sobolev(u, sigma, p, region):
+    """The order-sigma seminorm composed from pairwise Gagliardo sums."""
+    if sigma < 1.0:
+        return pairwise_gagliardo(u, sigma, p, region)
+    comps = _gradient_components(u)
+    if sigma == 1.0:
+        return sum(lp_norm(g, p, region) ** p for g in comps) ** (1.0 / p)
+    return sum(pairwise_gagliardo(g, sigma - 1.0, p, region) ** p for g in comps) ** (1.0 / p)
+
+
+P_VALUES = st.sampled_from([1.5, 2.0, 3.0])
+LOW = st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3)
+HIGH = st.lists(st.floats(1.05, 1.95), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_sobolev_sweep_matches_pairwise_sum(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max), P_VALUES, LOW, HIGH,
+           st.sampled_from(["box-all", "omega", "ball", "box", "union"]))
+    def check(problem, p, low, high, kind):
+        grid, _, rng = problem
+        u = GridFunction(grid, rng.standard_normal(grid.shape))
+        region = _region(kind, ndim)
+        sweep = low + [1.0] + high
+        fast = sobolev_seminorm(u, sweep, p, region)
+        slow = np.array([_pairwise_sobolev(u, sg, p, region) for sg in sweep])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_besov_sweep_matches_shift_loop(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max), P_VALUES, st.sampled_from(["2", "p", "inf"]), LOW, HIGH)
+    def check(problem, p, q_kind, low, high):
+        grid, _, rng = problem
+        u = extend_by_zero(rng.standard_normal(grid.n_omega), grid)
+        q = {"2": 2.0, "p": p, "inf": np.inf}[q_kind]
+        sweep = low + high
+        fast = besov_seminorm(u, sweep, p, q)
+        slow = np.array([shift_loop_besov(u, sg, p, q) for sg in sweep])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+    check()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_besov_sup_taken_at_disjoint_tail(p):
+    """q = inf: for a plateau and a small sigma the disjoint-support tail
+    level / R^sigma exceeds every lattice shift, so it sets the supremum."""
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    u = extend_by_zero(np.ones(grid.n_omega), grid)
+    sigma = 0.05
+    tail = 2.0 ** (1.0 / p) * lp_norm(u, p) / ((grid.n - 1) * grid.h) ** sigma
+    fast = besov_seminorm(u, sigma, p, np.inf)
+    assert abs(fast - shift_loop_besov(u, sigma, p, np.inf)) <= 1e-12 * tail
+    assert abs(fast - tail) <= 1e-12 * tail
