@@ -91,15 +91,16 @@ def source_profile(cfg, grid):
     raise ConfigError(f"unknown source profile {profile!r}", path=cfg.path)
 
 
-def _default_grid(cfg, ndim, n, fallback_box, fallback_omega):
+def _default_grid(cfg, ndim, n):
+    """Grid from [grid] box and omega, by default the unit ball in [-2, 2]^ndim."""
     box_vals = cfg.get_floats("grid", "box", default=None)
     if box_vals is None:
-        box = fallback_box
+        box = ((-2.0, 2.0),) * ndim
     elif len(box_vals) == 2 * ndim:
         box = tuple((box_vals[a], box_vals[ndim + a]) for a in range(ndim))
     else:
         raise ConfigError(f"box needs {2 * ndim} numbers for ndim={ndim}", path=cfg.path)
-    omega = cfg.region("omega") or fallback_omega
+    omega = cfg.region("omega") or Ball((0.0,) * ndim, 1.0)
     return build_grid(ndim, box, n, omega)
 
 
@@ -116,8 +117,7 @@ def run_getoor(cfg, out_dir):
     rows = []
     err_rows = []
     for n in levels:
-        grid = _default_grid(cfg, ndim, n, ((-2.0, 2.0),) * ndim,
-                             Ball((0.0,) * ndim, 1.0))
+        grid = _default_grid(cfg, ndim, n)
         u = solve_dirichlet(np.ones(grid.n_omega), params, grid)
         pts = grid.nodes()
         r2 = (pts ** 2).sum(axis=1).reshape(grid.shape)
@@ -238,7 +238,7 @@ def run_elliptic_regularity(cfg, out_dir):
     out = {}
     for s in s_list:
         params = FractionalParams(1, s)
-        grid = _default_grid(cfg, 1, base_n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+        grid = _default_grid(cfg, 1, base_n)
         resolve = _jump_resolver(cfg, params)
         est_int = estimate_local_exponent(resolve, grid, p, interior,
                                           levels=levels, protocol=protocol)
@@ -266,7 +266,7 @@ def run_parabolic_energy(cfg, out_dir):
     slack = cfg.get_float("time", "slack", default=0.05)
     n = cfg.get_int("grid", "n", default=257)
     params = FractionalParams(1, s)
-    grid = _default_grid(cfg, 1, n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+    grid = _default_grid(cfg, 1, n)
     matrix = assemble_operator_matrix(grid, params)
     f = source_profile(cfg, grid)
     worst = {}
@@ -293,7 +293,7 @@ def run_semigroup_contraction(cfg, out_dir):
     nt = cfg.get_int("semigroup", "nt", default=32)
     seed = cfg.get_int("experiment", "seed", default=0)
     params = FractionalParams(1, s)
-    grid = _default_grid(cfg, 1, n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+    grid = _default_grid(cfg, 1, n)
     matrix = assemble_operator_matrix(grid, params)
     rng = np.random.default_rng(seed)
     p_values = (1.0, 1.5, 2.0, 4.0, math.inf)
@@ -341,7 +341,7 @@ def run_product_rule(cfg, out_dir):
         params = FractionalParams(1, s)
         res = []
         for n in levels:
-            grid = _default_grid(cfg, 1, n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+            grid = _default_grid(cfg, 1, n)
             u = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.25),
                                               Ball((0.0,), 0.75), order=5))
             eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.45),
@@ -366,7 +366,7 @@ def run_g_bound(cfg, out_dir):
     ratios = []
     rows = []
     for n in levels:
-        grid = _default_grid(cfg, 1, n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+        grid = _default_grid(cfg, 1, n)
         f = source_profile(cfg, grid)
         u = solve_dirichlet(f, params, grid)
         spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6),
@@ -396,7 +396,7 @@ def run_regularity_sweep(cfg, out_dir):
                         default=DivergenceProtocol().rate_threshold)
     inner = cfg.region("inner") or Box((-0.4,), (0.4,))
     params = FractionalParams(1, s)
-    grid = _default_grid(cfg, 1, base_n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+    grid = _default_grid(cfg, 1, base_n)
 
     def resolve(g):
         return solve_dirichlet(source_profile(cfg, g), params, g)
@@ -423,7 +423,7 @@ def run_boundary_profile(cfg, out_dir):
     spread = {}
     for s in s_list:
         params = FractionalParams(1, s)
-        grid = _default_grid(cfg, 1, n, ((-2.0, 2.0),), Ball((0.0,), 1.0))
+        grid = _default_grid(cfg, 1, n)
         u = solve_dirichlet(np.ones(grid.n_omega), params, grid)
         rho = grid.rho[grid.mask]
         vals = u.values[grid.mask]

@@ -21,22 +21,20 @@ results do not depend on it.
 from __future__ import annotations
 
 import math
-import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
-from .errors import MemoryBudgetError
+from .errors import MemoryBudgetError, SingularOperatorError
 from .gridfn import Grid, GridFunction
 from .quadrature import sweep_1d, sweep_2d
 
 DEFAULT_DENSE_CAP = 4500  # max Omega nodes for a dense matrix
 _GATHER_ROWS = 64  # dense rows gathered per block
-
-_MAGIC = b"FLMAT1\x00\x00"
 
 
 def normalization_constant(ndim, s):
@@ -129,6 +127,7 @@ class OperatorMatrix:
     grid: Grid
     params: object
     matrix: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -144,31 +143,23 @@ class OperatorMatrix:
         """Discrete energy pairing sum v . (A w) h^N."""
         return float(np.dot(v, self.matrix @ w)) * self.h ** self.grid.ndim
 
-    def dump(self, path):
-        """Row-major float64 little-endian dump with a small header."""
-        m = self.grid.n_omega
-        flat_idx = np.flatnonzero(self.grid.mask.ravel()).astype("<i8")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<i d i d q", self.grid.ndim, self.params.s,
-                                 self.grid.n, self.grid.h, m))
-            fh.write(flat_idx.tobytes())
-            fh.write(self.matrix.astype("<f8").tobytes())
+    def factor(self, c=None):
+        """Upper Cholesky factor of A (c None) or of I + c A, built once per c.
 
-    @classmethod
-    def load(cls, path, grid, params):
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise ValueError("not an operator dump")
-            ndim, s, n, h, m = struct.unpack("<i d i d q", fh.read(struct.calcsize("<i d i d q")))
-            if (ndim, n) != (grid.ndim, grid.n) or abs(s - params.s) > 1e-15 or abs(h - grid.h) > 1e-12:
-                raise ValueError("operator dump does not match grid/params")
-            idx = np.frombuffer(fh.read(8 * m), dtype="<i8")
-            if not np.array_equal(idx, np.flatnonzero(grid.mask.ravel())):
-                raise ValueError("operator dump Omega indexing mismatch")
-            mat = np.frombuffer(fh.read(8 * m * m), dtype="<f8").reshape(m, m).copy()
-        return cls(grid, params, mat)
+        Every solver reaches the factorization through here, so a matrix
+        shared by several solves or semigroup steps is factored once per
+        shift.  The factors live and die with this matrix.
+        """
+        cho = self._factors.get(c)
+        if cho is None:
+            shifted = self.matrix if c is None else np.eye(len(self.matrix)) + c * self.matrix
+            try:
+                cho = scipy.linalg.cho_factor(shifted, lower=False, check_finite=False)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
+            cho[0].setflags(write=False)
+            self._factors[c] = cho
+        return cho
 
 
 def assemble_operator_matrix(grid, params, dense_cap=DEFAULT_DENSE_CAP):

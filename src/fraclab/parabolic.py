@@ -1,9 +1,13 @@
 """Theta-scheme time stepping, energy bookkeeping, and the discrete semigroup.
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
-+ theta f_{k+1}] with the factor built once per (tau, theta).  theta is
-restricted to [1/2, 1]: explicit stepping is excluded because the nonlocal
-stiffness grows like h^(-2s).
++ theta f_{k+1}]; each semigroup step applies (I + tau A)^(-1).  Both take
+their Cholesky factor from OperatorMatrix.factor(tau theta) or
+OperatorMatrix.factor(tau), which builds it once per shift and keeps it on
+the matrix, so repeated semigroup calls with the same tau factor once.  A
+factorization failure raises SingularOperatorError.  theta is restricted
+to [1/2, 1]: explicit stepping is excluded because the nonlocal stiffness
+grows like h^(-2s).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularOperatorError
-from .gridfn import GridFunction, extend_by_zero
+from .elliptic import _rhs_on_omega
+from .gridfn import extend_by_zero
 from .operator import assemble_operator_matrix
 
 
@@ -55,16 +59,7 @@ class Trajectory:
 
 def _source_at(f, t, grid):
     """Source as Omega vector at time t: constant, callable, or frame table."""
-    if callable(f):
-        val = f(t)
-    else:
-        val = f
-    if isinstance(val, GridFunction):
-        return val.values[grid.mask].astype(float)
-    arr = np.asarray(val, float)
-    if arr.shape == grid.shape:
-        return arr[grid.mask]
-    return arr.ravel()
+    return _rhs_on_omega(f(t) if callable(f) else f, grid)
 
 
 class FrameSource:
@@ -104,15 +99,9 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
     A = matrix.matrix
-    m = grid.n_omega
     tau = T / nt
-    try:
-        cho = scipy.linalg.cho_factor(np.eye(m) + tau * theta * A, lower=False,
-                                      check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"step factorization failed: {exc}") from exc
-
-    u = np.zeros(m) if u0 is None else _source_at(u0, 0.0, grid).copy()
+    cho = matrix.factor(tau * theta)
+    u = np.zeros(grid.n_omega) if u0 is None else _source_at(u0, 0.0, grid).copy()
     times = [0.0]
     snaps = [extend_by_zero(u, grid)]
     f_now = _source_at(f, 0.0, grid)
@@ -201,10 +190,7 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
         return extend_by_zero(vec, grid)
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
-    tau = t / nt
-    m = grid.n_omega
-    cho = scipy.linalg.cho_factor(np.eye(m) + tau * matrix.matrix, lower=False,
-                                  check_finite=False)
+    cho = matrix.factor(t / nt)
     for _ in range(nt):
         vec = scipy.linalg.cho_solve(cho, vec, check_finite=False)
     return extend_by_zero(vec, grid)

@@ -181,28 +181,8 @@ def gagliardo_seminorm(u, sigma, p, region=None):
 def _gradient_components(u):
     """Central differences per axis (one-sided at the box edge)."""
     grid = u.grid
-    h = grid.h
-    comps = []
-    v = u.values
-    if grid.ndim == 1:
-        g = np.empty_like(v)
-        g[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        g[0] = (v[1] - v[0]) / h
-        g[-1] = (v[-1] - v[-2]) / h
-        comps.append(g)
-    else:
-        for ax in (0, 1):
-            g = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2 * h)
-            sl_lo = [slice(None)] * 2
-            sl_lo[ax] = 0
-            sl_hi = [slice(None)] * 2
-            sl_hi[ax] = -1
-            g[tuple(sl_lo)] = np.take(v, 1, axis=ax) - np.take(v, 0, axis=ax)
-            g[tuple(sl_hi)] = np.take(v, -1, axis=ax) - np.take(v, -2, axis=ax)
-            g[tuple(sl_lo)] /= h
-            g[tuple(sl_hi)] /= h
-            comps.append(g)
-    return [GridFunction(grid, g) for g in comps]
+    return [GridFunction(grid, np.gradient(u.values, grid.h, axis=ax))
+            for ax in range(grid.ndim)]
 
 
 def sobolev_seminorm(u, sigma, p, region=None):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fraclab import elliptic
 from fraclab.elliptic import residual_check, solve_dirichlet
+from fraclab.errors import SingularOperatorError
 from fraclab.gridfn import build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, assemble_operator_matrix
 from fraclab.regions import Ball
@@ -44,6 +46,13 @@ def test_residual_contract(grid65, params_half):
     f = np.ones(grid65.n_omega)
     u = solve_dirichlet(f, params_half, grid65, matrix=A)
     assert residual_check(u, f, params_half) <= 1e-10
+
+
+def test_residual_above_tolerance_after_two_sweeps_raises(grid65, params_half, monkeypatch):
+    monkeypatch.setattr(elliptic, "RESIDUAL_REL_TOL", 0.0)
+    f = np.random.default_rng(5).standard_normal(grid65.n_omega)
+    with pytest.raises(SingularOperatorError, match="relative residual .* after two refinement sweeps"):
+        solve_dirichlet(f, params_half, grid65)
 
 
 def test_residual_of_zero_guess(grid65, params_half):

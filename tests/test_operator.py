@@ -8,7 +8,6 @@ from fraclab.errors import MemoryBudgetError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import (
     FractionalParams,
-    OperatorMatrix,
     apply_fractional_laplacian,
     assemble_operator_matrix,
     normalization_constant,
@@ -170,12 +169,3 @@ def test_memory_budget_cap(grid65, params_half):
     with pytest.raises(MemoryBudgetError):
         assemble_operator_matrix(grid65, params_half, dense_cap=grid65.n_omega - 1)
 
-
-def test_matrix_dump_load_round_trip(tmp_path, grid65, params_half):
-    A = assemble_operator_matrix(grid65, params_half)
-    path = tmp_path / "op.bin"
-    A.dump(path)
-    B = OperatorMatrix.load(path, grid65, params_half)
-    assert np.array_equal(A.matrix, B.matrix)
-    with pytest.raises(ValueError):
-        OperatorMatrix.load(path, grid65, FractionalParams(1, 0.6))

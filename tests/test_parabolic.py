@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from fraclab.elliptic import solve_dirichlet
+from fraclab.errors import SingularOperatorError
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid
-from fraclab.operator import FractionalParams, assemble_operator_matrix
+from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
     FrameSource,
     energy_report,
@@ -146,6 +147,31 @@ def test_semigroup_positivity_and_contraction(setup):
             assert out.values[grid.mask].min() >= -1e-12
             for p in (1.0, 1.5, 2.0, 4.0, math.inf):
                 assert lp_norm(out, p, "omega") <= lp_norm(phi_fn, p, "omega") + 1e-12
+
+
+def test_semigroup_factors_once_per_tau(setup):
+    grid, params, _ = setup
+    matrix = assemble_operator_matrix(grid, params)
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        phi = rng.standard_normal(grid.n_omega)
+        for t in (0.1, 1.0):
+            semigroup_apply(phi, t, 16, params, grid, matrix=matrix)
+    assert sorted(matrix._factors) == [0.1 / 16, 1.0 / 16]
+    for c, (factor, lower) in matrix._factors.items():
+        fresh, fresh_lower = scipy.linalg.cho_factor(
+            np.eye(grid.n_omega) + c * matrix.matrix, lower=False, check_finite=False)
+        assert lower is fresh_lower is False
+        assert factor.tobytes() == fresh.tobytes()
+
+
+def test_semigroup_non_spd_operator_raises(setup):
+    grid, params, _ = setup
+    tau = 0.25
+    # I + tau A = -I is negative definite
+    matrix = OperatorMatrix(grid, params, -(2.0 / tau) * np.eye(grid.n_omega))
+    with pytest.raises(SingularOperatorError):
+        semigroup_apply(np.ones(grid.n_omega), 4 * tau, 4, params, grid, matrix=matrix)
 
 
 def test_semigroup_composition(setup):

@@ -6,6 +6,8 @@ oracle; the dense matrix for its structure; the FFT remainder against a
 per-node pairwise sum that rebuilds each node's truncated weights.  The
 shift-domain seminorm sweeps are checked against the pairwise Gagliardo
 sum and the per-shift Besov loop, over random p, q, sigma and regions.
+The implicit-Euler semigroup keeps nonnegative data nonnegative and
+contracts the L^1, L^2 and L^inf norms on Omega.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from fraclab.gridfn import GridFunction, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
 from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
+from fraclab.parabolic import semigroup_apply
 from fraclab.quadrature import (
     cell_corner_weights,
     first_cell_moment,
@@ -94,6 +97,22 @@ def test_matrix_symmetric_m_matrix(ndim, n_max):
         assert (A - np.diag(np.diag(A))).max() <= 0.0
         assert np.diag(A).min() > 0.0
         assert (A @ np.ones(len(A))).min() > 0.0
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_semigroup_positive_and_contractive(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max), st.floats(0.01, 2.0), st.integers(1, 8))
+    def check(problem, t, nt):
+        grid, params, rng = problem
+        phi = extend_by_zero(np.abs(rng.standard_normal(grid.n_omega)), grid)
+        out = semigroup_apply(phi, t, nt, params, grid)
+        assert out.values[grid.mask].min() >= -1e-12
+        for p in (1.0, 2.0, np.inf):
+            before = lp_norm(phi, p, "omega")
+            assert lp_norm(out, p, "omega") <= before * (1.0 + 1e-12)
 
     check()
 
