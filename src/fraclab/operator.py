@@ -148,13 +148,19 @@ class OperatorMatrix:
 
         Every solver reaches the factorization through here, so a matrix
         shared by several solves or semigroup steps is factored once per
-        shift.  The factors live and die with this matrix.
+        shift.  The factors live and die with this matrix.  I + c A is
+        formed in one Fortran-ordered buffer that LAPACK factors in place.
         """
         cho = self._factors.get(c)
         if cho is None:
-            shifted = self.matrix if c is None else np.eye(len(self.matrix)) + c * self.matrix
+            if c is None:
+                shifted = self.matrix
+            else:
+                shifted = np.multiply(self.matrix, c, order="F")
+                shifted[np.diag_indices_from(shifted)] += 1.0
             try:
-                cho = scipy.linalg.cho_factor(shifted, lower=False, check_finite=False)
+                cho = scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=c is not None,
+                                              check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
             cho[0].setflags(write=False)

@@ -1,13 +1,17 @@
 """Theta-scheme time stepping, energy bookkeeping, and the discrete semigroup.
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
-+ theta f_{k+1}]; each semigroup step applies (I + tau A)^(-1).  Both take
++ theta f_{k+1}]; at theta = 1 the explicit part is skipped, A u_k
+included.  Each semigroup step applies (I + tau A)^(-1) to every datum of
+a batch at once: the data are the columns of one Fortran-ordered array,
+so a step is one multi-right-hand-side triangular solve pair.  Both take
 their Cholesky factor from OperatorMatrix.factor(tau theta) or
 OperatorMatrix.factor(tau), which builds it once per shift and keeps it on
 the matrix, so repeated semigroup calls with the same tau factor once.  A
 factorization failure raises SingularOperatorError.  theta is restricted
 to [1/2, 1]: explicit stepping is excluded because the nonlocal stiffness
-grows like h^(-2s).
+grows like h^(-2s).  Results may change in the last digits with the BLAS
+thread count, which is not fixed here.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .elliptic import _rhs_on_omega
+from .errors import LengthMismatchError
 from .gridfn import extend_by_zero
 from .operator import assemble_operator_matrix
 
@@ -108,7 +113,9 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     for k in range(nt):
         t_next = (k + 1) * tau
         f_next = _source_at(f, t_next, grid)
-        rhs = u + tau * ((1 - theta) * (f_now - A @ u) + theta * f_next)
+        # at theta = 1 the explicit part (1 - theta)(f_k - A u_k) is zero
+        explicit = (1 - theta) * (f_now - A @ u) if theta < 1 else 0.0
+        rhs = u + tau * (explicit + theta * f_next)
         u = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
         times.append(t_next)
         snaps.append(extend_by_zero(u, grid))
@@ -182,15 +189,30 @@ def energy_report(traj, f, matrix=None, slack=None):
 
 
 def semigroup_apply(phi, t, nt, params, grid, matrix=None):
-    """Approximate the homogeneous evolution semigroup by implicit Euler."""
+    """Approximate the homogeneous evolution semigroup by implicit Euler.
+
+    phi is one datum, or a list of data that all share (t, nt): the list
+    is stacked into one Fortran-ordered (m, k) array, each of the nt
+    steps is one k-column solve, and the k exterior-zero images come back
+    as a list in the same order.  One datum is a batch of one.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    vec = _source_at(phi, 0.0, grid).copy()
-    if t == 0 or nt == 0:
-        return extend_by_zero(vec, grid)
-    if matrix is None:
-        matrix = assemble_operator_matrix(grid, params)
-    cho = matrix.factor(t / nt)
-    for _ in range(nt):
-        vec = scipy.linalg.cho_solve(cho, vec, check_finite=False)
-    return extend_by_zero(vec, grid)
+    if t > 0 and nt < 1:
+        raise ValueError(f"need nt >= 1 steps for t > 0, got {nt}")
+    batched = isinstance(phi, list)
+    batch = phi if batched else [phi]
+    data = np.empty((grid.n_omega, len(batch)), order="F")
+    for j, datum in enumerate(batch):
+        vec = _source_at(datum, 0.0, grid)
+        if vec.size != grid.n_omega:
+            raise LengthMismatchError(f"got {vec.size} values for {grid.n_omega} Omega nodes")
+        data[:, j] = vec
+    if t > 0:
+        if matrix is None:
+            matrix = assemble_operator_matrix(grid, params)
+        cho = matrix.factor(t / nt)
+        for _ in range(nt):
+            data = scipy.linalg.cho_solve(cho, data, overwrite_b=True, check_finite=False)
+    images = [extend_by_zero(data[:, j], grid) for j in range(len(batch))]
+    return images if batched else images[0]

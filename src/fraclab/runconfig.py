@@ -3,7 +3,8 @@
 The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
 separated lists.  Parse errors carry 1-based line and column numbers, and
-so do the value-range checks made at load time (s, ndim, nt, theta).
+so do the value-range checks made at load time (s, ndim, [time] nt,
+theta, and [semigroup] nt, count and t).
 
 Schema (sections and keys understood by the experiment drivers):
 
@@ -20,6 +21,7 @@ Schema (sections and keys understood by the experiment drivers):
   [source]      profile = constant | jump | power | bump | csv
                 value/exponent/path ... per profile
   [time]        T = <float>, nt = <int or list>, theta = <float or list>
+  [semigroup]   t = <list of float >= 0>, nt = <int >= 1>, count = <int >= 1>
   [probe]       p = <float>, sweep = <list of sigma>, levels = <int>,
                 rate_threshold = <float>
 """
@@ -183,6 +185,9 @@ _RANGES = (
     ("params", "ndim", True, lambda v: v in (1, 2), "1 or 2"),
     ("time", "nt", True, lambda v: v >= 2, ">= 2"),
     ("time", "theta", False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
+    ("semigroup", "nt", True, lambda v: v >= 1, ">= 1"),
+    ("semigroup", "count", True, lambda v: v >= 1, ">= 1"),
+    ("semigroup", "t", False, lambda v: v >= 0.0, ">= 0"),
 )
 
 

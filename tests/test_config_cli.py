@@ -196,7 +196,12 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = getoor\n[params]\nndim = 3\n", ":4:8:"),
     ("[experiment]\nname = parabolic-energy\n[time]\nnt = 1\n", ":4:6:"),
     ("[experiment]\nname = parabolic-energy\n[time]\ntheta = 0.3\n", ":4:9:"),
-], ids=["s", "ndim", "nt", "theta"])
+    ("[experiment]\nname = semigroup-contraction\n[semigroup]\nnt = 0\n", ":4:6:"),
+    ("[experiment]\nname = semigroup-contraction\n[semigroup]\nnt = -3\n", ":4:6:"),
+    ("[experiment]\nname = semigroup-contraction\n[semigroup]\ncount = 0\n", ":4:9:"),
+    ("[experiment]\nname = semigroup-contraction\n[semigroup]\nt = 0.1, -0.5\n", ":4:5:"),
+], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
+        "semigroup-count", "semigroup-t"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

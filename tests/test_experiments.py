@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from fraclab.experiments import (
     run_experiment,
     source_profile,
 )
-from fraclab.gridfn import build_grid
+from fraclab.gridfn import build_grid, extend_by_zero
+from fraclab.operator import FractionalParams
+from fraclab.parabolic import semigroup_apply
 from fraclab.regions import Ball
 from fraclab.runconfig import parse_config_text
+from fraclab.spaces import lp_norm
 
 
 def _cfg(text):
@@ -75,6 +80,40 @@ n = 65, 129
     lines = (tmp_path / "g_bound.csv").read_text().strip().splitlines()
     assert lines[0].startswith("s,p,h,")
     assert len(lines) == 3
+
+
+def test_semigroup_contraction_rows_match_single_datum_runs(tmp_path):
+    cfg = _cfg("""
+[experiment]
+name = semigroup-contraction
+seed = 7
+[grid]
+n = 33
+[semigroup]
+count = 4
+t = 0.1, 1.0
+nt = 8
+""")
+    summary = run_experiment("semigroup-contraction", cfg, str(tmp_path))
+    rows = list(csv.reader((tmp_path / "contraction.csv").open()))[1:]
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    rng = np.random.default_rng(7)
+    expected = []
+    for trial in range(4):
+        phi = rng.standard_normal(grid.n_omega)
+        phi = np.abs(phi) if trial % 2 == 0 else phi
+        for t in (0.1, 1.0):
+            image = semigroup_apply(phi, t, 8, params, grid)
+            for p in (1.0, 1.5, 2.0, 4.0, math.inf):
+                expected.append((trial, t, p, lp_norm(extend_by_zero(phi, grid), p, "omega"),
+                                 lp_norm(image, p, "omega")))
+    assert len(rows) == len(expected) == 40
+    for row, (trial, t, p, before, after) in zip(rows, expected):
+        assert (int(row[0]), float(row[1]), float(row[2])) == (trial, t, p)
+        assert float(row[3]) == before
+        assert float(row[4]) == pytest.approx(after, rel=1e-13)
+    assert summary["worst_growth"] < 0.0 and summary["worst_negative"] >= -1e-12
 
 
 def test_regularity_sweep_experiment(tmp_path):

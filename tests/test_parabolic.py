@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from fraclab.elliptic import solve_dirichlet
-from fraclab.errors import SingularOperatorError
+from fraclab.errors import LengthMismatchError, SingularOperatorError
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
@@ -132,6 +132,10 @@ def test_semigroup_identity_at_time_zero(setup):
     phi = rng.standard_normal(grid.n_omega)
     out = semigroup_apply(phi, 0.0, 8, params, grid, matrix=matrix)
     assert np.array_equal(out.values[grid.mask], phi)
+    outs = semigroup_apply([phi, -phi], 0.0, 8, params, grid, matrix=matrix)
+    assert len(outs) == 2
+    assert np.array_equal(outs[0].values[grid.mask], phi)
+    assert np.array_equal(outs[1].values[grid.mask], -phi)
 
 
 def test_semigroup_positivity_and_contraction(setup):
@@ -163,6 +167,30 @@ def test_semigroup_factors_once_per_tau(setup):
             np.eye(grid.n_omega) + c * matrix.matrix, lower=False, check_finite=False)
         assert lower is fresh_lower is False
         assert factor.tobytes() == fresh.tobytes()
+
+
+def test_semigroup_batch_factors_once_per_tau(setup):
+    grid, params, _ = setup
+    matrix = assemble_operator_matrix(grid, params)
+    rng = np.random.default_rng(25)
+    data = [rng.standard_normal(grid.n_omega) for _ in range(20)]
+    for t in (0.1, 1.0):
+        images = semigroup_apply(data, t, 16, params, grid, matrix=matrix)
+        assert len(images) == len(data) and all(im.dirichlet for im in images)
+    assert sorted(matrix._factors) == [0.1 / 16, 1.0 / 16]
+
+
+def test_semigroup_rejects_bad_steps_and_lengths(setup):
+    grid, params, matrix = setup
+    phi = np.ones(grid.n_omega)
+    for nt in (0, -3):
+        with pytest.raises(ValueError, match="nt >= 1"):
+            semigroup_apply(phi, 0.5, nt, params, grid, matrix=matrix)
+    with pytest.raises(ValueError, match="nonnegative"):
+        semigroup_apply([phi], -0.5, 4, params, grid, matrix=matrix)
+    for bad in ([phi, phi[:-1]], 1.0):
+        with pytest.raises(LengthMismatchError):
+            semigroup_apply(bad, 0.5, 4, params, grid, matrix=matrix)
 
 
 def test_semigroup_non_spd_operator_raises(setup):

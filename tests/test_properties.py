@@ -7,7 +7,8 @@ per-node pairwise sum that rebuilds each node's truncated weights.  The
 shift-domain seminorm sweeps are checked against the pairwise Gagliardo
 sum and the per-shift Besov loop, over random p, q, sigma and regions.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
-contracts the L^1, L^2 and L^inf norms on Omega.
+contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
+gives each datum its one-datum image, in order.
 """
 
 import numpy as np
@@ -104,15 +105,21 @@ def test_matrix_symmetric_m_matrix(ndim, n_max):
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
 def test_semigroup_positive_and_contractive(ndim, n_max):
     @PROPERTY
-    @given(problems(ndim, n_max), st.floats(0.01, 2.0), st.integers(1, 8))
-    def check(problem, t, nt):
+    @given(problems(ndim, n_max), st.floats(0.01, 2.0), st.integers(1, 8), st.integers(1, 5))
+    def check(problem, t, nt, k):
         grid, params, rng = problem
-        phi = extend_by_zero(np.abs(rng.standard_normal(grid.n_omega)), grid)
-        out = semigroup_apply(phi, t, nt, params, grid)
-        assert out.values[grid.mask].min() >= -1e-12
-        for p in (1.0, 2.0, np.inf):
-            before = lp_norm(phi, p, "omega")
-            assert lp_norm(out, p, "omega") <= before * (1.0 + 1e-12)
+        matrix = assemble_operator_matrix(grid, params)
+        data = [extend_by_zero(np.abs(rng.standard_normal(grid.n_omega)), grid)
+                for _ in range(k)]
+        images = semigroup_apply(data, t, nt, params, grid, matrix=matrix)
+        assert len(images) == k
+        for phi, out in zip(data, images):
+            alone = semigroup_apply(phi, t, nt, params, grid, matrix=matrix)
+            assert _rel_gap(out.values, alone.values) <= 1e-13
+            assert out.values[grid.mask].min() >= -1e-12
+            for p in (1.0, 2.0, np.inf):
+                before = lp_norm(phi, p, "omega")
+                assert lp_norm(out, p, "omega") <= before * (1.0 + 1e-12)
 
     check()
 
