@@ -99,7 +99,7 @@ def _default_grid(cfg, ndim, n):
     elif len(box_vals) == 2 * ndim:
         box = tuple((box_vals[a], box_vals[ndim + a]) for a in range(ndim))
     else:
-        raise ConfigError(f"box needs {2 * ndim} numbers for ndim={ndim}", path=cfg.path)
+        raise cfg.error("grid", "box", f"box needs {2 * ndim} numbers for ndim={ndim}")
     omega = cfg.region("omega") or Ball((0.0,) * ndim, 1.0)
     return build_grid(ndim, box, n, omega)
 

@@ -182,9 +182,11 @@ def cell_corner_weights(n, h, s):
     corner_dist = np.maximum(corner_dist, np.minimum(np.abs(kb), np.abs(kb + 1)))
     near = (ka >= -1) & (ka <= 0) & (kb >= -1) & (kb <= 0)
 
-    orders = sorted({_gauss_order(d) for d in np.unique(corner_dist)})
-    for g in orders:
-        sel = (~near) & (np.vectorize(_gauss_order)(corner_dist) == g)
+    # _gauss_order of every cell at once: the first schedule bound >= the distance
+    bounds, schedule = zip(*_GAUSS_SCHEDULE)
+    order = np.array(schedule + (_GAUSS_FAR,))[np.searchsorted(bounds, corner_dist)]
+    for g in np.unique(order):
+        sel = (~near) & (order == g)
         if not sel.any():
             continue
         t, wt = leggauss(g)

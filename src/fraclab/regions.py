@@ -150,15 +150,6 @@ class DisjointUnion:
         return {"kind": "union", "members": [m.describe() for m in self.members]}
 
 
-def _support_point(region, direction):
-    """Farthest point of the region in the given direction."""
-    d = np.asarray(direction, float)
-    if isinstance(region, Ball):
-        return np.asarray(region.center) + region.radius * d / max(np.linalg.norm(d), 1e-300)
-    lo, hi = np.asarray(region.lo), np.asarray(region.hi)
-    return np.where(d >= 0, hi, lo)
-
-
 def separation(a, b):
     """Minimal Euclidean gap between two ball/box regions (negative if they meet).
 

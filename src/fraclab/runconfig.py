@@ -3,8 +3,10 @@
 The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
 separated lists.  Parse errors carry 1-based line and column numbers, and
-so do the value-range checks made at load time (s, ndim, [time] nt,
-theta, and [semigroup] nt, count and t).
+so do the checks made at load time: the value ranges (s, ndim, [grid] n,
+[time] nt, theta, and [semigroup] nt, count and t), the [grid] box (2 ndim
+numbers, a positive and equal extent on every axis) and the dimension of
+the [omega] and [inner] regions, which must be ndim.
 
 Schema (sections and keys understood by the experiment drivers):
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .gridfn import MIN_NODES
 
 
 @dataclass
@@ -175,6 +178,7 @@ def parse_config_text(text, path="<config>"):
         col = line.index(value, line.index("=")) + 1
         cfg.sections[current][key_stripped] = ConfigValue(value, ln, col)
     _check_ranges(cfg)
+    _check_geometry(cfg)
     return cfg
 
 
@@ -183,6 +187,7 @@ def parse_config_text(text, path="<config>"):
 _RANGES = (
     ("params", "s", False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("params", "ndim", True, lambda v: v in (1, 2), "1 or 2"),
+    ("grid", "n", True, lambda v: v >= MIN_NODES, f">= {MIN_NODES}"),
     ("time", "nt", True, lambda v: v >= 2, ">= 2"),
     ("time", "theta", False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
     ("semigroup", "nt", True, lambda v: v >= 1, ">= 1"),
@@ -199,3 +204,24 @@ def _check_ranges(cfg):
         bad = [v for v in values if not ok(v)]
         if bad:
             raise cfg.error(section, key, f"{key} must be {allowed}, got {bad[0]:g}")
+
+
+def _check_geometry(cfg):
+    """The [grid] box and the [omega] and [inner] regions against [params] ndim."""
+    ndim = cfg.get_int("params", "ndim", default=1)
+    box = cfg.get_floats("grid", "box")
+    if box is not None:
+        if len(box) != 2 * ndim:
+            raise cfg.error("grid", "box", f"box needs {2 * ndim} numbers (lo per axis, "
+                            f"then hi per axis) for ndim={ndim}, got {len(box)}")
+        widths = [hi - lo for lo, hi in zip(box[:ndim], box[ndim:])]
+        if min(widths) <= 0:
+            raise cfg.error("grid", "box", "box must have hi > lo on every axis")
+        if max(widths) - min(widths) > 1e-12 * max(widths):
+            raise cfg.error("grid", "box", "box must be square so the spacing is equal per axis")
+    for section in ("omega", "inner"):
+        region = cfg.region(section)
+        if region is not None and region.dim != ndim:
+            key = next(k for k in ("center", "bounds", "lo", "kind") if cfg.has(section, k))
+            raise cfg.error(section, key, f"[{section}] region has dimension {region.dim}, "
+                            f"but ndim={ndim}")

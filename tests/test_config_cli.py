@@ -200,8 +200,17 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = semigroup-contraction\n[semigroup]\nnt = -3\n", ":4:6:"),
     ("[experiment]\nname = semigroup-contraction\n[semigroup]\ncount = 0\n", ":4:9:"),
     ("[experiment]\nname = semigroup-contraction\n[semigroup]\nt = 0.1, -0.5\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = 17, 5\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[grid]\nbox = 2.0, -2.0\n", ":4:7:"),
+    ("[experiment]\nname = getoor\n[params]\nndim = 2\n[grid]\nbox = -2, 2\n", ":6:7:"),
+    ("[experiment]\nname = getoor\n[params]\nndim = 2\n[grid]\nbox = -2, -2, 2, 3\n", ":6:7:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = ball\ncenter = 0, 0\nradius = 1\n",
+     ":5:10:"),
+    ("[experiment]\nname = getoor\n[params]\nndim = 2\n[omega]\nkind = box\nbounds = -1, 1\n",
+     ":7:10:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
-        "semigroup-count", "semigroup-t"])
+        "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
+        "omega-ball-dim", "omega-box-dim"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

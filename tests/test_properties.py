@@ -6,6 +6,9 @@ oracle; the dense matrix for its structure; the FFT remainder against a
 per-node pairwise sum that rebuilds each node's truncated weights.  The
 shift-domain seminorm sweeps are checked against the pairwise Gagliardo
 sum and the per-shift Besov loop, over random p, q, sigma and regions.
+Data supported on a random sub-box of the lattice (touching its edge, or
+one node) drive the seminorms through their rectangle-sum terms for the
+nodes off the support and their closed forms for the far shifts.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
 contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
 gives each datum its one-datum image, in order.
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab.gridfn import GridFunction, build_grid, extend_by_zero
+from fraclab.gridfn import Grid, GridFunction, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
 from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from fraclab.parabolic import semigroup_apply
@@ -31,7 +34,14 @@ from fraclab.quadrature import (
 )
 from fraclab.reference import naive_apply_omega, pairwise_gagliardo, shift_loop_besov
 from fraclab.regions import Ball, Box, DisjointUnion
-from fraclab.spaces import _gradient_components, besov_seminorm, lp_norm, sobolev_seminorm
+from fraclab.spaces import (
+    _gradient_components,
+    _rectangle_reducer,
+    besov_seminorm,
+    gagliardo_seminorm,
+    lp_norm,
+    sobolev_seminorm,
+)
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -269,3 +279,75 @@ def test_besov_sup_taken_at_disjoint_tail(p):
     fast = besov_seminorm(u, sigma, p, np.inf)
     assert abs(fast - shift_loop_besov(u, sigma, p, np.inf)) <= 1e-12 * tail
     assert abs(fast - tail) <= 1e-12 * tail
+
+
+@st.composite
+def supported(draw, ndim, n_max):
+    """u on the box lattice, nonzero exactly on a random sub-box B of it.
+
+    Omega covers the whole box, so u is exterior-zero even where B touches
+    the box edge and the zero-beyond-the-box truncation enters the sums.
+    One draw in four puts B on a single node.  The values are random, or
+    a noisy plateau, 1 + U(0, 0.1): its differences inside B are small, so
+    at p = inf the nodes off B, where |u(x +- k)| stands alone, can set
+    the per-shift maxima, anywhere along B's edge.
+    """
+    n = draw(st.integers(9, n_max))
+    grid = Grid(ndim, (-2.0,) * ndim, (2.0,) * ndim, n, Box((-3.0,) * ndim, (3.0,) * ndim))
+    one_node = draw(st.sampled_from([False, False, False, True]))
+    box = []
+    for _ in range(ndim):
+        lo = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+        hi = lo + 1 if one_node else draw(st.sampled_from([n]) | st.integers(lo + 1, n))
+        box.append(slice(lo, hi))
+    plateau = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = tuple(b.stop - b.start for b in box)
+    values = np.zeros(grid.shape)
+    values[tuple(box)] = 1.0 + 0.1 * rng.random(shape) if plateau else rng.standard_normal(shape)
+    return GridFunction(grid, values, dirichlet=True)
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_gagliardo_over_support_matches_pairwise_sum(ndim, n_max):
+    @PROPERTY
+    @given(supported(ndim, n_max), P_VALUES, LOW,
+           st.sampled_from(["box-all", "ball", "box", "union"]))
+    def check(u, p, sweep, kind):
+        region = _region(kind, ndim)
+        fast = gagliardo_seminorm(u, sweep, p, region)
+        slow = np.array([pairwise_gagliardo(u, sg, p, region) for sg in sweep])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_besov_over_support_matches_shift_loop(ndim, n_max):
+    @PROPERTY
+    @given(supported(ndim, n_max), st.sampled_from([1.5, 2.0, 3.0, np.inf]),
+           st.sampled_from(["2", "p", "inf"]), LOW, HIGH)
+    def check(u, p, q_kind, low, high):
+        q = {"2": 2.0, "p": p, "inf": np.inf}[q_kind]
+        sweep = low + high
+        fast = besov_seminorm(u, sweep, p, q)
+        slow = np.array([shift_loop_besov(u, sg, p, q) for sg in sweep])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+    check()
+
+
+@PROPERTY
+@given(st.integers(1, 17), st.integers(1, 17), st.integers(0, 2 ** 32 - 1))
+def test_rectangle_sums_and_maxima_match_slices(m0, m1, seed):
+    """The summed-area and sparse tables against slices, empty rectangles included."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((m0, m1))
+    lo = rng.integers(0, [m0 + 1, m1 + 1], size=(64, 2))
+    hi = rng.integers(0, [m0 + 1, m1 + 1], size=(64, 2))
+    for maximum, slice_reduce in ((False, np.sum), (True, np.max)):
+        fast = _rectangle_reducer(P, maximum)(lo, hi)
+        for value, (r0, c0), (r1, c1) in zip(fast, lo, hi):
+            block = P[r0:r1, c0:c1]
+            slow = slice_reduce(block) if block.size else 0.0
+            assert abs(value - slow) <= 1e-12 * max(1.0, abs(slow))

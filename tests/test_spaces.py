@@ -48,6 +48,16 @@ def _jump(grid):
     return GridFunction(grid, np.where((x > 0) & grid.mask, 1.0, 0.0), dirichlet=True)
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_seminorms_of_zero_are_exactly_zero(ndim):
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, 33, Ball((0.0,) * ndim, 1.0))
+    zero = extend_by_zero(np.zeros(grid.n_omega), grid)
+    assert gagliardo_seminorm(zero, [0.25, 0.75], 2.0).tolist() == [0.0, 0.0]
+    for p in (2.0, math.inf):
+        for q in (2.0, math.inf):
+            assert besov_seminorm(zero, [0.5, 1.5], p, q).tolist() == [0.0, 0.0]
+
+
 def test_gagliardo_jump_divergence_threshold():
     # sigma p >= 1: the indicator's seminorm grows without bound under
     # refinement; sigma p < 1: it stabilizes
