@@ -20,7 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 from . import __version__
 from .elliptic import solve_dirichlet
 from .errors import ConfigError
-from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, smoothstep
+from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero, smoothstep
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
@@ -234,7 +234,7 @@ def run_elliptic_regularity(cfg, out_dir):
                         default=DivergenceProtocol().rate_threshold)
     interior = cfg.region("inner") or Box((-0.4,), (0.4,))
     boundary = cfg.region("boundary") or Box((0.5,), (1.5,))
-    protocol = DivergenceProtocol(rate_threshold=thr, levels=levels)
+    protocol = DivergenceProtocol(rate_threshold=thr)
     out = {}
     for s in s_list:
         params = FractionalParams(1, s)
@@ -308,7 +308,7 @@ def run_semigroup_contraction(cfg, out_dir):
     worst_growth = -math.inf
     worst_negative = 0.0
     for trial, phi in enumerate(data):
-        phi_fn = GridFunction(grid, _embed(grid, phi), dirichlet=True)
+        phi_fn = extend_by_zero(phi, grid)
         before = [lp_norm(phi_fn, p, "omega") for p in p_values]
         for t, batch in zip(times, images):
             image = batch[trial]
@@ -327,12 +327,6 @@ def run_semigroup_contraction(cfg, out_dir):
                    t=times, nt=nt, count=count, seed=seed,
                    regions={"omega": grid.omega.describe()})
     return {"worst_growth": worst_growth, "worst_negative": worst_negative}
-
-
-def _embed(grid, omega_vals):
-    full = np.zeros(grid.shape)
-    full[grid.mask] = omega_vals
-    return full
 
 
 def run_product_rule(cfg, out_dir):
@@ -406,7 +400,7 @@ def run_regularity_sweep(cfg, out_dir):
         return solve_dirichlet(source_profile(cfg, g), params, g)
 
     kwargs = {"levels": levels, "method": method,
-              "protocol": DivergenceProtocol(rate_threshold=thr, levels=levels)}
+              "protocol": DivergenceProtocol(rate_threshold=thr)}
     if sweep is not None:
         kwargs["sweep"] = sweep
     est = estimate_local_exponent(resolve, grid, p, inner, **kwargs)
@@ -464,11 +458,16 @@ RECIPES = {
 
 RECIPE_ALIASES = {"identity-check": "product-rule"}
 
+# the recipes that read [params] ndim; every other one runs in 1D only
+READS_NDIM = {"getoor"}
+
 
 def run_experiment(name, cfg, out_dir):
     canonical = RECIPE_ALIASES.get(name, name)
     if canonical not in RECIPES:
         raise ConfigError(f"unknown experiment {name!r}; see 'fraclab list'",
                           path=cfg.path if cfg else None)
+    if canonical not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
+        raise cfg.error("params", "ndim", f"{canonical} runs in 1D only; ndim must be 1")
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[canonical](cfg, out_dir)

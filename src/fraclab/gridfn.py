@@ -80,9 +80,9 @@ class Grid:
     def omega_nodes(self):
         return self.nodes()[self.mask.ravel()]
 
-    def refine(self, factor=2):
-        """Same box and Omega with (n-1)*factor+1 nodes per axis."""
-        return Grid(self.ndim, self.box_lo, self.box_hi, (self.n - 1) * factor + 1, self.omega)
+    def refine(self):
+        """Same box and Omega with the spacing halved: 2n-1 nodes per axis."""
+        return Grid(self.ndim, self.box_lo, self.box_hi, 2 * self.n - 1, self.omega)
 
     def node_index(self, point):
         """Index of the grid node nearest to a point."""
@@ -143,15 +143,13 @@ class GridFunction:
 class CutoffSpec:
     """Nested regions for a smooth bump: 1 on inner, 0 outside outer.
 
-    Optional enlargements omega1/omega2 sit between outer and Omega; when
-    only omega2 is given, omega1 is the midpoint dilation of outer toward
-    omega2.  order is the smoothness of the polynomial ramp (C^order).
+    The optional enlargement omega2 sits between outer and Omega.  order
+    is the smoothness of the polynomial ramp (C^order).
     """
 
     inner: object
     outer: object
     omega2: object = None
-    omega1: object = None
     order: int = 3
 
     def __post_init__(self):
@@ -160,12 +158,6 @@ class CutoffSpec:
         require_nested(self.inner, self.outer, "cut-off inner/outer")
         if self.omega2 is not None:
             require_nested(self.outer, self.omega2, "cut-off outer/omega2")
-            if self.omega1 is None:
-                gap = require_nested(self.outer, self.omega2, "cut-off outer/omega2")
-                object.__setattr__(self, "omega1", self.outer.expand(gap / 2.0))
-            else:
-                require_nested(self.outer, self.omega1, "cut-off outer/omega1")
-                require_nested(self.omega1, self.omega2, "cut-off omega1/omega2")
 
     def validate_against(self, grid):
         require_nested(self.outer, grid.omega, "cut-off outer/Omega")

@@ -129,7 +129,7 @@ class GBoundReport:
                 f"{self.lp_term:.17g}", f"{self.ratio:.17g}")
 
 
-def g_bound_monitor(u, eta_spec, params, omega2, p, eta=None):
+def g_bound_monitor(u, eta_spec, params, omega2, p):
     """Empirical constant of the localization bound.
 
     g = u (-Delta)^s eta - I_s(u, eta); the report records
@@ -139,8 +139,7 @@ def g_bound_monitor(u, eta_spec, params, omega2, p, eta=None):
     from .gridfn import build_cutoff
 
     grid = u.grid
-    if eta is None:
-        eta = build_cutoff(grid, eta_spec)
+    eta = build_cutoff(grid, eta_spec)
     require_nested(eta_spec.outer, omega2, "g-bound outer/omega2")
     require_nested(omega2, grid.omega, "g-bound omega2/Omega")
     g = (u.values * apply_fractional_laplacian(eta, params).values

@@ -63,36 +63,8 @@ class Trajectory:
 
 
 def _source_at(f, t, grid):
-    """Source as Omega vector at time t: constant, callable, or frame table."""
+    """Source as Omega vector at time t: a constant vector, or a callable of t."""
     return _rhs_on_omega(f(t) if callable(f) else f, grid)
-
-
-class FrameSource:
-    """Piecewise-linear interpolation in time between source frames."""
-
-    def __init__(self, times, frames):
-        self.times = np.asarray(times, float)
-        self.frames = [np.asarray(fr, float) for fr in frames]
-        if len(self.times) != len(self.frames) or len(self.times) < 1:
-            raise ValueError("need matching nonempty times/frames")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("frame times must increase")
-
-    @classmethod
-    def from_csv(cls, times, paths):
-        """Frames from single-column CSV files of Omega node values."""
-        frames = [np.loadtxt(p, delimiter=",", ndmin=1) for p in paths]
-        return cls(times, frames)
-
-    def __call__(self, t):
-        ts = self.times
-        if t <= ts[0]:
-            return self.frames[0]
-        if t >= ts[-1]:
-            return self.frames[-1]
-        j = int(np.searchsorted(ts, t)) - 1
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1 - w) * self.frames[j] + w * self.frames[j + 1]
 
 
 def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):

@@ -21,6 +21,7 @@ from .gridfn import CutoffSpec, build_cutoff
 from .regions import nesting_margin
 from .spaces import besov_seminorm, sobolev_seminorm
 
+METHODS = ("gagliardo", "besov")
 DEFAULT_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 20))
 # Declared divergent when every per-halving log2 growth rate of the
 # seminorm meets this threshold.  Calibrated so that a rho^s boundary
@@ -33,7 +34,6 @@ DEFAULT_RATE_THRESHOLD = 0.15
 @dataclass(frozen=True)
 class DivergenceProtocol:
     rate_threshold: float = DEFAULT_RATE_THRESHOLD
-    levels: int = 3
 
     def growth_rate(self, values):
         """Most conservative per-halving log2 growth across the ladder."""
@@ -127,8 +127,7 @@ def _level_seminorms(u, sweep, p, method, mode, region, eta):
 
 
 def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
-                            levels=3, protocol=None, method="gagliardo",
-                            cutoff_order=3):
+                            levels=3, protocol=None, method="gagliardo"):
     """Estimate the maximal smoothness exponent of a re-solvable solution.
 
     resolve(grid) must return the solution GridFunction on that grid; the
@@ -138,10 +137,14 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     supported between inner and its midpoint dilation toward Omega
     (localized membership); a region touching or crossing the Omega
     boundary is probed by the seminorm of u over the region itself.
+    method is one of METHODS: the cut-off target's order-sigma Sobolev
+    seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm.
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    protocol = protocol or DivergenceProtocol(levels=levels)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
+    protocol = protocol or DivergenceProtocol()
     sweep = tuple(float(sg) for sg in sweep)
     if any(not 0.0 < sg < 2.0 for sg in sweep):
         raise ValueError("sweep exponents must lie in (0, 2)")
@@ -162,7 +165,7 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         eta = None
         if mode == "cutoff":
             outer = inner.expand(margin / 2.0)
-            eta = build_cutoff(grid, CutoffSpec(inner, outer, order=cutoff_order))
+            eta = build_cutoff(grid, CutoffSpec(inner, outer))
         values.append(_level_seminorms(u, sweep, p, method, mode, inner, eta).tolist())
 
     arr = np.asarray(values)
@@ -173,69 +176,3 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     flipped = [sg for sg, a, b in zip(sweep, raw, verdicts) if a != b]
     return RegularityEstimate(str(inner.describe()), float(p), method, sweep,
                               values, rates, verdicts, star, levels, mode, flipped)
-
-
-@dataclass(frozen=True)
-class SliceRecord:
-    k: int
-    t: float
-    ut_norm: float          # ||(u_k - u_{k-1}) / tau||_p on Omega
-    potential: float        # potential norm of u_k eta
-    local_seminorm: float   # estimator at sigma = 2s chosen by (p, s)
-    estimator: str
-
-
-@dataclass(frozen=True)
-class ParabolicRegularityReport:
-    records: list
-    ut_time_norm: float          # (sum tau ||u_t||_p^p)^(1/p)
-    seminorm_time_norm: float
-    estimator: str
-
-    def rows(self):
-        return [(r.k, r.t, r.ut_norm, r.potential, r.local_seminorm) for r in self.records]
-
-
-def parabolic_regularity_report(traj, f, p, inner, params, cutoff_order=3):
-    """Per-slice smoothness bookkeeping for a parabolic trajectory.
-
-    The sigma = 2s slice estimator follows the integrability split:
-    Besov (p, 2) when p < 2 and s != 1/2, first-derivative L^p when
-    p < 2 and s = 1/2, fractional Sobolev otherwise.
-    """
-    from .spaces import potential_norm
-
-    grid = traj.grid
-    s = params.s
-    margin = nesting_margin(inner, grid.omega)
-    if margin <= 0:
-        raise ValueError("inner region must sit compactly inside Omega")
-    eta = build_cutoff(grid, CutoffSpec(inner, inner.expand(margin / 2.0),
-                                        order=cutoff_order))
-    if p < 2.0 and abs(s - 0.5) > 1e-12:
-        estimator = "besov"
-    elif p < 2.0:
-        estimator = "w1p"
-    else:
-        estimator = "sobolev"
-
-    hN = grid.h ** grid.ndim
-    records = []
-    ut_acc = 0.0
-    semi_acc = 0.0
-    for k in range(1, traj.nt + 1):
-        du = (traj.snapshots[k].values - traj.snapshots[k - 1].values)[grid.mask] / traj.tau
-        ut_norm = float((np.abs(du) ** p).sum() * hN) ** (1.0 / p)
-        ue = traj.snapshots[k] * eta
-        pot = potential_norm(ue, params, p)
-        if estimator == "besov":
-            semi = besov_seminorm(ue, 2 * s, p, 2.0)
-        elif estimator == "w1p":
-            semi = sobolev_seminorm(ue, 1.0, p, None)
-        else:
-            semi = sobolev_seminorm(ue, 2 * s, p, None)
-        records.append(SliceRecord(k, traj.times[k], ut_norm, pot, semi, estimator))
-        ut_acc += traj.tau * ut_norm ** p
-        semi_acc += traj.tau * semi ** p
-    return ParabolicRegularityReport(records, ut_acc ** (1.0 / p),
-                                     semi_acc ** (1.0 / p), estimator)

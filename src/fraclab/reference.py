@@ -180,10 +180,12 @@ def shift_loop_besov(u, sigma, p, q):
     width = (n - 1) * h
     tail_radius = width * np.sqrt(ndim)
     surface = 2.0 if ndim == 1 else 2.0 * np.pi
-    if second:
-        disjoint_level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
-    else:
+    if not second:
         disjoint_level = 2.0 ** (1.0 / p) * up_norm
+    elif np.isinf(p):
+        disjoint_level = 2.0 * up_norm   # the p -> inf limit of (2 + 2^p)^(1/p)
+    else:
+        disjoint_level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
 
     q_inf = np.isinf(q)
     acc = 0.0

@@ -4,9 +4,10 @@ The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
 separated lists.  Parse errors carry 1-based line and column numbers, and
 so do the checks made at load time: the value ranges (s, ndim, [grid] n,
-[time] nt, theta, and [semigroup] nt, count and t), the [grid] box (2 ndim
-numbers, a positive and equal extent on every axis) and the dimension of
-the [omega] and [inner] regions, which must be ndim.
+[time] nt, theta, [semigroup] nt, count and t, and [probe] method, p,
+levels and sweep), the [grid] box (2 ndim numbers, a positive and equal
+extent on every axis) and the dimension of the [omega] and [inner]
+regions, which must be ndim.
 
 Schema (sections and keys understood by the experiment drivers):
 
@@ -24,16 +25,20 @@ Schema (sections and keys understood by the experiment drivers):
                 value/exponent/path ... per profile
   [time]        T = <float>, nt = <int or list>, theta = <float or list>
   [semigroup]   t = <list of float >= 0>, nt = <int >= 1>, count = <int >= 1>
-  [probe]       p = <float>, sweep = <list of sigma>, levels = <int>,
+  [probe]       method = gagliardo | besov   (optional, default gagliardo)
+                p = <float in (1, inf)>, or <float >= 1, inf allowed> for besov
+                sweep = <list of sigma in (0, 2)>, levels = <int >= 3>,
                 rate_threshold = <float>
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .gridfn import MIN_NODES
+from .probe import METHODS
 
 
 @dataclass
@@ -178,6 +183,7 @@ def parse_config_text(text, path="<config>"):
         col = line.index(value, line.index("=")) + 1
         cfg.sections[current][key_stripped] = ConfigValue(value, ln, col)
     _check_ranges(cfg)
+    _check_probe(cfg)
     _check_geometry(cfg)
     return cfg
 
@@ -193,6 +199,8 @@ _RANGES = (
     ("semigroup", "nt", True, lambda v: v >= 1, ">= 1"),
     ("semigroup", "count", True, lambda v: v >= 1, ">= 1"),
     ("semigroup", "t", False, lambda v: v >= 0.0, ">= 0"),
+    ("probe", "levels", True, lambda v: v >= 3, ">= 3"),
+    ("probe", "sweep", False, lambda v: 0.0 < v < 2.0, "in (0, 2)"),
 )
 
 
@@ -204,6 +212,21 @@ def _check_ranges(cfg):
         bad = [v for v in values if not ok(v)]
         if bad:
             raise cfg.error(section, key, f"{key} must be {allowed}, got {bad[0]:g}")
+
+
+def _check_probe(cfg):
+    """[probe] method names an estimator, and p is one it accepts."""
+    method = cfg.get_str("probe", "method", default="gagliardo")
+    if method not in METHODS:
+        raise cfg.error("probe", "method",
+                        f"method must be {' or '.join(METHODS)}, got {method!r}")
+    if not cfg.has("probe", "p"):
+        return
+    p = cfg.get_float("probe", "p")
+    if method == "besov" and not p >= 1.0:
+        raise cfg.error("probe", "p", f"p must be >= 1 (inf allowed) for besov, got {p:g}")
+    if method != "besov" and not 1.0 < p < math.inf:
+        raise cfg.error("probe", "p", f"p must be in (1, inf) for {method}, got {p:g}")
 
 
 def _check_geometry(cfg):

@@ -31,39 +31,11 @@ are detected elsewhere by refinement, not by any single-grid value.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import GridFunction
 from .operator import apply_fractional_laplacian
-
-
-@dataclass(frozen=True)
-class NormReport:
-    region: str
-    sigma: float
-    p: float
-    q: float
-    h: float
-    seminorm: float
-    norm: float
-
-    CSV_HEADER = ("region", "sigma", "p", "q", "h", "seminorm", "norm")
-
-    def csv_row(self):
-        return (self.region, f"{self.sigma:.17g}", f"{self.p:.17g}", f"{self.q:.17g}",
-                f"{self.h:.17g}", f"{self.seminorm:.17g}", f"{self.norm:.17g}")
-
-
-def write_norm_reports(path, reports):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(NormReport.CSV_HEADER)
-        for r in reports:
-            wr.writerow(r.csv_row())
 
 
 def _region_selector(u, region):
@@ -409,10 +381,12 @@ def besov_seminorm(u, sigma, p, q):
             continue
         cells, norms = _difference_norms(u, p, second)
         ynorm = cells * h
-        if second:
-            level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
-        else:
+        if not second:
             level = 2.0 ** (1.0 / p) * up_norm
+        elif np.isinf(p):
+            level = 2.0 * up_norm   # the p -> inf limit of (2 + 2^p)^(1/p)
+        else:
+            level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
         sg = sig[pick][:, None]
         if np.isinf(q):
             out[pick] = np.maximum((norms / ynorm ** sg).max(axis=1),

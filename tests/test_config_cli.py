@@ -41,6 +41,9 @@ def test_parse_good_config():
     assert isinstance(region, Ball)
     assert region.radius == 1.0
     assert cfg.get_str("params", "missing", default="x") == "x"
+    for probe in ("method = besov\np = inf", "method = besov\np = 1",
+                  "method = gagliardo\np = 1.5\nlevels = 3\nsweep = 0.1, 1.9"):
+        parse_config_text(f"[probe]\n{probe}\n")
 
 
 def test_parse_errors_carry_line_and_column():
@@ -208,9 +211,21 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      ":5:10:"),
     ("[experiment]\nname = getoor\n[params]\nndim = 2\n[omega]\nkind = box\nbounds = -1, 1\n",
      ":7:10:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besvo\n", ":4:10:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\np = inf\n", ":4:5:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\np = 1\n", ":4:5:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\np = 0.5\n", ":4:5:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = 0.5\n", ":5:5:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nlevels = 2\n", ":4:10:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nsweep = 0.5, 2.5\n", ":4:9:"),
+    ("[experiment]\nname = product-rule\n[params]\nndim = 2\n", ":4:8:"),
+    ("[experiment]\nname = identity-check\n[params]\nndim = 2\n", ":4:8:"),
+    ("[experiment]\nname = regularity-sweep\n[params]\nndim = 2\n", ":4:8:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
-        "omega-ball-dim", "omega-box-dim"])
+        "omega-ball-dim", "omega-box-dim", "probe-method", "probe-p-inf", "probe-p-1",
+        "probe-p-half", "probe-besov-p-half", "probe-levels", "probe-sweep",
+        "ndim-product-rule", "ndim-alias", "ndim-regularity-sweep"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

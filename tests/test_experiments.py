@@ -95,7 +95,8 @@ t = 0.1, 1.0
 nt = 8
 """)
     summary = run_experiment("semigroup-contraction", cfg, str(tmp_path))
-    rows = list(csv.reader((tmp_path / "contraction.csv").open()))[1:]
+    with open(tmp_path / "contraction.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
     grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
     params = FractionalParams(1, 0.5)
     rng = np.random.default_rng(7)

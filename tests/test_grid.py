@@ -105,6 +105,8 @@ def test_cutoff_clauses_hold_nodewise(grid129):
 def test_cutoff_invalid_nesting():
     with pytest.raises(NestingError):
         CutoffSpec(Ball((0.0,), 0.8), Ball((0.0,), 0.8))
+    with pytest.raises(NestingError):
+        CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.5), omega2=Ball((0.0,), 0.5))
     with pytest.raises(ValueError):
         CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=1)
 
@@ -113,12 +115,6 @@ def test_cutoff_outer_must_nest_in_omega(grid65):
     spec = CutoffSpec(Ball((0.0,), 0.5), Ball((0.0,), 1.5))
     with pytest.raises(NestingError):
         build_cutoff(grid65, spec)
-
-
-def test_cutoff_spec_auto_omega1():
-    spec = CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.5), omega2=Ball((0.0,), 0.9))
-    assert spec.omega1 is not None
-    assert spec.omega1.radius == pytest.approx(0.7)
 
 
 def test_refine_preserves_nodes(grid65):

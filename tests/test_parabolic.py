@@ -9,7 +9,6 @@ from fraclab.errors import LengthMismatchError, SingularOperatorError
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
-    FrameSource,
     energy_report,
     semigroup_apply,
     solve_parabolic,
@@ -226,15 +225,6 @@ def test_duhamel_consistency(setup):
     assert np.abs(acc - traj.final().values[grid.mask]).max() <= 1e-10
 
 
-def test_frame_source_interpolation():
-    src = FrameSource([0.0, 1.0], [np.array([0.0]), np.array([2.0])])
-    assert src(0.5)[0] == pytest.approx(1.0)
-    assert src(-1.0)[0] == 0.0
-    assert src(2.0)[0] == 2.0
-    with pytest.raises(ValueError):
-        FrameSource([0.0, 0.0], [np.array([1.0]), np.array([2.0])])
-
-
 def test_nonzero_initial_datum_mode(setup):
     # exploratory mode: datum accepted, conservation of the scheme shape only
     grid, params, matrix = setup
@@ -245,14 +235,16 @@ def test_nonzero_initial_datum_mode(setup):
     assert traj.final().linf() < 1.0
 
 
-def test_frame_source_from_csv(tmp_path, setup):
+def test_time_dependent_source_matches_duhamel_sum(setup):
+    # theta=1 with f(t) = t g: u_nt = sum_k tau t_k (I + tau A)^-(nt-k+1) g
     grid, params, matrix = setup
-    paths = []
-    for k, scale in enumerate((0.0, 1.0)):
-        p = tmp_path / f"frame{k}.csv"
-        np.savetxt(p, np.full(grid.n_omega, scale), delimiter=",")
-        paths.append(p)
-    src = FrameSource.from_csv([0.0, 1.0], paths)
-    assert src(0.25).max() == pytest.approx(0.25)
-    traj = solve_parabolic(src, 1.0, 4, 1.0, params, grid, matrix=matrix)
-    assert traj.final().linf() > 0.0
+    g = np.ones(grid.n_omega)
+    nt, T = 8, 0.8
+    tau = T / nt
+    traj = solve_parabolic(lambda t: t * g, T, nt, 1.0, params, grid, matrix=matrix)
+    acc = np.zeros(grid.n_omega)
+    for k in range(1, nt + 1):
+        m = nt - k + 1
+        acc += tau * (k * tau) * semigroup_apply(g, m * tau, m, params, grid,
+                                                 matrix=matrix).values[grid.mask]
+    assert np.abs(acc - traj.final().values[grid.mask]).max() <= 1e-10

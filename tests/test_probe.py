@@ -4,13 +4,11 @@ import pytest
 from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import InconclusiveVerdictError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid
-from fraclab.operator import FractionalParams, assemble_operator_matrix
-from fraclab.parabolic import solve_parabolic
+from fraclab.operator import FractionalParams
 from fraclab.probe import (
     DivergenceProtocol,
     _clean_verdicts,
     estimate_local_exponent,
-    parabolic_regularity_report,
 )
 from fraclab.regions import Ball, Box
 
@@ -127,52 +125,9 @@ def test_probe_validates_inputs():
     with pytest.raises(ValueError):
         estimate_local_exponent(_bump_resolver(), base, 2.0, Box((-0.4,), (0.4,)),
                                 sweep=(0.5, 2.5), levels=3)
-
-
-@pytest.fixture(scope="module")
-def parabolic_setup():
-    grid = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
-    params = FractionalParams(1, 0.5)
-    matrix = assemble_operator_matrix(grid, params)
-    return grid, params, matrix
-
-
-def test_parabolic_report_zero_source(parabolic_setup):
-    grid, params, matrix = parabolic_setup
-    traj = solve_parabolic(np.zeros(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
-    report = parabolic_regularity_report(traj, np.zeros(grid.n_omega), 2.0,
-                                         Box((-0.4,), (0.4,)), params)
-    assert report.ut_time_norm == 0.0
-    assert report.seminorm_time_norm == 0.0
-    assert all(r.local_seminorm == 0.0 for r in report.records)
-
-
-def test_parabolic_report_time_derivative_stable(parabolic_setup):
-    grid, params, matrix = parabolic_setup
-    f = np.ones(grid.n_omega)
-    norms = []
-    for nt in (32, 64):
-        traj = solve_parabolic(f, 1.0, nt, 1.0, params, grid, matrix=matrix)
-        rep = parabolic_regularity_report(traj, f, 2.0, Box((-0.4,), (0.4,)), params)
-        norms.append(rep.ut_time_norm)
-    assert norms[1] / norms[0] == pytest.approx(1.0, abs=0.1)
-
-
-def test_parabolic_report_estimator_selection(parabolic_setup):
-    grid, params, matrix = parabolic_setup
-    f = np.ones(grid.n_omega)
-    traj = solve_parabolic(f, 0.5, 4, 1.0, params, grid, matrix=matrix)
-    inner = Box((-0.4,), (0.4,))
-    rep = parabolic_regularity_report(traj, f, 2.0, inner, params)
-    assert rep.estimator == "sobolev"
-    rep_low = parabolic_regularity_report(traj, f, 1.5, inner, params)
-    assert rep_low.estimator == "w1p"   # s = 1/2 with p < 2
-    params_b = FractionalParams(1, 0.3)
-    matrix_b = assemble_operator_matrix(grid, params_b)
-    traj_b = solve_parabolic(f, 0.5, 4, 1.0, params_b, grid, matrix=matrix_b)
-    rep_b = parabolic_regularity_report(traj_b, f, 1.5, inner, params_b)
-    assert rep_b.estimator == "besov"
-    assert all(np.isfinite(r.local_seminorm) for r in rep_b.records)
+    with pytest.raises(ValueError, match="method"):
+        estimate_local_exponent(_bump_resolver(), base, 2.0, Box((-0.4,), (0.4,)),
+                                method="besvo")
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -190,18 +145,3 @@ def test_interior_boundary_dichotomy_constant_source(s):
     shell = estimate_local_exponent(resolve, base, 2.0, Box((0.5,), (1.5,)),
                                     sweep=sweep, levels=3)
     assert deep.sigma_star > shell.sigma_star
-
-
-def test_parabolic_jump_source_slice_seminorms_stable():
-    # space-jump source, s = 0.3, p = 2: the sigma = 2s slice seminorm of
-    # the localized solution converges under spatial refinement
-    params = FractionalParams(1, 0.3)
-    finals = []
-    for n in (65, 129):
-        grid = build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
-        f = np.where(grid.omega_nodes()[:, 0] > 0, 1.0, 0.0)
-        traj = solve_parabolic(f, 1.0, 8, 1.0, params, grid)
-        rep = parabolic_regularity_report(traj, f, 2.0, Box((-0.4,), (0.4,)), params)
-        assert all(np.isfinite(r.local_seminorm) for r in rep.records)
-        finals.append(rep.records[-1].local_seminorm)
-    assert finals[1] / finals[0] == pytest.approx(1.0, abs=0.2)

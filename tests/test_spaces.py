@@ -6,14 +6,14 @@ import pytest
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, apply_fractional_laplacian
 from fraclab.regions import Ball
+from fraclab.reference import shift_loop_besov
 from fraclab.spaces import (
-    NormReport,
+    _difference_norms,
     besov_seminorm,
     gagliardo_seminorm,
     lp_norm,
     potential_norm,
     sobolev_seminorm,
-    write_norm_reports,
 )
 
 from conftest import random_dirichlet
@@ -167,10 +167,20 @@ def test_potential_norm_zero_and_getoor():
     assert errs[1] < 0.08
 
 
-def test_norm_report_csv(tmp_path):
-    reports = [NormReport("omega", 0.5, 2.0, 2.0, 0.01, 1.5, 2.5)]
-    path = tmp_path / "norms.csv"
-    write_norm_reports(path, reports)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "region,sigma,p,q,h,seminorm,norm"
-    assert lines[1].startswith("omega,0.5,2,2,0.01")
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("besov", [besov_seminorm, shift_loop_besov], ids=["fast", "reference"])
+def test_besov_tail_level_is_the_far_shift_norm(p, besov):
+    # u = (1, 2, 3, 2, 1) on nodes 30..34 of 65: at the shift k = 10, B +- k
+    # stays in the box and the supports of u(x - k), u(x), u(x + k) are
+    # disjoint, so the second-difference norm there is the level of the
+    # lattice tail beyond the box
+    grid = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    vals = np.zeros(grid.n)
+    vals[30:35] = (1.0, 2.0, 3.0, 2.0, 1.0)
+    u = GridFunction(grid, vals, dirichlet=True)
+    cells, norms = _difference_norms(u, p, second=True)
+    level = norms[cells == 10][0]
+    sigma, q, h = 1.5, 2.0, grid.h
+    lattice = 2.0 * h * (norms ** q * (cells * h) ** (-(1 + q * sigma))).sum()
+    tail = level ** q * 2.0 * ((grid.n - 1) * h) ** (-q * sigma) / (q * sigma)
+    assert besov(u, sigma, p, q) == pytest.approx((lattice + tail) ** (1 / q), rel=1e-12)
