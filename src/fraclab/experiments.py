@@ -9,6 +9,7 @@ thresholds.  Floats are serialized with 17 significant digits.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
 from .probe import DivergenceProtocol, estimate_local_exponent
-from .regions import Ball, Box
+from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norm
 
 F17 = "{:.17g}".format
@@ -89,6 +90,18 @@ def source_profile(cfg, grid):
                             f"values for {grid.n_omega} Omega nodes")
         return vals
     raise ConfigError(f"unknown source profile {profile!r}", path=cfg.path)
+
+
+def _require_gagliardo_p(cfg, p, runner):
+    """[probe] p, when set, must suit the Gagliardo estimator that `runner` runs.
+
+    The load-time check allows p = 1 and p = inf for method = besov; it
+    cannot see which recipes and probe modes run the Gagliardo estimator
+    whatever the method.
+    """
+    if cfg.has("probe", "p") and not 1.0 < p < math.inf:
+        raise cfg.error("probe", "p", f"p must be in (1, inf), got {p:g}: {runner} runs "
+                        "the Gagliardo estimator whatever the method")
 
 
 def _default_grid(cfg, ndim, n):
@@ -228,6 +241,7 @@ def run_elliptic_regularity(cfg, out_dir):
     """Interior vs boundary maximal exponents for a jump source."""
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5])
     p = cfg.get_float("probe", "p", default=2.0)
+    _require_gagliardo_p(cfg, p, "elliptic-regularity")
     levels = cfg.get_int("probe", "levels", default=3)
     base_n = cfg.get_int("grid", "n", default=129)
     thr = cfg.get_float("probe", "rate_threshold",
@@ -359,6 +373,7 @@ def run_g_bound(cfg, out_dir):
     """Refinement stability of the localization-bound constant."""
     s = cfg.get_float("params", "s", default=0.5)
     p = cfg.get_float("probe", "p", default=2.0)
+    _require_gagliardo_p(cfg, p, "g-bound")
     levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
     params = FractionalParams(1, s)
     ratios = []
@@ -372,9 +387,9 @@ def run_g_bound(cfg, out_dir):
         report = g_bound_monitor(u, spec, params, spec.omega2, p)
         ratios.append(report.ratio)
         rows.append(report)
-    from .localization import append_g_bound_csv
-
-    append_g_bound_csv(os.path.join(out_dir, "g_bound.csv"), rows)
+    _write_csv(os.path.join(out_dir, "g_bound.csv"),
+               [f.name for f in dataclasses.fields(rows[0])] + ["ratio"],
+               [dataclasses.astuple(r) + (r.ratio,) for r in rows])
     write_manifest(out_dir, "g-bound", cfg, ndim=1, s=s, p=p, n=levels,
                    regions={"omega": grid.omega.describe(),
                             "eta_outer": spec.outer.describe(),
@@ -395,6 +410,9 @@ def run_regularity_sweep(cfg, out_dir):
     inner = cfg.region("inner") or Box((-0.4,), (0.4,))
     params = FractionalParams(1, s)
     grid = _default_grid(cfg, 1, base_n)
+    if nesting_margin(inner, grid.omega) <= 0:
+        _require_gagliardo_p(cfg, p, "regularity-sweep with an [inner] that meets the Omega "
+                             "boundary (region mode)")
 
     def resolve(g):
         return solve_dirichlet(source_profile(cfg, g), params, g)

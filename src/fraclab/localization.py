@@ -1,15 +1,13 @@
 """Cut-off localization: the remainder term, product rule, and g-bound monitor.
 
-The remainder shares the far-field and tail quadrature of the operator
-but uses its own near-field rule (a product of central first differences),
-so the discrete product-rule identity closes at quadrature order instead
-of collapsing to an algebraic identity.
+The remainder reads the operator's kernel but uses its own near-field
+rule (a product of central first differences), so the discrete
+product-rule identity closes at quadrature order instead of collapsing
+to an algebraic identity.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +36,14 @@ def remainder_Is(u, eta, params):
 
     Pointwise integral of (u(x)-u(y)) (eta(x)-eta(y)) against the kernel,
     with the operator's quadrature split: first-difference near field,
-    cell-exact weighted far field, closed-form tail.  With e = eta - c,
-    which vanishes on the box edge and beyond, the far field and tail
-    expand into u e d - u (t * e) - e (t * u) + t * (u e) for the far
-    kernel t and its diagonal d.
+    cell-exact weighted far field, closed-form tail.  It reads the
+    operator's kernel t and diagonal d, built once per (ndim, n, s) at
+    unit spacing, scaled by h^(-2s).  With e = eta - c, which vanishes on
+    the box edge and beyond, u e d - u (t * e) - e (t * u) + t * (u e)
+    gives the far field and tail plus the near part
+    w sum_{+-e} (u(x+-e) - u)(e(x+-e) - e) of the near weight w.  Adding
+    -(w/2) D2u D2e per axis, with D2 the second difference, turns that
+    into the central rule (w/2) (u(x+e) - u(x-e)) (e(x+e) - e(x-e)).
     """
     if not isinstance(u, GridFunction) or not isinstance(eta, GridFunction):
         raise TypeError("u and eta must be GridFunctions")
@@ -52,16 +54,16 @@ def remainder_Is(u, eta, params):
     grid = u.grid
     uv = u.values
     ev = eta.values - _eta_pad_values(eta)
-    op = toeplitz_operator(grid.ndim, grid.n, grid.h, params.s, near=False)
+    op = toeplitz_operator(grid.ndim, grid.n, params.s)
     out = (uv * ev * op.d - uv * convolve(op, ev) - ev * convolve(op, uv)
            + convolve(op, uv * ev))
-    # near field: products of central first differences along each axis
+    # near field: one-sided products to central ones, -(w/2) D2u D2e per axis
     up, ep = np.pad(uv, 1), np.pad(ev, 1)
     for axis in range(grid.ndim):
         fwd = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(grid.ndim))
         bwd = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(grid.ndim))
-        out += 0.5 * op.near * (up[fwd] - up[bwd]) * (ep[fwd] - ep[bwd])
-    return GridFunction(grid, params.cns * out)
+        out -= 0.5 * op.near * (up[fwd] - 2 * uv + up[bwd]) * (ep[fwd] - 2 * ev + ep[bwd])
+    return GridFunction(grid, params.scale(grid.h) * out)
 
 
 def product_rule_residual(u, eta, params):
@@ -119,15 +121,6 @@ class GBoundReport:
         denom = self.sobolev_term + self.lp_term
         return 0.0 if denom == 0 else self.g_norm / denom
 
-    CSV_HEADER = ("s", "p", "h", "eta_region", "omega2_region",
-                  "g_norm", "sobolev_term", "lp_term", "ratio")
-
-    def csv_row(self):
-        return (f"{self.s:.17g}", f"{self.p:.17g}", f"{self.h:.17g}",
-                self.eta_region, self.omega2_region,
-                f"{self.g_norm:.17g}", f"{self.sobolev_term:.17g}",
-                f"{self.lp_term:.17g}", f"{self.ratio:.17g}")
-
 
 def g_bound_monitor(u, eta_spec, params, omega2, p):
     """Empirical constant of the localization bound.
@@ -152,13 +145,3 @@ def g_bound_monitor(u, eta_spec, params, omega2, p):
     return GBoundReport(params.s, p, grid.h,
                         str(eta_spec.outer.describe()), str(omega2.describe()),
                         g_norm, sobolev, lp_omega)
-
-
-def append_g_bound_csv(path, reports):
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        wr = csv.writer(fh)
-        if new:
-            wr.writerow(GBoundReport.CSV_HEADER)
-        for r in reports:
-            wr.writerow(r.csv_row())

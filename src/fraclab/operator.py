@@ -3,9 +3,10 @@
 The quadrature module writes the operator on the grid box as one
 Toeplitz kernel plus a diagonal,
 
-  (A u)_i = C (d_i u_i - sum_{j != i} t(j - i) u_j),
+  (A u)_i = C h^(-2s) (d_i u_i - sum_{j != i} t(j - i) u_j),
 
-both built once per (ndim, n, h, s) from nonnegative weights.
+with d and t built from nonnegative weights once per (ndim, n, s) at
+unit spacing, scaled by h^(-2s) (FractionalParams.scale).
 apply_fractional_laplacian evaluates it at every box node with one real
 FFT convolution; assemble_operator_matrix gathers d and t onto Omega
 pairs.  Since t(kappa) = t(-kappa) exactly, the restricted matrix is
@@ -61,28 +62,30 @@ class FractionalParams:
     def __post_init__(self):
         object.__setattr__(self, "cns", normalization_constant(self.ndim, self.s))
 
+    def scale(self, h):
+        """C h^(-2s): the factor of the unit-spacing kernel on a lattice of spacing h."""
+        return self.cns * h ** (-2 * self.s)
+
 
 Toeplitz = namedtuple("Toeplitz", "t d t_hat size near")
 
 
 @lru_cache(maxsize=16)
-def toeplitz_operator(ndim, n, h, s, near=True):
-    """Kernel t, diagonal d and the size-point real FFT t_hat of t, unnormalized.
+def toeplitz_operator(ndim, n, s):
+    """Kernel t, diagonal d and the size-point real FFT t_hat of t, at unit spacing.
 
-    With near=False the near-field stencil is left out of t and d; the
-    cut-off remainder pairs the far field with a near rule of its own and
-    reads the stencil weight from `near`.
+    The one kernel cache: every grid with this (ndim, n, s) shares the
+    entry, whatever its box, and FractionalParams.scale(h) supplies the
+    normalization and the spacing.  t and d include the near-field
+    stencil, whose weight per unit offset is `near`.
     """
-    kernel = (sweep_1d if ndim == 1 else sweep_2d)(n, h, s)
-    t, d = kernel.far, kernel.diag
-    if near:
-        t = t.copy()
-        for axis in range(ndim):
-            for step in (-1, 1):
-                unit = [n - 1] * ndim
-                unit[axis] += step
-                t[tuple(unit)] += kernel.near
-        d = d + 2 * ndim * kernel.near
+    kernel = (sweep_1d if ndim == 1 else sweep_2d)(n, s)
+    t, d = kernel.far, kernel.diag + 2 * ndim * kernel.near
+    for axis in range(ndim):
+        for step in (-1, 1):
+            unit = [n - 1] * ndim
+            unit[axis] += step
+            t[tuple(unit)] += kernel.near
     # t(k) goes to index k mod L: no wrap-around for offsets |k| <= n-1
     size = scipy.fft.next_fast_len(2 * n - 1, real=True)
     wrapped = np.zeros((size,) * ndim)
@@ -116,8 +119,8 @@ def apply_fractional_laplacian(u, params):
     if params.ndim != u.grid.ndim:
         raise ValueError("params dimension does not match the grid")
     grid = u.grid
-    op = toeplitz_operator(grid.ndim, grid.n, grid.h, params.s)
-    return GridFunction(grid, params.cns * (op.d * u.values - convolve(op, u.values)))
+    op = toeplitz_operator(grid.ndim, grid.n, params.s)
+    return GridFunction(grid, params.scale(grid.h) * (op.d * u.values - convolve(op, u.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +183,8 @@ def assemble_operator_matrix(grid, params, dense_cap=DEFAULT_DENSE_CAP):
         raise MemoryBudgetError(
             f"{m} Omega nodes exceed the dense cap of {dense_cap}; "
             "raise dense_cap explicitly if this size is intended")
-    n, C = grid.n, params.cns
-    op = toeplitz_operator(grid.ndim, n, grid.h, params.s)
+    n, C = grid.n, params.scale(grid.h)
+    op = toeplitz_operator(grid.ndim, n, params.s)
     # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
     strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
     key = np.argwhere(grid.mask) @ strides

@@ -22,17 +22,22 @@ the sum for node x depends on the offset kappa alone whenever that node
 lies at least one cell inside the box, as every Omega node does
 (gridfn.MIN_COLLAR_CELLS).  Only the weight of the value at x itself
 depends on x, because the far sum stops at the box edge and the tail
-takes over beyond it.  sweep_1d and sweep_2d therefore build, once per
-(n, h, s), a Kernel of three parts:
+takes over beyond it.  sweep_1d and sweep_2d therefore build a Kernel
+of three parts:
 
   far   off-diagonal far-field weights t(kappa) over the offset window
         (2n-1)^N, zero at kappa = 0, with t(kappa) = t(-kappa) exactly;
   near  the near-field weight of each of the 2N unit offsets;
   diag  the far-field and tail weight of x itself, at every box node.
 
-The 1/2 of the 2D form is folded in, so with the normalization C the
-operator at node x is C (diag + 2N near) u(x) - C sum_kappa t'(kappa)
-u(x + kappa h), where t' adds `near` to `far` at the unit offsets.
+The kernel |z|^(-N-2s) is homogeneous of degree -N-2s, so every weight
+(far, near, diag and tail) on a lattice of spacing h is h^(-2s) times
+its value on the unit lattice.  No builder here takes h: the kernel is
+built once per (ndim, n, s) at unit spacing, scaled by h^(-2s).  The
+1/2 of the 2D form is folded in, so with the normalization C the
+operator at node x is C h^(-2s) ((diag + 2N near) u(x)
+- sum_kappa t'(kappa) u(x + kappa h)), where t' adds `near` to `far` at
+the unit offsets.
 """
 
 from __future__ import annotations
@@ -47,41 +52,32 @@ from scipy.special import betainc, gammaln
 Kernel = namedtuple("Kernel", "far near diag")
 
 
-def _frozen(kernel):
-    for part in (kernel.far, kernel.diag):
-        part.setflags(write=False)
-    return kernel
-
-
 # ---------------------------------------------------------------------------
 # 1D weights
 
 
-@lru_cache(maxsize=32)
-def interior_weights_1d(n, h, s):
+def interior_weights_1d(n, s):
     """Per-offset weights w[k-1] (k = 1..n) plus the left-endpoint parts.
 
-    w[k-1] multiplies phi(kh)/ (kh)^2 contributions already folded in:
-    the returned weights multiply the raw lattice values phi(kh).
-    A[k-1] is the share of w[k-1] contributed by cell [kh,(k+1)h]; rows
-    truncated at K drop A[K-1] because that cell lies beyond their range.
+    w[k-1] multiplies phi(k)/k^2 contributions already folded in: the
+    returned weights multiply the raw lattice values phi(k).  A[k-1] is
+    the share of w[k-1] contributed by cell [k, k+1]; rows truncated at K
+    drop A[K-1] because that cell lies beyond their range.
     """
-    k = np.arange(1, n + 1, dtype=float)
-    lo, hi = k * h, (k + 1) * h
+    lo = np.arange(1, n + 1, dtype=float)
+    hi = lo + 1.0
     p1 = (hi ** (2 - 2 * s) - lo ** (2 - 2 * s)) / (2 - 2 * s)
     p2 = (hi ** (3 - 2 * s) - lo ** (3 - 2 * s)) / (3 - 2 * s)
-    A = (hi * p1 - p2) / h / (k * h) ** 2
-    B = (p2 - lo * p1) / h / ((k + 1) * h) ** 2
+    A = (hi * p1 - p2) / lo ** 2
+    B = (p2 - lo * p1) / hi ** 2
     w = A.copy()
     w[1:] += B[:-1]
-    w.setflags(write=False)
-    A.setflags(write=False)
     return w, A
 
 
-def first_cell_moment(h, s):
-    """int_0^h z^(1-2s) dz; multiplies the near-field psi estimate."""
-    return h ** (2 - 2 * s) / (2 - 2 * s)
+def first_cell_moment(s):
+    """int_0^1 z^(1-2s) dz; multiplies the near-field psi estimate."""
+    return 1.0 / (2 - 2 * s)
 
 
 def tail_coefficient_1d(radius, s):
@@ -89,29 +85,27 @@ def tail_coefficient_1d(radius, s):
     return radius ** (-2 * s) / (2 * s)
 
 
-@lru_cache(maxsize=16)
-def sweep_1d(n, h, s):
-    """Kernel of the 1D operator on n nodes of spacing h.
+def sweep_1d(n, s):
+    """Kernel of the 1D operator on n nodes of unit spacing.
 
     far[k + n-1] = w[|k|-1].  The sum for node i reaches K = max(i, n-1-i)
     cells, so its diagonal is twice the weights up to K, less the share
-    A[K-1] of the cell beyond K, plus twice the tail from K h on.
+    A[K-1] of the cell beyond K, plus twice the tail from K on.
     """
-    w, A = interior_weights_1d(n, h, s)
+    w, A = interior_weights_1d(n, s)
     far = np.concatenate([w[n - 2::-1], [0.0], w[:n - 1]])
     i = np.arange(n)
     K = np.maximum(i, n - 1 - i)
-    diag = 2.0 * (np.cumsum(w)[K - 1] - A[K - 1]) + 2.0 * tail_coefficient_1d(K * h, s)
-    return _frozen(Kernel(far, first_cell_moment(h, s) / h ** 2, diag))
+    diag = 2.0 * (np.cumsum(w)[K - 1] - A[K - 1]) + 2.0 * tail_coefficient_1d(K, s)
+    return Kernel(far, first_cell_moment(s), diag)
 
 
 # ---------------------------------------------------------------------------
 # 2D near-square moment and tail integrals
 
 
-@lru_cache(maxsize=64)
 def near_square_moment(s):
-    """int over [-1,1]^2 of z1^2 |z|^(-2-2s) dz (unit spacing; scale by h^(2-2s))."""
+    """int over [-1,1]^2 of z1^2 |z|^(-2-2s) dz."""
     t, wt = leggauss(64)
     theta = (t + 1.0) * (np.pi / 8.0)
     return float(4.0 / (2 - 2 * s) * (np.pi / 8.0) * np.sum(wt * np.cos(theta) ** (2 * s - 2)))
@@ -164,11 +158,11 @@ def _gauss_order(dist_cells):
 
 
 @lru_cache(maxsize=8)
-def cell_corner_weights(n, h, s):
-    """Corner weights int_cell N_corner(z) |z|^(-2s) dz for every lattice cell.
+def cell_corner_weights(n, s):
+    """Corner weights int_cell N_corner(z) |z|^(-2s) dz for every unit lattice cell.
 
     Returns cw with shape (2, 2, 2n-2, 2n-2): cw[da, db, a, b] is the weight
-    of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1] in cell units,
+    of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1],
     ka = a - (n-1), kb = b - (n-1).  Tensor Gauss order grows toward the
     singularity; the four cells around the origin are near-field cells and
     get zero weight here.
@@ -196,12 +190,12 @@ def cell_corner_weights(n, h, s):
         WQ = np.outer(wq, wq)
         kas = ka[sel][:, None, None]
         kbs = kb[sel][:, None, None]
-        Z1 = (kas + XI[None]) * h
-        Z2 = (kbs + UP[None]) * h
+        Z1 = kas + XI[None]
+        Z2 = kbs + UP[None]
         ker = (Z1 * Z1 + Z2 * Z2) ** (-s)
         for da, Nx in ((0, 1.0 - XI), (1, XI)):
             for db, Ny in ((0, 1.0 - UP), (1, UP)):
-                vals = (WQ[None] * Nx[None] * Ny[None] * ker).sum(axis=(1, 2)) * h * h
+                vals = (WQ[None] * Nx[None] * Ny[None] * ker).sum(axis=(1, 2))
                 cw[da, db][sel] = vals
     for da in (0, 1):
         for db in (0, 1):
@@ -209,14 +203,14 @@ def cell_corner_weights(n, h, s):
     return cw
 
 
-def far_weight_field(n, h, s):
+def far_weight_field(n, s):
     """Corner weights of every far cell summed per lattice offset, shape (2n-1, 2n-1).
 
     Index (a + n-1, b + n-1) holds the weight of offset (a, b) when all
     four cells around it take part in the sum, as they do for every node
     at least one cell inside the box.
     """
-    cw = cell_corner_weights(n, h, s)
+    cw = cell_corner_weights(n, s)
     ncell = 2 * n - 2
     W = np.zeros((2 * n - 1, 2 * n - 1))
     for da in (0, 1):
@@ -225,23 +219,23 @@ def far_weight_field(n, h, s):
     return W
 
 
-def offset_distance_sq(n, h):
-    """|kappa h|^2 over the offset window, with the center entry set to 1."""
-    base = (np.arange(2 * n - 1) - (n - 1)) * h
+def offset_distance_sq(n):
+    """|kappa|^2 over the offset window, with the center entry set to 1."""
+    base = np.arange(2 * n - 1, dtype=float) - (n - 1)
     d2 = base[:, None] ** 2 + base[None, :] ** 2
     d2[n - 1, n - 1] = 1.0
     return d2
 
 
-def tail_integral_2d(n, h, s):
+def tail_integral_2d(n, s):
     """int of the kernel over R^2 minus (B+ union B-) at every box node, shape (n, n).
 
     B+ = box - x and B- = x - box are the two box images seen from node x;
     the kernel is even, so both complements carry the same integral.
     Zero on the box edge, where the tail always meets a vanishing factor.
     """
-    i = np.arange(1, n - 1)
-    p, q = i * h, (n - 1 - i) * h
+    p = np.arange(1, n - 1, dtype=float)
+    q = (n - 1) - p
     m = np.minimum(p, q)
     r_plus = rect_complement_integral(p[:, None], q[:, None], p[None, :], q[None, :], s)
     r_cap = rect_complement_integral(m[:, None], m[:, None], m[None, :], m[None, :], s)
@@ -250,20 +244,19 @@ def tail_integral_2d(n, h, s):
     return tail
 
 
-@lru_cache(maxsize=8)
-def sweep_2d(n, h, s):
-    """Kernel of the 2D operator on an n x n grid of spacing h.
+def sweep_2d(n, s):
+    """Kernel of the 2D operator on an n x n grid of unit spacing.
 
-    far(kappa) = (W(kappa) + W(-kappa)) / (2 |kappa h|^2) with W the far
+    far(kappa) = (W(kappa) + W(-kappa)) / (2 |kappa|^2) with W the far
     weight field.  The far part of the diagonal at node x sums, over the
     far cells in B+ union B-, each cell's corner weights over
-    |corner h|^2: two rectangle sums less their intersection, read from a
+    |corner|^2: two rectangle sums less their intersection, read from a
     summed-area table of those per-cell totals.
     """
-    d2 = offset_distance_sq(n, h)
-    W = far_weight_field(n, h, s)
+    d2 = offset_distance_sq(n)
+    W = far_weight_field(n, s)
     far = 0.5 * (W + W[::-1, ::-1]) / d2
-    cw = cell_corner_weights(n, h, s)
+    cw = cell_corner_weights(n, s)
     ncell = 2 * n - 2
     per_cell = sum(cw[da, db] / d2[da: da + ncell, db: db + ncell]
                    for da in (0, 1) for db in (0, 1))
@@ -277,6 +270,5 @@ def sweep_2d(n, h, s):
     i = np.arange(n)
     m = np.minimum(i, n - 1 - i)
     far_sum = cells(n - 1 - i, 2 * n - 2 - i) + cells(i, n - 1 + i) - cells(n - 1 - m, n - 1 + m)
-    diag = far_sum + tail_integral_2d(n, h, s)
-    near = 0.5 * near_square_moment(s) * h ** (2 - 2 * s) / h ** 2
-    return _frozen(Kernel(far, near, diag))
+    diag = far_sum + tail_integral_2d(n, s)
+    return Kernel(far, 0.5 * near_square_moment(s), diag)

@@ -221,11 +221,18 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = product-rule\n[params]\nndim = 2\n", ":4:8:"),
     ("[experiment]\nname = identity-check\n[params]\nndim = 2\n", ":4:8:"),
     ("[experiment]\nname = regularity-sweep\n[params]\nndim = 2\n", ":4:8:"),
+    ("[experiment]\nname = elliptic-regularity\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
+     "p = inf\n", ":7:5:"),
+    ("[experiment]\nname = g-bound\n[grid]\nn = 33, 65\n[probe]\nmethod = besov\np = 1\n",
+     ":7:5:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
+     "p = inf\n[inner]\nkind = box\nbounds = 0.5, 1.5\n", ":7:5:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "probe-method", "probe-p-inf", "probe-p-1",
         "probe-p-half", "probe-besov-p-half", "probe-levels", "probe-sweep",
-        "ndim-product-rule", "ndim-alias", "ndim-regularity-sweep"])
+        "ndim-product-rule", "ndim-alias", "ndim-regularity-sweep",
+        "besov-p-elliptic-regularity", "besov-p-g-bound", "besov-p-region-mode"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

@@ -82,6 +82,35 @@ n = 65, 129
     assert len(lines) == 3
 
 
+def test_g_bound_rerun_into_same_directory_rewrites_csv(tmp_path):
+    cfg = _cfg("""
+[experiment]
+name = g-bound
+[grid]
+n = 33, 65
+""")
+    run_experiment("g-bound", cfg, str(tmp_path))
+    once = (tmp_path / "g_bound.csv").read_bytes()
+    run_experiment("g-bound", cfg, str(tmp_path))
+    assert (tmp_path / "g_bound.csv").read_bytes() == once
+
+
+def test_cutoff_regularity_sweep_runs_besov_at_p_inf(tmp_path):
+    cfg = _cfg("""
+[experiment]
+name = regularity-sweep
+[grid]
+n = 33
+[probe]
+method = besov
+p = inf
+sweep = 0.5, 1.5
+""")
+    summary = run_experiment("regularity-sweep", cfg, str(tmp_path))
+    assert summary["mode"] == "cutoff"
+    assert json.loads((tmp_path / "estimate.json").read_text())["p"] == math.inf
+
+
 def test_semigroup_contraction_rows_match_single_datum_runs(tmp_path):
     cfg = _cfg("""
 [experiment]

@@ -6,11 +6,13 @@ import scipy.special
 
 from fraclab.errors import MemoryBudgetError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
+from fraclab.localization import remainder_Is
 from fraclab.operator import (
     FractionalParams,
     apply_fractional_laplacian,
     assemble_operator_matrix,
     normalization_constant,
+    toeplitz_operator,
 )
 from fraclab.reference import naive_apply_omega
 from fraclab.regions import Ball
@@ -51,6 +53,26 @@ def test_normalization_domain_errors():
 def test_params_cache_matches_closed_form():
     p = FractionalParams(2, 0.31)
     assert p.cns == pytest.approx(normalization_constant(2, 0.31), rel=1e-12)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_kernel_built_once_per_ndim_n_s(ndim):
+    """Grids of equal n and s share one unit-spacing kernel, whatever their box.
+
+    The operator on a box of half-width 1 is 2^(2s) times the operator on
+    the same node values over a box of half-width 2 (homogeneity).
+    """
+    n, params = 17, FractionalParams(ndim, 0.4321)
+    grids = [build_grid(ndim, ((-half, half),) * ndim, n, Ball((0.0,) * ndim, half / 2))
+             for half in (2.0, 1.0)]
+    u = [extend_by_zero(np.linspace(1.0, 2.0, g.n_omega), g) for g in grids]
+    misses = toeplitz_operator.cache_info().misses
+    wide, narrow = (apply_fractional_laplacian(v, params).values for v in u)
+    eta = build_cutoff(grids[0], CutoffSpec(Ball((0.0,) * ndim, 0.4), Ball((0.0,) * ndim, 0.8)))
+    remainder_Is(u[0], eta, params)
+    assemble_operator_matrix(grids[0], params)
+    assert toeplitz_operator.cache_info().misses == misses + 1
+    assert np.abs(narrow - 2.0 ** (2 * params.s) * wide).max() <= 1e-13 * np.abs(narrow).max()
 
 
 def test_apply_zero_function(grid65, params_half):

@@ -1,6 +1,8 @@
 """Property tests: every fast path against a slow one on small grids.
 
-Random s, n and Omega (ball, box, disjoint union) in 1D and 2D.  The FFT
+Random s, n, box half-width and Omega (ball, box, disjoint union, scaled
+with the box) in 1D and 2D, so the spacing h varies apart from n and
+the unit-spacing kernel's h^(-2s) scaling is checked.  The FFT
 apply is checked against the gathered dense matrix and the naive scalar
 oracle; the dense matrix for its structure; the FFT remainder against a
 per-node pairwise sum that rebuilds each node's truncated weights.  The
@@ -46,23 +48,25 @@ from fraclab.spaces import (
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 
-def _omega(kind, ndim, size):
-    """Omega inside [-1, 1]^ndim that holds a node of every odd n >= 9."""
-    zero, one = (0.0,) * ndim, (1.0,) * ndim
+def _omega(kind, ndim, size, half):
+    """Omega inside [-half/2, half/2]^ndim that holds a node of every odd n >= 9."""
+    r = 0.5 * half
+    zero, one = (0.0,) * ndim, (r,) * ndim
     if kind == "ball":
-        return Ball(zero, size)
+        return Ball(zero, size * r)
     if kind == "box":
         return Box(tuple(-size * o for o in one), tuple(0.8 * size * o for o in one))
     return DisjointUnion((Box(tuple(-o for o in one), tuple(-0.1 * o for o in one)),
-                          Ball(tuple(0.6 * o for o in one), 0.4)))
+                          Ball(tuple(0.6 * o for o in one), 0.4 * r)))
 
 
 @st.composite
 def problems(draw, ndim, n_max):
     n = 2 * draw(st.integers(4, (n_max - 1) // 2)) + 1
+    half = draw(st.floats(0.1, 10.0))
     omega = _omega(draw(st.sampled_from(["ball", "box", "union"])), ndim,
-                   draw(st.floats(0.5, 1.0)))
-    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, omega)
+                   draw(st.floats(0.5, 1.0)), half)
+    grid = build_grid(ndim, ((-half, half),) * ndim, n, omega)
     s = draw(st.floats(0.05, 0.95))
     return grid, FractionalParams(ndim, s), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -141,9 +145,11 @@ def _pairwise_remainder(u, eta, c, params):
     field sums V_i(k) (P(k) + P(-k)) over offsets k with
     P(k) = (u_i - u_{i+k}) (eta_i - eta_{i+k}); the near field multiplies
     central first differences; the tail beyond the box meets 2 u_i (eta_i - c).
+    The weights are those of the unit lattice, and the sum is scaled by
+    C h^(-2s) at the end.
     """
     grid = u.grid
-    n, h, s, ndim = grid.n, grid.h, params.s, grid.ndim
+    n, s, ndim = grid.n, params.s, grid.ndim
     up = np.pad(u.values, n - 1)
     ep = np.pad(eta.values, n - 1, constant_values=c)
     out = np.zeros(grid.shape)
@@ -155,16 +161,16 @@ def _pairwise_remainder(u, eta, c, params):
             fwd, bwd = [k + n - 1 for k in i], [k + n - 1 for k in i]
             fwd[axis] += 1
             bwd[axis] -= 1
-            near += (up[tuple(fwd)] - up[tuple(bwd)]) * (ep[tuple(fwd)] - ep[tuple(bwd)]) / (2 * h * h)
+            near += (up[tuple(fwd)] - up[tuple(bwd)]) * (ep[tuple(fwd)] - ep[tuple(bwd)]) / 2
         tail_phi = 2.0 * u.values[i] * (eta.values[i] - c)
         if ndim == 1:
-            w, A = interior_weights_1d(n, h, s)
+            w, A = interior_weights_1d(n, s)
             K = max(i[0], n - 1 - i[0])
             V = np.zeros(2 * n - 1)
             V[n: n + K] = w[:K]
             V[n + K - 1] -= A[K - 1]
-            out[i] = params.cns * ((V * (P + P[::-1])).sum() + first_cell_moment(h, s) * near
-                                   + tail_phi * tail_coefficient_1d(K * h, s))
+            out[i] = ((V * (P + P[::-1])).sum() + first_cell_moment(s) * near
+                      + tail_phi * tail_coefficient_1d(K, s))
             continue
         ix, iy = i
         off = n - 1
@@ -173,22 +179,22 @@ def _pairwise_remainder(u, eta, c, params):
         cells[off - ix: off + n - 1 - ix, off - iy: off + n - 1 - iy] = True
         cells[ix: n - 1 + ix, iy: n - 1 + iy] = True
         cells[off - 1: off + 1, off - 1: off + 1] = False
-        cw = cell_corner_weights(n, h, s)
+        cw = cell_corner_weights(n, s)
         W = np.zeros((2 * n - 1, 2 * n - 1))
         for da in (0, 1):
             for db in (0, 1):
                 W[da: da + 2 * n - 2, db: db + 2 * n - 2] += cw[da, db] * cells
-        V = W / offset_distance_sq(n, h)
+        V = W / offset_distance_sq(n)
         tail = 0.0
         if 0 < min(ix, iy) and max(ix, iy) < n - 1:
-            px, qx, py, qy = ix * h, (n - 1 - ix) * h, iy * h, (n - 1 - iy) * h
+            px, qx, py, qy = ix, n - 1 - ix, iy, n - 1 - iy
             mx, my = min(px, qx), min(py, qy)
             tail = (rect_complement_integral(px, qx, py, qy, s)
                     + rect_complement_integral(qx, px, qy, py, s)
                     - rect_complement_integral(mx, mx, my, my, s))
-        q = near_square_moment(s) * h ** (2 - 2 * s)
-        out[i] = params.cns / 2 * ((V * (P + P[::-1, ::-1])).sum() + q * near + tail_phi * tail)
-    return out
+        out[i] = ((V * (P + P[::-1, ::-1])).sum() + near_square_moment(s) * near
+                  + tail_phi * tail) / 2
+    return params.cns * grid.h ** (-2 * s) * out
 
 
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
@@ -210,14 +216,15 @@ def test_fft_remainder_matches_pairwise_sum(ndim, n_max):
     check()
 
 
-def _region(kind, ndim):
-    """Region of a seminorm: whole box (None), Omega, ball, box or union."""
-    one = (1.0,) * ndim
+def _region(kind, ndim, half=2.0):
+    """Region of a seminorm in [-half, half]^ndim: whole box (None), Omega, ball, box or union."""
+    r = 0.5 * half
+    one = (r,) * ndim
     return {"box-all": None, "omega": "omega",
-            "ball": Ball(tuple(0.3 * o for o in one), 0.9),
+            "ball": Ball(tuple(0.3 * o for o in one), 0.9 * r),
             "box": Box(tuple(-1.2 * o for o in one), tuple(0.5 * o for o in one)),
             "union": DisjointUnion((Box(tuple(-1.5 * o for o in one), tuple(-0.6 * o for o in one)),
-                                    Ball(tuple(0.5 * o for o in one), 0.6)))}[kind]
+                                    Ball(tuple(0.5 * o for o in one), 0.6 * r)))}[kind]
 
 
 def _pairwise_sobolev(u, sigma, p, region):
@@ -243,7 +250,7 @@ def test_sobolev_sweep_matches_pairwise_sum(ndim, n_max):
     def check(problem, p, low, high, kind):
         grid, _, rng = problem
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        region = _region(kind, ndim)
+        region = _region(kind, ndim, grid.box_hi[0])
         sweep = low + [1.0] + high
         fast = sobolev_seminorm(u, sweep, p, region)
         slow = np.array([_pairwise_sobolev(u, sg, p, region) for sg in sweep])

@@ -41,3 +41,8 @@ def test_traced_names_resolve(tracer):
 ])
 def test_positional_arguments_read_by_tracer(dotted, param, position):
     assert list(inspect.signature(_resolve(dotted)).parameters).index(param) == position
+
+
+def test_corner_weight_cache_info_read_by_worker():
+    # benchmarks/worker.py reads cache_info() of this cache in every traced run
+    assert callable(_resolve("quadrature.cell_corner_weights").cache_info)
