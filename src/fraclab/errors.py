@@ -22,11 +22,11 @@ class NestingError(FracLabError):
 
 
 class MemoryBudgetError(FracLabError):
-    """Dense operator would exceed the configured size cap."""
+    """Gathering the dense matrix would exceed the configured size cap."""
 
 
 class SingularOperatorError(FracLabError):
-    """Factorization of the restricted operator failed."""
+    """The restricted operator could not be factored, or solved to tolerance."""
 
 
 class LocalizationError(FracLabError):

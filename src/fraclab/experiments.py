@@ -92,16 +92,20 @@ def source_profile(cfg, grid):
     raise ConfigError(f"unknown source profile {profile!r}", path=cfg.path)
 
 
-def _require_gagliardo_p(cfg, p, runner):
-    """[probe] p, when set, must suit the Gagliardo estimator that `runner` runs.
+def _require_gagliardo(cfg, p, runner):
+    """[probe] p and method, when set, must suit the Gagliardo estimator `runner` runs.
 
-    The load-time check allows p = 1 and p = inf for method = besov; it
-    cannot see which recipes and probe modes run the Gagliardo estimator
-    whatever the method.
+    The load-time check allows method = besov, and with it p = 1 and
+    p = inf; it cannot see which recipes and probe modes run the
+    Gagliardo estimator whatever the method.
     """
     if cfg.has("probe", "p") and not 1.0 < p < math.inf:
         raise cfg.error("probe", "p", f"p must be in (1, inf), got {p:g}: {runner} runs "
                         "the Gagliardo estimator whatever the method")
+    method = cfg.get_str("probe", "method", default="gagliardo")
+    if method != "gagliardo":
+        raise cfg.error("probe", "method", f"method must be gagliardo, got {method!r}: "
+                        f"{runner} runs the Gagliardo estimator only")
 
 
 def _default_grid(cfg, ndim, n):
@@ -241,7 +245,7 @@ def run_elliptic_regularity(cfg, out_dir):
     """Interior vs boundary maximal exponents for a jump source."""
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5])
     p = cfg.get_float("probe", "p", default=2.0)
-    _require_gagliardo_p(cfg, p, "elliptic-regularity")
+    _require_gagliardo(cfg, p, "elliptic-regularity")
     levels = cfg.get_int("probe", "levels", default=3)
     base_n = cfg.get_int("grid", "n", default=129)
     thr = cfg.get_float("probe", "rate_threshold",
@@ -373,7 +377,7 @@ def run_g_bound(cfg, out_dir):
     """Refinement stability of the localization-bound constant."""
     s = cfg.get_float("params", "s", default=0.5)
     p = cfg.get_float("probe", "p", default=2.0)
-    _require_gagliardo_p(cfg, p, "g-bound")
+    _require_gagliardo(cfg, p, "g-bound")
     levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
     params = FractionalParams(1, s)
     ratios = []
@@ -411,8 +415,8 @@ def run_regularity_sweep(cfg, out_dir):
     params = FractionalParams(1, s)
     grid = _default_grid(cfg, 1, base_n)
     if nesting_margin(inner, grid.omega) <= 0:
-        _require_gagliardo_p(cfg, p, "regularity-sweep with an [inner] that meets the Omega "
-                             "boundary (region mode)")
+        _require_gagliardo(cfg, p, "regularity-sweep with an [inner] that meets the Omega "
+                           "boundary (region mode)")
 
     def resolve(g):
         return solve_dirichlet(source_profile(cfg, g), params, g)

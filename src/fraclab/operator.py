@@ -1,4 +1,4 @@
-"""Pointwise fractional Laplacian and its Dirichlet-restricted matrix.
+"""Pointwise fractional Laplacian and its restriction to Omega.
 
 The quadrature module writes the operator on the grid box as one
 Toeplitz kernel plus a diagonal,
@@ -8,8 +8,13 @@ Toeplitz kernel plus a diagonal,
 with d and t built from nonnegative weights once per (ndim, n, s) at
 unit spacing, scaled by h^(-2s) (FractionalParams.scale).
 apply_fractional_laplacian evaluates it at every box node with one real
-FFT convolution; assemble_operator_matrix gathers d and t onto Omega
-pairs.  Since t(kappa) = t(-kappa) exactly, the restricted matrix is
+FFT convolution.  assemble_operator_matrix returns the operator
+restricted to Omega (OperatorMatrix): its solve() runs conjugate
+gradients on that FFT convolution with a box-circulant preconditioner
+and forms no matrix, and its dense matrix is gathered from d and t onto
+Omega pairs only when first read, by the Cholesky factors of I + c A
+that the time steppers use and by the dense cross-checks.  Since
+t(kappa) = t(-kappa) exactly, the restricted matrix is
 exactly symmetric with the M-matrix sign pattern: positive diagonal,
 nonpositive off-diagonal, and a strictly positive action on the
 all-ones vector.  That structure carries the discrete maximum principle
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -35,6 +40,7 @@ from .gridfn import Grid, GridFunction
 from .quadrature import sweep_1d, sweep_2d
 
 DEFAULT_DENSE_CAP = 4500  # max Omega nodes for a dense matrix
+RESIDUAL_REL_TOL = 1e-10  # solve(): max-norm residual relative to the rhs
 _GATHER_ROWS = 64  # dense rows gathered per block
 
 
@@ -96,11 +102,16 @@ def toeplitz_operator(ndim, n, s):
     return Toeplitz(t, d, t_hat, size, kernel.near)
 
 
+def _circulant(values, symbol, size):
+    """Product with the circulant of this symbol on the box padded to side size, cut back."""
+    shape = (size,) * values.ndim
+    full = scipy.fft.irfftn(scipy.fft.rfftn(values, shape) * symbol, shape)
+    return full[tuple(slice(0, n) for n in values.shape)]
+
+
 def convolve(op, values):
     """sum_j t(j - i) values_j at every box node i, for the kernel t of op."""
-    size = (op.size,) * values.ndim
-    full = scipy.fft.irfftn(scipy.fft.rfftn(values, size) * op.t_hat, size)
-    return full[tuple(slice(0, n) for n in values.shape)]
+    return _circulant(values, op.t_hat, op.size)
 
 
 def apply_fractional_laplacian(u, params):
@@ -125,19 +136,54 @@ def apply_fractional_laplacian(u, params):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator restricted to Omega nodes (mask order)."""
+    """The operator restricted to Omega nodes (mask order).
+
+    The kernel comes from toeplitz_operator when the operator is made.
+    solve() works from the kernel alone; the dense matrix is gathered
+    from it only on first access to `matrix`, which raises
+    MemoryBudgetError above dense_cap Omega nodes.
+    """
 
     grid: Grid
-    params: object
-    matrix: np.ndarray
+    params: FractionalParams
+    dense_cap: int = DEFAULT_DENSE_CAP
+    kernel: Toeplitz = field(init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        grid = self.grid
+        object.__setattr__(self, "kernel", toeplitz_operator(grid.ndim, grid.n, self.params.s))
 
     @property
     def h(self):
         return self.grid.h
+
+    @cached_property
+    def matrix(self):
+        """Dense m x m matrix, gathered from the kernel on first access.
+
+        The entries are the kernel and diagonal of the matrix-free path,
+        so the two agree to rounding.
+        """
+        grid, op = self.grid, self.kernel
+        m = grid.n_omega
+        if m > self.dense_cap:
+            raise MemoryBudgetError(
+                f"{m} Omega nodes exceed the dense cap of {self.dense_cap}; "
+                "raise dense_cap explicitly if this size is intended")
+        n, C = grid.n, self.params.scale(grid.h)
+        # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
+        strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
+        key = np.argwhere(grid.mask) @ strides
+        center = (n - 1) * int(strides.sum())
+        coef = -C * op.t.ravel()
+        mat = np.empty((m, m))
+        for r0 in range(0, m, _GATHER_ROWS):
+            rows = key[r0: r0 + _GATHER_ROWS, None]
+            np.take(coef, key - rows + center, out=mat[r0: r0 + len(rows)])
+        mat[np.diag_indices(m)] = C * op.d[grid.mask]
+        mat.setflags(write=False)
+        return mat
 
     def apply_to_omega(self, vec):
         return self.matrix @ np.asarray(vec, float)
@@ -146,23 +192,20 @@ class OperatorMatrix:
         """Discrete energy pairing sum v . (A w) h^N."""
         return float(np.dot(v, self.matrix @ w)) * self.h ** self.grid.ndim
 
-    def factor(self, c=None):
-        """Upper Cholesky factor of A (c None) or of I + c A, built once per c.
+    def factor(self, c):
+        """Upper Cholesky factor of I + c A, built once per shift c.
 
-        Every solver reaches the factorization through here, so a matrix
-        shared by several solves or semigroup steps is factored once per
-        shift.  The factors live and die with this matrix.  I + c A is
+        The steppers reach the factorization through here, so a matrix
+        shared by several steps or semigroup calls is factored once per
+        shift.  The factors live and die with this operator.  I + c A is
         formed in one Fortran-ordered buffer that LAPACK factors in place.
         """
         cho = self._factors.get(c)
         if cho is None:
-            if c is None:
-                shifted = self.matrix
-            else:
-                shifted = np.multiply(self.matrix, c, order="F")
-                shifted[np.diag_indices_from(shifted)] += 1.0
+            shifted = np.multiply(self.matrix, c, order="F")
+            shifted[np.diag_indices_from(shifted)] += 1.0
             try:
-                cho = scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=c is not None,
+                cho = scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=True,
                                               check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
@@ -170,29 +213,65 @@ class OperatorMatrix:
             self._factors[c] = cho
         return cho
 
+    def solve(self, rhs):
+        """Solution x of A x = rhs by preconditioned conjugate gradients.
+
+        A is applied by the FFT convolution of the matrix-free path; the
+        preconditioner is the inverse of the circulant C (max d - t) on the
+        padded box, max d taken over Omega, applied by FFT and restricted
+        to Omega (T. Chan 1988; Chan & Ng 1996).  It is symmetric positive
+        definite: d_i weighs node i against all of R^N, box and closed-form
+        tail, so it exceeds the kernel's sum over the padded box, the
+        largest value of t_hat.  Iterates until the true residual is at most
+        RESIDUAL_REL_TOL ||rhs||_inf; CG ends within m steps in exact
+        arithmetic, so after m steps SingularOperatorError reports the
+        residual reached.  No dense matrix is gathered.
+        """
+        grid, op = self.grid, self.kernel
+        mask, m = grid.mask, grid.n_omega
+        C = self.params.scale(grid.h)
+        diag = op.d[mask]
+        inverse_symbol = 1.0 / (C * (diag.max() - op.t_hat.real))
+        box = np.zeros(grid.shape)
+
+        def circulant(vec, symbol):
+            box[mask] = vec
+            return _circulant(box, symbol, op.size)[mask]
+
+        def apply(vec):
+            return C * (diag * vec - circulant(vec, op.t_hat))
+
+        rhs = np.asarray(rhs, float)
+        scale = max(np.abs(rhs).max(initial=0.0), 1e-300)
+        sol = np.zeros(m)
+        res = rhs.copy()
+        direction, rz = None, 0.0
+        for step in range(m + 1):
+            if np.abs(res).max(initial=0.0) <= RESIDUAL_REL_TOL * scale:
+                res = rhs - apply(sol)
+                if np.abs(res).max(initial=0.0) <= RESIDUAL_REL_TOL * scale:
+                    return sol
+                direction = None  # restart from the true residual
+            if step == m:
+                break
+            z = circulant(res, inverse_symbol)
+            rz_next = float(res @ z)
+            direction = z if direction is None else z + (rz_next / rz) * direction
+            rz = rz_next
+            image = apply(direction)
+            alpha = rz / float(direction @ image)
+            sol += alpha * direction
+            res -= alpha * image
+        reached = np.abs(rhs - apply(sol)).max(initial=0.0) / scale
+        raise SingularOperatorError(
+            f"relative residual {reached:.3e} after {m} conjugate-gradient iterations "
+            f"exceeds {RESIDUAL_REL_TOL:g}")
+
 
 def assemble_operator_matrix(grid, params, dense_cap=DEFAULT_DENSE_CAP):
-    """Dense matrix A with A (u|Omega) = apply(extend_by_zero(u))|Omega.
+    """The operator A with A (u|Omega) = apply(extend_by_zero(u))|Omega.
 
-    Entries are gathered from the same kernel and diagonal as the
-    matrix-free path, so the two agree to rounding.  Raises
-    MemoryBudgetError above dense_cap Omega nodes.
+    Builds the kernel now; the dense matrix waits for its first use, and
+    raises MemoryBudgetError there above dense_cap Omega nodes.
     """
-    m = grid.n_omega
-    if m > dense_cap:
-        raise MemoryBudgetError(
-            f"{m} Omega nodes exceed the dense cap of {dense_cap}; "
-            "raise dense_cap explicitly if this size is intended")
-    n, C = grid.n, params.scale(grid.h)
-    op = toeplitz_operator(grid.ndim, n, params.s)
-    # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
-    strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
-    key = np.argwhere(grid.mask) @ strides
-    center = (n - 1) * int(strides.sum())
-    coef = -C * op.t.ravel()
-    mat = np.empty((m, m))
-    for r0 in range(0, m, _GATHER_ROWS):
-        rows = key[r0: r0 + _GATHER_ROWS, None]
-        np.take(coef, key - rows + center, out=mat[r0: r0 + len(rows)])
-    mat[np.diag_indices(m)] = C * op.d[grid.mask]
-    return OperatorMatrix(grid, params, mat)
+    return OperatorMatrix(grid, params, dense_cap)

@@ -7,8 +7,11 @@ a batch at once: the data are the columns of one Fortran-ordered array,
 so a step is one multi-right-hand-side triangular solve pair.  Both take
 their Cholesky factor from OperatorMatrix.factor(tau theta) or
 OperatorMatrix.factor(tau), which builds it once per shift and keeps it on
-the matrix, so repeated semigroup calls with the same tau factor once.  A
-factorization failure raises SingularOperatorError.  theta is restricted
+the operator, so repeated semigroup calls with the same tau factor once.
+The factor needs the operator's dense matrix, gathered on first use, so
+these stay within the dense cap (MemoryBudgetError above it), unlike the
+matrix-free elliptic solve.  A factorization failure raises
+SingularOperatorError.  theta is restricted
 to [1/2, 1]: explicit stepping is excluded because the nonlocal stiffness
 grows like h^(-2s).  Results may change in the last digits with the BLAS
 thread count, which is not fixed here.

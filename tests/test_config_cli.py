@@ -227,12 +227,19 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      ":7:5:"),
     ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
      "p = inf\n[inner]\nkind = box\nbounds = 0.5, 1.5\n", ":7:5:"),
+    ("[experiment]\nname = elliptic-regularity\n[grid]\nn = 33\n[probe]\nmethod = besov\n",
+     ":6:10:"),
+    ("[experiment]\nname = g-bound\n[grid]\nn = 33, 65\n[probe]\nmethod = besov\n", ":6:10:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
+     "[inner]\nkind = box\nbounds = 0.5, 1.5\n", ":6:10:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "probe-method", "probe-p-inf", "probe-p-1",
         "probe-p-half", "probe-besov-p-half", "probe-levels", "probe-sweep",
         "ndim-product-rule", "ndim-alias", "ndim-regularity-sweep",
-        "besov-p-elliptic-regularity", "besov-p-g-bound", "besov-p-region-mode"])
+        "besov-p-elliptic-regularity", "besov-p-g-bound", "besov-p-region-mode",
+        "besov-method-elliptic-regularity", "besov-method-g-bound",
+        "besov-method-region-mode"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

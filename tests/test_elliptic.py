@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fraclab import elliptic
+from fraclab import operator
 from fraclab.elliptic import residual_check, solve_dirichlet
-from fraclab.errors import SingularOperatorError
+from fraclab.errors import MemoryBudgetError, SingularOperatorError
 from fraclab.gridfn import build_grid, extend_by_zero
-from fraclab.operator import FractionalParams, assemble_operator_matrix
+from fraclab.operator import DEFAULT_DENSE_CAP, FractionalParams, assemble_operator_matrix
 from fraclab.regions import Ball
 
 
@@ -48,10 +48,12 @@ def test_residual_contract(grid65, params_half):
     assert residual_check(u, f, params_half) <= 1e-10
 
 
-def test_residual_above_tolerance_after_two_sweeps_raises(grid65, params_half, monkeypatch):
-    monkeypatch.setattr(elliptic, "RESIDUAL_REL_TOL", 0.0)
+def test_residual_above_tolerance_at_iteration_cap_raises(grid65, params_half, monkeypatch):
+    monkeypatch.setattr(operator, "RESIDUAL_REL_TOL", 0.0)
     f = np.random.default_rng(5).standard_normal(grid65.n_omega)
-    with pytest.raises(SingularOperatorError, match="relative residual .* after two refinement sweeps"):
+    with pytest.raises(SingularOperatorError,
+                       match=rf"relative residual .* after {grid65.n_omega} conjugate-gradient "
+                             "iterations exceeds 0"):
         solve_dirichlet(f, params_half, grid65)
 
 
@@ -107,3 +109,15 @@ def test_2d_solve_matches_getoor():
     inner = r2 <= 0.25
     rel = np.abs(u.values[inner] - exact[inner]) / exact[inner]
     assert rel.max() < 0.01
+
+
+def test_2d_solve_past_the_dense_cap():
+    grid = build_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 161, Ball((0.0, 0.0), 1.0))
+    assert grid.n_omega > DEFAULT_DENSE_CAP
+    params = FractionalParams(2, 0.5)
+    A = assemble_operator_matrix(grid, params)
+    f = np.ones(grid.n_omega)
+    u = solve_dirichlet(f, params, grid, matrix=A)
+    assert residual_check(u, f, params) <= 1e-10
+    with pytest.raises(MemoryBudgetError):
+        A.matrix

@@ -195,8 +195,14 @@ def test_semigroup_rejects_bad_steps_and_lengths(setup):
 def test_semigroup_non_spd_operator_raises(setup):
     grid, params, _ = setup
     tau = 0.25
-    # I + tau A = -I is negative definite
-    matrix = OperatorMatrix(grid, params, -(2.0 / tau) * np.eye(grid.n_omega))
+
+    class NegativeOperator(OperatorMatrix):
+        @property
+        def matrix(self):
+            # I + tau A = -I is negative definite
+            return -(2.0 / tau) * np.eye(grid.n_omega)
+
+    matrix = NegativeOperator(grid, params)
     with pytest.raises(SingularOperatorError):
         semigroup_apply(np.ones(grid.n_omega), 4 * tau, 4, params, grid, matrix=matrix)
 

@@ -11,6 +11,8 @@ sum and the per-shift Besov loop, over random p, q, sigma and regions.
 Data supported on a random sub-box of the lattice (touching its edge, or
 one node) drive the seminorms through their rectangle-sum terms for the
 nodes off the support and their closed forms for the far shifts.
+The conjugate-gradient Dirichlet solve meets the residual contract and
+agrees with a Cholesky solve of the gathered dense matrix.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
 contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
 gives each datum its one-datum image, in order.
@@ -18,9 +20,11 @@ gives each datum its one-datum image, in order.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.gridfn import Grid, GridFunction, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
 from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
@@ -112,6 +116,24 @@ def test_matrix_symmetric_m_matrix(ndim, n_max):
         assert (A - np.diag(np.diag(A))).max() <= 0.0
         assert np.diag(A).min() > 0.0
         assert (A @ np.ones(len(A))).min() > 0.0
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_pcg_solve_matches_cholesky(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, rng = problem
+        matrix = assemble_operator_matrix(grid, params)
+        f = rng.standard_normal(grid.n_omega)
+        pcg = solve_dirichlet(f, params, grid, matrix=matrix)
+        cho = scipy.linalg.cho_factor(matrix.matrix)
+        dense = extend_by_zero(scipy.linalg.cho_solve(cho, f), grid)
+        for u in (pcg, dense):
+            assert residual_check(u, f, params) <= 1e-10 * np.abs(f).max()
+        assert _rel_gap(pcg.values, dense.values) <= 1e-8
 
     check()
 

@@ -8,9 +8,15 @@ the tracer by path, unchanged, and checks that contract in tier 1.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import fraclab
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -46,3 +52,43 @@ def test_positional_arguments_read_by_tracer(dotted, param, position):
 def test_corner_weight_cache_info_read_by_worker():
     # benchmarks/worker.py reads cache_info() of this cache in every traced run
     assert callable(_resolve("quadrature.cell_corner_weights").cache_info)
+
+
+# install() patches every fraclab module in the process, so it runs in a child.
+TRACED_SOLVES = """
+import importlib.util, json, sys
+import numpy as np
+
+spec = importlib.util.spec_from_file_location("fraclab_bench_tracer", sys.argv[1])
+bench_tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_tracer)
+tracer = bench_tracer.Tracer()
+tracer.install()
+
+from fraclab import elliptic, gridfn, operator
+from fraclab.regions import Ball
+
+params = operator.FractionalParams(2, 0.5)
+for n in (17, 33):
+    grid = gridfn.build_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), n, Ball((0.0, 0.0), 1.0))
+    elliptic.solve_dirichlet(np.ones(grid.n_omega), params, grid)
+print(json.dumps(tracer.stats))
+"""
+
+
+def test_traced_solves_without_matrix():
+    # The tracer reads the dense matrix of the last assembled operator
+    # after each solve; the kernel must already be built by then, or its
+    # spans would nest inside the tracer's bookkeeping.
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", TRACED_SOLVES, str(TRACER_PATH)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(done.stdout.splitlines()[-1])
+    solve = stats["elliptic.solve_dirichlet"]
+    assert solve["calls"] == 2
+    assert solve["residual_rel_max"] <= 1e-10
+    assert stats["quadrature.sweep_2d"]["calls"] == 2
+    assert all(st["self_s"] >= 0.0 for st in stats.values()), stats
