@@ -234,7 +234,7 @@ def criterion_9(out_dir, shared=None):
         for _ in range(20):
             vec = rng.standard_normal(grid.n_omega)
             u = extend_by_zero(vec, grid)
-            fast = matrix.apply_to_omega(vec)
+            fast = matrix.matrix @ vec
             slow = naive_apply_omega(u, params)
             scale = max(1.0, float(np.abs(slow).max()))
             worst = max(worst, float(np.abs(fast - slow).max()) / scale)

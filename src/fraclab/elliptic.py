@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import LengthMismatchError
 from .gridfn import GridFunction, extend_by_zero
 from .operator import apply_fractional_laplacian, assemble_operator_matrix
 
 
 def _rhs_on_omega(f, grid):
+    """f as a float vector on the Omega nodes, from a GridFunction, box values or Omega values.
+
+    Raises LengthMismatchError unless that gives one value per Omega node.
+    """
     if isinstance(f, GridFunction):
-        return f.values[grid.mask].astype(float)
-    arr = np.asarray(f, float)
-    if arr.shape == grid.shape:
-        return arr[grid.mask]
-    return arr.ravel()
+        vec = f.values[grid.mask].astype(float)
+    else:
+        arr = np.asarray(f, float)
+        vec = arr[grid.mask] if arr.shape == grid.shape else arr.ravel()
+    if vec.size != grid.n_omega:
+        raise LengthMismatchError(f"got {vec.size} values for {grid.n_omega} Omega nodes")
+    return vec
 
 
 def solve_dirichlet(f, params, grid, matrix=None):
@@ -31,10 +38,7 @@ def solve_dirichlet(f, params, grid, matrix=None):
     """
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
-    rhs = _rhs_on_omega(f, grid)
-    if rhs.size != grid.n_omega:
-        raise ValueError(f"rhs has {rhs.size} entries for {grid.n_omega} Omega nodes")
-    return extend_by_zero(matrix.solve(rhs), grid)
+    return extend_by_zero(matrix.solve(_rhs_on_omega(f, grid)), grid)
 
 
 def residual_check(u, f, params):

@@ -292,8 +292,6 @@ def run_parabolic_energy(cfg, out_dir):
         traj = solve_parabolic(f, T, nt, theta, params, grid, matrix=matrix)
         ledger = energy_report(traj, f, matrix=matrix, slack=slack)
         ledger.export_csv(os.path.join(out_dir, f"ledger_nt{nt}.csv"))
-        if cfg.get_int("time", "export_snapshots", default=0):
-            traj.export_csv(out_dir, prefix=f"snapshot_nt{nt}")
         worst[nt] = {"worst_ratio": ledger.worst_ratio(),
                      "violation": ledger.violation}
     write_manifest(out_dir, "parabolic-energy", cfg, ndim=1, s=s, theta=theta, T=T,

@@ -9,11 +9,12 @@ with d and t built from nonnegative weights once per (ndim, n, s) at
 unit spacing, scaled by h^(-2s) (FractionalParams.scale).
 apply_fractional_laplacian evaluates it at every box node with one real
 FFT convolution.  assemble_operator_matrix returns the operator
-restricted to Omega (OperatorMatrix): its solve() runs conjugate
-gradients on that FFT convolution with a box-circulant preconditioner
-and forms no matrix, and its dense matrix is gathered from d and t onto
-Omega pairs only when first read, by the Cholesky factors of I + c A
-that the time steppers use and by the dense cross-checks.  Since
+restricted to Omega (OperatorMatrix): every product with it is
+apply(), the same FFT convolution on Omega vectors, and solve() runs
+conjugate gradients on apply() with a box-circulant preconditioner.  Its
+dense matrix is gathered from d and t onto Omega pairs only when first
+read, by factor(c), the Cholesky factor of I + c A that the time
+steppers use, and by the dense cross-checks.  Since
 t(kappa) = t(-kappa) exactly, the restricted matrix is
 exactly symmetric with the M-matrix sign pattern: positive diagonal,
 nonpositive off-diagonal, and a strictly positive action on the
@@ -139,38 +140,31 @@ class OperatorMatrix:
     """The operator restricted to Omega nodes (mask order).
 
     The kernel comes from toeplitz_operator when the operator is made.
-    solve() works from the kernel alone; the dense matrix is gathered
-    from it only on first access to `matrix`, which raises
-    MemoryBudgetError above dense_cap Omega nodes.
+    apply() and solve() work from the kernel alone; the dense matrix is
+    gathered from it only on first access to `matrix`, which raises
+    MemoryBudgetError above DEFAULT_DENSE_CAP Omega nodes.
     """
 
     grid: Grid
     params: FractionalParams
-    dense_cap: int = DEFAULT_DENSE_CAP
     kernel: Toeplitz = field(init=False, repr=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
         object.__setattr__(self, "kernel", toeplitz_operator(grid.ndim, grid.n, self.params.s))
 
-    @property
-    def h(self):
-        return self.grid.h
-
     @cached_property
     def matrix(self):
         """Dense m x m matrix, gathered from the kernel on first access.
 
-        The entries are the kernel and diagonal of the matrix-free path,
-        so the two agree to rounding.
+        The entries are the kernel and diagonal of apply(), so the two
+        agree to rounding.
         """
         grid, op = self.grid, self.kernel
         m = grid.n_omega
-        if m > self.dense_cap:
+        if m > DEFAULT_DENSE_CAP:
             raise MemoryBudgetError(
-                f"{m} Omega nodes exceed the dense cap of {self.dense_cap}; "
-                "raise dense_cap explicitly if this size is intended")
+                f"{m} Omega nodes exceed the dense cap of {DEFAULT_DENSE_CAP}")
         n, C = grid.n, self.params.scale(grid.h)
         # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
         strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
@@ -185,62 +179,51 @@ class OperatorMatrix:
         mat.setflags(write=False)
         return mat
 
-    def apply_to_omega(self, vec):
-        return self.matrix @ np.asarray(vec, float)
+    def _circulant(self, vec, symbol):
+        """Circulant product of an Omega vector on the padded box, restricted to Omega."""
+        mask = self.grid.mask
+        box = np.zeros(self.grid.shape)
+        box[mask] = vec
+        return _circulant(box, symbol, self.kernel.size)[mask]
 
-    def bilinear(self, v, w):
-        """Discrete energy pairing sum v . (A w) h^N."""
-        return float(np.dot(v, self.matrix @ w)) * self.h ** self.grid.ndim
+    def apply(self, vec):
+        """A vec for an Omega vector, by one FFT convolution; no dense matrix is read."""
+        op, mask = self.kernel, self.grid.mask
+        C = self.params.scale(self.grid.h)
+        return C * (op.d[mask] * vec - self._circulant(vec, op.t_hat))
 
     def factor(self, c):
-        """Upper Cholesky factor of I + c A, built once per shift c.
+        """Upper Cholesky factor of I + c A.
 
-        The steppers reach the factorization through here, so a matrix
-        shared by several steps or semigroup calls is factored once per
-        shift.  The factors live and die with this operator.  I + c A is
-        formed in one Fortran-ordered buffer that LAPACK factors in place.
+        I + c A is formed in one Fortran-ordered buffer that LAPACK
+        factors in place.
         """
-        cho = self._factors.get(c)
-        if cho is None:
-            shifted = np.multiply(self.matrix, c, order="F")
-            shifted[np.diag_indices_from(shifted)] += 1.0
-            try:
-                cho = scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=True,
-                                              check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
-            cho[0].setflags(write=False)
-            self._factors[c] = cho
-        return cho
+        shifted = np.multiply(self.matrix, c, order="F")
+        shifted[np.diag_indices_from(shifted)] += 1.0
+        try:
+            return scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=True,
+                                           check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
 
     def solve(self, rhs):
         """Solution x of A x = rhs by preconditioned conjugate gradients.
 
-        A is applied by the FFT convolution of the matrix-free path; the
-        preconditioner is the inverse of the circulant C (max d - t) on the
-        padded box, max d taken over Omega, applied by FFT and restricted
-        to Omega (T. Chan 1988; Chan & Ng 1996).  It is symmetric positive
-        definite: d_i weighs node i against all of R^N, box and closed-form
-        tail, so it exceeds the kernel's sum over the padded box, the
-        largest value of t_hat.  Iterates until the true residual is at most
-        RESIDUAL_REL_TOL ||rhs||_inf; CG ends within m steps in exact
-        arithmetic, so after m steps SingularOperatorError reports the
-        residual reached.  No dense matrix is gathered.
+        A is applied by apply(); the preconditioner is the inverse of the
+        circulant C (max d - t) on the padded box, max d taken over Omega,
+        applied by FFT and restricted to Omega (T. Chan 1988; Chan & Ng
+        1996).  It is symmetric positive definite: d_i weighs node i
+        against all of R^N, box and closed-form tail, so it exceeds the
+        kernel's sum over the padded box, the largest value of t_hat.
+        Iterates until the true residual is at most RESIDUAL_REL_TOL
+        ||rhs||_inf; CG ends within m steps in exact arithmetic, so after m
+        steps SingularOperatorError reports the residual reached.  No dense
+        matrix is gathered.
         """
-        grid, op = self.grid, self.kernel
-        mask, m = grid.mask, grid.n_omega
+        grid, op, apply = self.grid, self.kernel, self.apply
+        m = grid.n_omega
         C = self.params.scale(grid.h)
-        diag = op.d[mask]
-        inverse_symbol = 1.0 / (C * (diag.max() - op.t_hat.real))
-        box = np.zeros(grid.shape)
-
-        def circulant(vec, symbol):
-            box[mask] = vec
-            return _circulant(box, symbol, op.size)[mask]
-
-        def apply(vec):
-            return C * (diag * vec - circulant(vec, op.t_hat))
-
+        inverse_symbol = 1.0 / (C * (op.d[grid.mask].max() - op.t_hat.real))
         rhs = np.asarray(rhs, float)
         scale = max(np.abs(rhs).max(initial=0.0), 1e-300)
         sol = np.zeros(m)
@@ -254,7 +237,7 @@ class OperatorMatrix:
                 direction = None  # restart from the true residual
             if step == m:
                 break
-            z = circulant(res, inverse_symbol)
+            z = self._circulant(res, inverse_symbol)
             rz_next = float(res @ z)
             direction = z if direction is None else z + (rz_next / rz) * direction
             rz = rz_next
@@ -268,10 +251,10 @@ class OperatorMatrix:
             f"exceeds {RESIDUAL_REL_TOL:g}")
 
 
-def assemble_operator_matrix(grid, params, dense_cap=DEFAULT_DENSE_CAP):
+def assemble_operator_matrix(grid, params):
     """The operator A with A (u|Omega) = apply(extend_by_zero(u))|Omega.
 
     Builds the kernel now; the dense matrix waits for its first use, and
-    raises MemoryBudgetError there above dense_cap Omega nodes.
+    raises MemoryBudgetError there above DEFAULT_DENSE_CAP Omega nodes.
     """
-    return OperatorMatrix(grid, params, dense_cap)
+    return OperatorMatrix(grid, params)

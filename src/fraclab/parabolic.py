@@ -2,16 +2,16 @@
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 + theta f_{k+1}]; at theta = 1 the explicit part is skipped, A u_k
-included.  Each semigroup step applies (I + tau A)^(-1) to every datum of
-a batch at once: the data are the columns of one Fortran-ordered array,
-so a step is one multi-right-hand-side triangular solve pair.  Both take
-their Cholesky factor from OperatorMatrix.factor(tau theta) or
-OperatorMatrix.factor(tau), which builds it once per shift and keeps it on
-the operator, so repeated semigroup calls with the same tau factor once.
-The factor needs the operator's dense matrix, gathered on first use, so
-these stay within the dense cap (MemoryBudgetError above it), unlike the
-matrix-free elliptic solve.  A factorization failure raises
-SingularOperatorError.  theta is restricted
+included.  A trajectory is one read-only (nt+1, m) array of Omega values.
+Each semigroup step applies (I + tau A)^(-1) to every datum of a batch at
+once: the data are the columns of one Fortran-ordered array, so a step is
+one multi-right-hand-side triangular solve pair.  The steppers reach A
+only through OperatorMatrix.apply (the explicit part and the ledger's
+energy) and OperatorMatrix.factor(tau theta) or factor(tau), one
+Cholesky factor per call.  The factor needs the operator's dense matrix,
+gathered on first use, so these stay within the dense cap
+(MemoryBudgetError above it), unlike the matrix-free elliptic solve.  A
+factorization failure raises SingularOperatorError.  theta is restricted
 to [1/2, 1]: explicit stepping is excluded because the nonlocal stiffness
 grows like h^(-2s).  Results may change in the last digits with the BLAS
 thread count, which is not fixed here.
@@ -20,49 +20,29 @@ thread count, which is not fixed here.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .elliptic import _rhs_on_omega
-from .errors import LengthMismatchError
 from .gridfn import extend_by_zero
 from .operator import assemble_operator_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Snapshots u_k at t_k = k tau, all exterior-zero, u_0 the initial datum."""
+    """Omega values u_k at t_k = k tau, one row each of a read-only array; u_0 the datum."""
 
     grid: object
     params: object
     theta: float
     tau: float
     times: np.ndarray
-    snapshots: list
-
-    @property
-    def nt(self):
-        return len(self.times) - 1
+    values: np.ndarray
 
     def final(self):
-        return self.snapshots[-1]
-
-    def export_csv(self, out_dir, prefix="snapshot"):
-        """One CSV per snapshot: node coordinates and value."""
-        paths = []
-        nodes = self.grid.nodes()
-        for k, snap in enumerate(self.snapshots):
-            path = f"{out_dir}/{prefix}_{k:04d}.csv"
-            with open(path, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow([*(f"x{a}" for a in range(self.grid.ndim)), "u"])
-                for pt, val in zip(nodes, snap.values.ravel()):
-                    wr.writerow([f"{c:.17g}" for c in pt] + [f"{val:.17g}"])
-            paths.append(path)
-        return paths
+        return extend_by_zero(self.values[-1], self.grid)
 
 
 def _source_at(f, t, grid):
@@ -78,24 +58,21 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
         raise ValueError(f"need nt >= 2 steps, got {nt}")
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
-    A = matrix.matrix
     tau = T / nt
     cho = matrix.factor(tau * theta)
-    u = np.zeros(grid.n_omega) if u0 is None else _source_at(u0, 0.0, grid).copy()
-    times = [0.0]
-    snaps = [extend_by_zero(u, grid)]
+    values = np.empty((nt + 1, grid.n_omega))
+    values[0] = 0.0 if u0 is None else _source_at(u0, 0.0, grid)
     f_now = _source_at(f, 0.0, grid)
     for k in range(nt):
-        t_next = (k + 1) * tau
-        f_next = _source_at(f, t_next, grid)
+        u = values[k]
+        f_next = _source_at(f, (k + 1) * tau, grid)
         # at theta = 1 the explicit part (1 - theta)(f_k - A u_k) is zero
-        explicit = (1 - theta) * (f_now - A @ u) if theta < 1 else 0.0
-        rhs = u + tau * (explicit + theta * f_next)
-        u = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        times.append(t_next)
-        snaps.append(extend_by_zero(u, grid))
+        explicit = (1 - theta) * (f_now - matrix.apply(u)) if theta < 1 else 0.0
+        values[k + 1] = scipy.linalg.cho_solve(cho, u + tau * (explicit + theta * f_next),
+                                               check_finite=False)
         f_now = f_next
-    return Trajectory(grid, params, theta, tau, np.array(times), snaps)
+    values.setflags(write=False)
+    return Trajectory(grid, params, theta, tau, np.arange(nt + 1) * tau, values)
 
 
 @dataclass(frozen=True)
@@ -143,21 +120,13 @@ def energy_report(traj, f, matrix=None, slack=None):
     tau = traj.tau
     if slack is None:
         slack = max(0.05, 2.0 * tau)
-    nt = traj.nt
-    diss = np.zeros(nt + 1)
-    energy = np.zeros(nt + 1)
-    source = np.zeros(nt + 1)
-    v_prev = traj.snapshots[0].values[grid.mask] * math.exp(-traj.times[0])
-    energy[0] = matrix.bilinear(v_prev, v_prev) + hN * float(v_prev @ v_prev)
-    for k in range(1, nt + 1):
-        t = traj.times[k]
-        v = traj.snapshots[k].values[grid.mask] * math.exp(-t)
-        g = _source_at(f, t, grid) * math.exp(-t)
-        dv = (v - v_prev) / tau
-        diss[k] = diss[k - 1] + tau * hN * float(dv @ dv)
-        energy[k] = matrix.bilinear(v, v) + hN * float(v @ v)
-        source[k] = source[k - 1] + tau * hN * float(g @ g)
-        v_prev = v
+    damping = np.exp(-traj.times)[:, None]
+    v = traj.values * damping
+    g = np.array([_source_at(f, t, grid) for t in traj.times[1:]]) * damping[1:]
+    dv = np.diff(v, axis=0) / tau
+    diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
+    energy = hN * (np.array([row @ matrix.apply(row) for row in v]) + (v * v).sum(axis=1))
+    source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
     ok = source[1:] > 0
     violation = bool(np.any((diss[1:] + energy[1:])[ok] > (1.0 + slack) * source[1:][ok]))
     return EnergyLedger(traj.times.copy(), diss, energy, source, slack, violation)
@@ -179,10 +148,7 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     batch = phi if batched else [phi]
     data = np.empty((grid.n_omega, len(batch)), order="F")
     for j, datum in enumerate(batch):
-        vec = _source_at(datum, 0.0, grid)
-        if vec.size != grid.n_omega:
-            raise LengthMismatchError(f"got {vec.size} values for {grid.n_omega} Omega nodes")
-        data[:, j] = vec
+        data[:, j] = _source_at(datum, 0.0, grid)
     if t > 0:
         if matrix is None:
             matrix = assemble_operator_matrix(grid, params)

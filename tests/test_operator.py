@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from fraclab import operator
 from fraclab.errors import MemoryBudgetError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
@@ -132,7 +133,7 @@ def test_matrix_matches_matrix_free(grid65, params_half):
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = random_dirichlet(grid65, rng)
-        via_matrix = A.apply_to_omega(u.on_omega())
+        via_matrix = A.matrix @ u.on_omega()
         via_apply = apply_fractional_laplacian(u, params_half).values[grid65.mask]
         scale = max(1.0, np.abs(via_apply).max())
         assert np.abs(via_matrix - via_apply).max() <= 1e-12 * scale
@@ -145,7 +146,7 @@ def test_matrix_matches_naive_double_loop():
     rng = np.random.default_rng(11)
     for _ in range(5):
         vec = rng.standard_normal(grid.n_omega)
-        fast = A.apply_to_omega(vec)
+        fast = A.matrix @ vec
         slow = naive_apply_omega(extend_by_zero(vec, grid), params)
         assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
 
@@ -166,10 +167,10 @@ def test_bilinear_form_self_adjoint_and_coercive(grid65, params_half):
     for _ in range(5):
         u = rng.standard_normal(grid65.n_omega)
         w = rng.standard_normal(grid65.n_omega)
-        lhs = np.dot(w, A.apply_to_omega(u))
-        rhs = np.dot(u, A.apply_to_omega(w))
+        lhs = np.dot(w, A.matrix @ u)
+        rhs = np.dot(u, A.matrix @ w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        assert np.dot(u, A.apply_to_omega(u)) > 0.0
+        assert np.dot(u, A.matrix @ u) > 0.0
 
 
 def test_quadrature_order_on_smooth_bump():
@@ -187,8 +188,9 @@ def test_quadrature_order_on_smooth_bump():
         assert order >= 1.7, f"s={s}: fitted order {order}"
 
 
-def test_memory_budget_cap(grid65, params_half):
-    A = assemble_operator_matrix(grid65, params_half, dense_cap=grid65.n_omega - 1)
+def test_memory_budget_cap(grid65, params_half, monkeypatch):
+    monkeypatch.setattr(operator, "DEFAULT_DENSE_CAP", grid65.n_omega - 1)
+    A = assemble_operator_matrix(grid65, params_half)
     with pytest.raises(MemoryBudgetError):
         A.matrix
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fraclab.elliptic import solve_dirichlet
+from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.errors import LengthMismatchError, SingularOperatorError
-from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid
+from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
     energy_report,
@@ -28,14 +28,16 @@ def setup():
 def test_zero_source_stays_zero(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.zeros(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
-    assert all(s.linf() == 0.0 for s in traj.snapshots)
+    assert not traj.values.any()
 
 
 def test_initial_datum_is_zero(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 4, 0.5, params, grid, matrix=matrix)
-    assert traj.snapshots[0].linf() == 0.0
-    assert all(s.dirichlet for s in traj.snapshots)
+    assert traj.values.shape == (5, grid.n_omega)
+    assert not traj.values.flags.writeable
+    assert not traj.values[0].any()
+    assert traj.final().dirichlet
 
 
 def test_theta_validation(setup):
@@ -111,6 +113,68 @@ def test_energy_ledger_converges_under_tau_refinement(setup):
         assert b / a == pytest.approx(1.0, abs=0.05)
 
 
+def _ledger_by_steps(traj, f, A):
+    """The ledger step by step: damped values, dense energy pairing, running sums."""
+    grid, tau = traj.grid, traj.tau
+    hN = grid.h ** grid.ndim
+    diss, energy, source = [0.0], [], [0.0]
+    for k, t in enumerate(traj.times):
+        v = traj.values[k] * math.exp(-t)
+        energy.append(hN * float(v @ (A @ v)) + hN * float(v @ v))
+        if k:
+            g = (f(t) if callable(f) else f) * math.exp(-t)
+            dv = (v - v_prev) / tau
+            diss.append(diss[-1] + tau * hN * float(dv @ dv))
+            source.append(source[-1] + tau * hN * float(g @ g))
+        v_prev = v
+    return diss, energy, source
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["constant", "time-dependent-with-u0"])
+def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
+    grid, params, matrix = setup
+    bump = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8))).values[grid.mask]
+    if kind == "constant":
+        f, u0 = np.ones(grid.n_omega), None
+    else:
+        f, u0 = (lambda t: bump * (1.0 + 0.5 * math.sin(3.0 * t))), 2.0 * bump
+    traj = solve_parabolic(f, 0.8, 24, theta, params, grid, matrix=matrix, u0=u0)
+    ledger = energy_report(traj, f, matrix=matrix)
+    assert np.array_equal(ledger.times, traj.times)
+    for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
+                         _ledger_by_steps(traj, f, matrix.matrix)):
+        want = np.array(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+SOURCE_CALLERS = {
+    "solve_dirichlet": lambda bad, good, p, g, A: solve_dirichlet(bad, p, g, matrix=A),
+    "residual_check": lambda bad, good, p, g, A: residual_check(
+        extend_by_zero(good, g), bad, p),
+    "solve_parabolic-f": lambda bad, good, p, g, A: solve_parabolic(
+        bad, 1.0, 4, 1.0, p, g, matrix=A),
+    "solve_parabolic-callable-f": lambda bad, good, p, g, A: solve_parabolic(
+        lambda t: bad, 1.0, 4, 0.5, p, g, matrix=A),
+    "solve_parabolic-u0": lambda bad, good, p, g, A: solve_parabolic(
+        good, 1.0, 4, 1.0, p, g, matrix=A, u0=bad),
+    "energy_report": lambda bad, good, p, g, A: energy_report(
+        solve_parabolic(good, 1.0, 4, 1.0, p, g, matrix=A), bad, matrix=A),
+    "semigroup_apply": lambda bad, good, p, g, A: semigroup_apply(bad, 0.5, 4, p, g, matrix=A),
+    "semigroup_apply-batch": lambda bad, good, p, g, A: semigroup_apply(
+        [good, bad], 0.5, 4, p, g, matrix=A),
+}
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["one-value", "m-1-values"])
+@pytest.mark.parametrize("caller", sorted(SOURCE_CALLERS))
+def test_source_of_wrong_length_raises(setup, caller, short):
+    grid, params, matrix = setup
+    bad = np.ones(grid.n_omega - 1 if short else 1)
+    with pytest.raises(LengthMismatchError, match=f"got {bad.size} values for {grid.n_omega}"):
+        SOURCE_CALLERS[caller](bad, np.ones(grid.n_omega), params, grid, matrix)
+
+
 def test_ledger_csv_export(tmp_path, setup):
     grid, params, matrix = setup
     f = np.ones(grid.n_omega)
@@ -121,8 +185,6 @@ def test_ledger_csv_export(tmp_path, setup):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,t,dissipation,energy,source_norm"
     assert len(lines) == 6
-    traj.export_csv(tmp_path)
-    assert (tmp_path / "snapshot_0000.csv").exists()
 
 
 def test_semigroup_identity_at_time_zero(setup):
@@ -152,31 +214,25 @@ def test_semigroup_positivity_and_contraction(setup):
                 assert lp_norm(out, p, "omega") <= lp_norm(phi_fn, p, "omega") + 1e-12
 
 
-def test_semigroup_factors_once_per_tau(setup):
-    grid, params, _ = setup
-    matrix = assemble_operator_matrix(grid, params)
-    rng = np.random.default_rng(24)
-    for _ in range(20):
-        phi = rng.standard_normal(grid.n_omega)
-        for t in (0.1, 1.0):
-            semigroup_apply(phi, t, 16, params, grid, matrix=matrix)
-    assert sorted(matrix._factors) == [0.1 / 16, 1.0 / 16]
-    for c, (factor, lower) in matrix._factors.items():
+def test_factor_matches_fresh_cholesky(setup):
+    grid, params, matrix = setup
+    for c in (0.1 / 16, 1.0 / 16):
+        factor, lower = matrix.factor(c)
         fresh, fresh_lower = scipy.linalg.cho_factor(
             np.eye(grid.n_omega) + c * matrix.matrix, lower=False, check_finite=False)
         assert lower is fresh_lower is False
         assert factor.tobytes() == fresh.tobytes()
 
 
-def test_semigroup_batch_factors_once_per_tau(setup):
-    grid, params, _ = setup
-    matrix = assemble_operator_matrix(grid, params)
+def test_semigroup_batch_images_in_order(setup):
+    grid, params, matrix = setup
     rng = np.random.default_rng(25)
     data = [rng.standard_normal(grid.n_omega) for _ in range(20)]
     for t in (0.1, 1.0):
         images = semigroup_apply(data, t, 16, params, grid, matrix=matrix)
         assert len(images) == len(data) and all(im.dirichlet for im in images)
-    assert sorted(matrix._factors) == [0.1 / 16, 1.0 / 16]
+        alone = semigroup_apply(data[7], t, 16, params, grid, matrix=matrix)
+        assert np.abs(images[7].values - alone.values).max() <= 1e-13 * alone.linf()
 
 
 def test_semigroup_rejects_bad_steps_and_lengths(setup):
@@ -237,7 +293,7 @@ def test_nonzero_initial_datum_mode(setup):
     u0 = np.ones(grid.n_omega)
     traj = solve_parabolic(np.zeros(grid.n_omega), 0.5, 8, 1.0, params, grid,
                            matrix=matrix, u0=u0)
-    assert traj.snapshots[0].values[grid.mask] == pytest.approx(u0)
+    assert traj.values[0] == pytest.approx(u0)
     assert traj.final().linf() < 1.0
 
 

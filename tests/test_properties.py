@@ -3,8 +3,8 @@
 Random s, n, box half-width and Omega (ball, box, disjoint union, scaled
 with the box) in 1D and 2D, so the spacing h varies apart from n and
 the unit-spacing kernel's h^(-2s) scaling is checked.  The FFT
-apply is checked against the gathered dense matrix and the naive scalar
-oracle; the dense matrix for its structure; the FFT remainder against a
+apply, on the box and restricted to Omega (OperatorMatrix.apply), is
+checked against the gathered dense matrix and the naive scalar oracle; the dense matrix for its structure; the FFT remainder against a
 per-node pairwise sum that rebuilds each node's truncated weights.  The
 shift-domain seminorm sweeps are checked against the pairwise Gagliardo
 sum and the per-shift Besov loop, over random p, q, sigma and regions.
@@ -87,7 +87,20 @@ def test_fft_apply_matches_dense_matrix(ndim, n_max):
         grid, params, rng = problem
         vec = rng.standard_normal(grid.n_omega)
         fast = apply_fractional_laplacian(extend_by_zero(vec, grid), params).values[grid.mask]
-        assert _rel_gap(fast, assemble_operator_matrix(grid, params).apply_to_omega(vec)) <= 1e-12
+        assert _rel_gap(fast, assemble_operator_matrix(grid, params).matrix @ vec) <= 1e-12
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_restricted_apply_matches_dense_matrix(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, rng = problem
+        matrix = assemble_operator_matrix(grid, params)
+        vec = rng.standard_normal(grid.n_omega)
+        assert _rel_gap(matrix.apply(vec), matrix.matrix @ vec) <= 1e-12
 
     check()
 

@@ -55,7 +55,18 @@ def test_corner_weight_cache_info_read_by_worker():
 
 
 # install() patches every fraclab module in the process, so it runs in a child.
-TRACED_SOLVES = """
+def _traced_stats(script):
+    """Run script in a child with this fraclab on its path; return the stats it prints."""
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script, str(TRACER_PATH)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+INSTALL_TRACER = """
 import importlib.util, json, sys
 import numpy as np
 
@@ -64,7 +75,8 @@ bench_tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_tracer)
 tracer = bench_tracer.Tracer()
 tracer.install()
-
+"""
+TRACED_SOLVES = INSTALL_TRACER + """
 from fraclab import elliptic, gridfn, operator
 from fraclab.regions import Ball
 
@@ -80,15 +92,34 @@ def test_traced_solves_without_matrix():
     # The tracer reads the dense matrix of the last assembled operator
     # after each solve; the kernel must already be built by then, or its
     # spans would nest inside the tracer's bookkeeping.
-    src = str(Path(fraclab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", TRACED_SOLVES, str(TRACER_PATH)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    stats = json.loads(done.stdout.splitlines()[-1])
+    stats = _traced_stats(TRACED_SOLVES)
     solve = stats["elliptic.solve_dirichlet"]
     assert solve["calls"] == 2
     assert solve["residual_rel_max"] <= 1e-10
     assert stats["quadrature.sweep_2d"]["calls"] == 2
+    assert all(st["self_s"] >= 0.0 for st in stats.values()), stats
+
+
+TRACED_STEPS = INSTALL_TRACER + """
+from fraclab import gridfn, operator, parabolic
+from fraclab.regions import Ball
+
+params = operator.FractionalParams(1, 0.5)
+grid = gridfn.build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+matrix = operator.assemble_operator_matrix(grid, params)
+f = np.ones(grid.n_omega)
+for nt, theta in ((12, 0.5), (20, 1.0)):
+    traj = parabolic.solve_parabolic(f, 1.0, nt, theta, params, grid, matrix=matrix)
+    parabolic.energy_report(traj, f, matrix=matrix)
+parabolic.semigroup_apply([f, -f, 2 * f], 0.5, 7, params, grid, matrix=matrix)
+print(json.dumps(tracer.stats))
+"""
+
+
+def test_traced_time_layer_counts_steps():
+    stats = _traced_stats(TRACED_STEPS)
+    for name, calls, steps in (("solve_parabolic", 2, 32), ("energy_report", 2, 32),
+                               ("semigroup_apply", 1, 7)):
+        assert stats[f"parabolic.{name}"]["calls"] == calls, name
+        assert stats[f"parabolic.{name}"]["steps"] == steps, name
     assert all(st["self_s"] >= 0.0 for st in stats.values()), stats
