@@ -1,7 +1,7 @@
 """Command-line driver: run named experiments, list them, run the check suite.
 
 Exit codes: 0 success, 2 usage/config parse error, 3 numerical failure,
-4 acceptance-threshold failure in check mode.
+4 acceptance-threshold failure of `check`.
 """
 
 from __future__ import annotations
@@ -15,24 +15,13 @@ import scipy.fft
 from . import __version__
 from .acceptance import run_criteria
 from .errors import ConfigError, FracLabError
-from .experiments import RECIPE_ALIASES, RECIPES, run_experiment
+from .experiments import RECIPES, run_experiment
 from .runconfig import parse_config
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
-
-# experiments with a direct acceptance criterion, for `run --check`;
-# aliases resolve through RECIPE_ALIASES first
-_CHECKED = {
-    "getoor": (1,),
-    "symbol": (2,),
-    "product-rule": (3,),
-    "parabolic-energy": (4,),
-    "semigroup-contraction": (5,),
-    "elliptic-regularity": (6, 7),
-}
 
 
 def build_parser():
@@ -47,8 +36,6 @@ def build_parser():
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
                        help="FFT worker threads of the operator apply (results do not depend on it)")
-    p_run.add_argument("--check", action="store_true",
-                       help="also evaluate the experiment's acceptance thresholds")
 
     p_list = sub.add_parser("list", help="list experiment recipes")
     p_list.add_argument("--json", action="store_true", help="emit a JSON array")
@@ -87,17 +74,6 @@ def cmd_run(args):
     print(f"experiment {name}: artifacts in {args.out}")
     for key, val in summary.items():
         print(f"  {key}: {val}")
-    if args.check:
-        numbers = _CHECKED.get(RECIPE_ALIASES.get(name, name))
-        if numbers is None:
-            print(f"note: no acceptance criterion covers {name!r}; nothing to check")
-            return EXIT_OK
-        results = run_criteria(args.out, numbers=set(numbers))
-        failed = [r for r in results if not r.passed]
-        for r in results:
-            print(r.line())
-        if failed:
-            return EXIT_THRESHOLD
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ import os
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import __version__
 from .elliptic import solve_dirichlet
@@ -25,7 +24,7 @@ from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_b
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
-from .probe import DivergenceProtocol, estimate_local_exponent
+from .probe import DEFAULT_RATE_THRESHOLD, estimate_local_exponent, p_error
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norm
 
@@ -83,7 +82,9 @@ def source_profile(cfg, grid):
         spec = CutoffSpec(Ball(center, frac_in * rad), Ball(center, frac_out * rad))
         return build_cutoff(grid, spec).values[grid.mask]
     if profile == "csv":
-        path = cfg.get_str("source", "path", required=True)
+        path = cfg.get_str("source", "path")
+        if path is None:
+            raise ConfigError("missing key 'path' in section [source]", path=cfg.path)
         vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
         if vals.size != grid.n_omega:
             raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
@@ -99,9 +100,10 @@ def _require_gagliardo(cfg, p, runner):
     p = inf; it cannot see which recipes and probe modes run the
     Gagliardo estimator whatever the method.
     """
-    if cfg.has("probe", "p") and not 1.0 < p < math.inf:
-        raise cfg.error("probe", "p", f"p must be in (1, inf), got {p:g}: {runner} runs "
-                        "the Gagliardo estimator whatever the method")
+    problem = p_error("gagliardo", p)
+    if problem:
+        raise cfg.error("probe", "p", f"{problem}: {runner} runs the Gagliardo estimator "
+                        "whatever the method")
     method = cfg.get_str("probe", "method", default="gagliardo")
     if method != "gagliardo":
         raise cfg.error("probe", "method", f"method must be gagliardo, got {method!r}: "
@@ -113,10 +115,8 @@ def _default_grid(cfg, ndim, n):
     box_vals = cfg.get_floats("grid", "box", default=None)
     if box_vals is None:
         box = ((-2.0, 2.0),) * ndim
-    elif len(box_vals) == 2 * ndim:
+    else:  # 2 ndim numbers, checked at load time
         box = tuple((box_vals[a], box_vals[ndim + a]) for a in range(ndim))
-    else:
-        raise cfg.error("grid", "box", f"box needs {2 * ndim} numbers for ndim={ndim}")
     omega = cfg.region("omega") or Ball((0.0,) * ndim, 1.0)
     return build_grid(ndim, box, n, omega)
 
@@ -169,8 +169,11 @@ def _symbol_oracle(ufun, x0, s, cns, support_radius):
     """Adaptive quadrature of the defining symmetrized integral.
 
     Needs only ~1e-8 absolute accuracy (measured scheme errors sit well
-    above that), so quadrature round-off warnings are silenced.
+    above that), so quadrature round-off warnings are silenced.  scipy.integrate
+    is imported here, so only the symbol recipe pays for it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     u0 = ufun(x0)
 
     def g(z):
@@ -248,20 +251,18 @@ def run_elliptic_regularity(cfg, out_dir):
     _require_gagliardo(cfg, p, "elliptic-regularity")
     levels = cfg.get_int("probe", "levels", default=3)
     base_n = cfg.get_int("grid", "n", default=129)
-    thr = cfg.get_float("probe", "rate_threshold",
-                        default=DivergenceProtocol().rate_threshold)
+    thr = cfg.get_float("probe", "rate_threshold", default=DEFAULT_RATE_THRESHOLD)
     interior = cfg.region("inner") or Box((-0.4,), (0.4,))
     boundary = cfg.region("boundary") or Box((0.5,), (1.5,))
-    protocol = DivergenceProtocol(rate_threshold=thr)
     out = {}
     for s in s_list:
         params = FractionalParams(1, s)
         grid = _default_grid(cfg, 1, base_n)
         resolve = _jump_resolver(cfg, params)
         est_int = estimate_local_exponent(resolve, grid, p, interior,
-                                          levels=levels, protocol=protocol)
+                                          levels=levels, rate_threshold=thr)
         est_bdy = estimate_local_exponent(resolve, grid, p, boundary,
-                                          levels=levels, protocol=protocol)
+                                          levels=levels, rate_threshold=thr)
         for tag, est in (("interior", est_int), ("boundary", est_bdy)):
             with open(os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json"), "w") as fh:
                 fh.write(est.to_json())
@@ -291,7 +292,10 @@ def run_parabolic_energy(cfg, out_dir):
     for nt in nt_list:
         traj = solve_parabolic(f, T, nt, theta, params, grid, matrix=matrix)
         ledger = energy_report(traj, f, matrix=matrix, slack=slack)
-        ledger.export_csv(os.path.join(out_dir, f"ledger_nt{nt}.csv"))
+        _write_csv(os.path.join(out_dir, f"ledger_nt{nt}.csv"),
+                   ("k", "t", "dissipation", "energy", "source_norm"),
+                   zip(range(nt + 1), ledger.times, ledger.dissipation, ledger.energy,
+                       ledger.source))
         worst[nt] = {"worst_ratio": ledger.worst_ratio(),
                      "violation": ledger.violation}
     write_manifest(out_dir, "parabolic-energy", cfg, ndim=1, s=s, theta=theta, T=T,
@@ -407,8 +411,7 @@ def run_regularity_sweep(cfg, out_dir):
     base_n = cfg.get_int("grid", "n", default=129)
     method = cfg.get_str("probe", "method", default="gagliardo")
     sweep = cfg.get_floats("probe", "sweep", default=None)
-    thr = cfg.get_float("probe", "rate_threshold",
-                        default=DivergenceProtocol().rate_threshold)
+    thr = cfg.get_float("probe", "rate_threshold", default=DEFAULT_RATE_THRESHOLD)
     inner = cfg.region("inner") or Box((-0.4,), (0.4,))
     params = FractionalParams(1, s)
     grid = _default_grid(cfg, 1, base_n)
@@ -419,8 +422,7 @@ def run_regularity_sweep(cfg, out_dir):
     def resolve(g):
         return solve_dirichlet(source_profile(cfg, g), params, g)
 
-    kwargs = {"levels": levels, "method": method,
-              "protocol": DivergenceProtocol(rate_threshold=thr)}
+    kwargs = {"levels": levels, "method": method, "rate_threshold": thr}
     if sweep is not None:
         kwargs["sweep"] = sweep
     est = estimate_local_exponent(resolve, grid, p, inner, **kwargs)
@@ -476,18 +478,15 @@ RECIPES = {
     "boundary-profile": run_boundary_profile,
 }
 
-RECIPE_ALIASES = {"identity-check": "product-rule"}
-
 # the recipes that read [params] ndim; every other one runs in 1D only
 READS_NDIM = {"getoor"}
 
 
 def run_experiment(name, cfg, out_dir):
-    canonical = RECIPE_ALIASES.get(name, name)
-    if canonical not in RECIPES:
+    if name not in RECIPES:
         raise ConfigError(f"unknown experiment {name!r}; see 'fraclab list'",
                           path=cfg.path if cfg else None)
-    if canonical not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
-        raise cfg.error("params", "ndim", f"{canonical} runs in 1D only; ndim must be 1")
+    if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
+        raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
     os.makedirs(out_dir, exist_ok=True)
-    return RECIPES[canonical](cfg, out_dir)
+    return RECIPES[name](cfg, out_dir)

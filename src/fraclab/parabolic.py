@@ -19,7 +19,6 @@ thread count, which is not fixed here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,23 +85,11 @@ class EnergyLedger:
     slack: float
     violation: bool
 
-    CSV_HEADER = ("k", "t", "dissipation", "energy", "source_norm")
-
     def worst_ratio(self):
         ok = self.source > 0
         if not ok.any():
             return 0.0
         return float(((self.dissipation[ok] + self.energy[ok]) / self.source[ok]).max())
-
-    def export_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(self.CSV_HEADER)
-            for k in range(len(self.times)):
-                wr.writerow([str(k), f"{self.times[k]:.17g}",
-                             f"{self.dissipation[k]:.17g}",
-                             f"{self.energy[k]:.17g}",
-                             f"{self.source[k]:.17g}"])
 
 
 def energy_report(traj, f, matrix=None, slack=None):

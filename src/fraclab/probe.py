@@ -31,20 +31,19 @@ DEFAULT_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 20))
 DEFAULT_RATE_THRESHOLD = 0.15
 
 
-@dataclass(frozen=True)
-class DivergenceProtocol:
-    rate_threshold: float = DEFAULT_RATE_THRESHOLD
+def growth_rate(values):
+    """Most conservative per-halving log2 growth across the ladder."""
+    v = np.asarray(values, float)
+    if np.any(v <= 0):
+        return -math.inf
+    return float(np.log2(v[1:] / v[:-1]).min())
 
-    def growth_rate(self, values):
-        """Most conservative per-halving log2 growth across the ladder."""
-        v = np.asarray(values, float)
-        if np.any(v <= 0):
-            return -math.inf
-        rates = np.log2(v[1:] / v[:-1])
-        return float(rates.min())
 
-    def is_divergent(self, values):
-        return self.growth_rate(values) >= self.rate_threshold
+def p_error(method, p):
+    """Why p is outside the range of the estimator `method`, or None if it is inside."""
+    if method == "besov":
+        return None if p >= 1.0 else f"p must be >= 1 (inf allowed) for besov, got {p:g}"
+    return None if 1.0 < p < math.inf else f"p must be in (1, inf) for {method}, got {p:g}"
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,8 @@ def _level_seminorms(u, sweep, p, method, mode, region, eta):
 
 
 def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
-                            levels=3, protocol=None, method="gagliardo"):
+                            levels=3, rate_threshold=DEFAULT_RATE_THRESHOLD,
+                            method="gagliardo"):
     """Estimate the maximal smoothness exponent of a re-solvable solution.
 
     resolve(grid) must return the solution GridFunction on that grid; the
@@ -138,21 +138,27 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     (localized membership); a region touching or crossing the Omega
     boundary is probed by the seminorm of u over the region itself.
     method is one of METHODS: the cut-off target's order-sigma Sobolev
-    seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm.
+    seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm; region
+    mode has only the first.  A sweep entry is divergent when its
+    growth_rate meets rate_threshold.
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    protocol = protocol or DivergenceProtocol()
     sweep = tuple(float(sg) for sg in sweep)
     if any(not 0.0 < sg < 2.0 for sg in sweep):
         raise ValueError("sweep exponents must lie in (0, 2)")
-    if method == "besov":
-        sweep = tuple(sg for sg in sweep if sg != 1.0)
-
     margin = nesting_margin(inner, base_grid.omega)
     mode = "cutoff" if margin > 0 else "region"
+    if mode == "region" and method != "gagliardo":
+        raise ValueError(f"method must be gagliardo in region mode, got {method!r}: "
+                         "the region meets the Omega boundary")
+    problem = p_error(method, p)
+    if problem:
+        raise ValueError(problem)
+    if method == "besov":
+        sweep = tuple(sg for sg in sweep if sg != 1.0)
     grids = [base_grid]
     while len(grids) < levels:
         grids.append(grids[-1].refine())
@@ -169,8 +175,8 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         values.append(_level_seminorms(u, sweep, p, method, mode, inner, eta).tolist())
 
     arr = np.asarray(values)
-    rates = [protocol.growth_rate(arr[:, j]) for j in range(len(sweep))]
-    raw = [r >= protocol.rate_threshold for r in rates]
+    rates = [growth_rate(arr[:, j]) for j in range(len(sweep))]
+    raw = [r >= rate_threshold for r in rates]
     verdicts = _clean_verdicts(raw, sweep)
     star = _sigma_star(sweep, verdicts)
     flipped = [sg for sg, a, b in zip(sweep, raw, verdicts) if a != b]

@@ -226,15 +226,13 @@ def region_from_mapping(kv, where=""):
             raise ConfigError(f"{where}ball region needs center and radius")
         return Ball(tuple(_floats(kv["center"])), float(kv["radius"]))
     if kind == "box":
-        if "bounds" in kv:
-            vals = _floats(kv["bounds"])
-            if len(vals) % 2:
-                raise ConfigError(f"{where}box bounds need an even number of values")
-            half = len(vals) // 2
-            return Box(tuple(vals[:half]), tuple(vals[half:]))
-        if "lo" in kv and "hi" in kv:
-            return Box(tuple(_floats(kv["lo"])), tuple(_floats(kv["hi"])))
-        raise ConfigError(f"{where}box region needs bounds or lo/hi")
+        if "bounds" not in kv:
+            raise ConfigError(f"{where}box region needs bounds")
+        vals = _floats(kv["bounds"])
+        if len(vals) % 2:
+            raise ConfigError(f"{where}box bounds need an even number of values")
+        half = len(vals) // 2
+        return Box(tuple(vals[:half]), tuple(vals[half:]))
     raise ConfigError(f"{where}unknown region kind {kind!r} (expected ball or box)")
 
 
@@ -251,6 +249,4 @@ def region_to_mapping(region):
 
 
 def _floats(value):
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(tok) for tok in str(value).replace(",", " ").split()]
+    return [float(tok) for tok in value.replace(",", " ").split()]

@@ -6,8 +6,8 @@ separated lists.  Parse errors carry 1-based line and column numbers, and
 so do the checks made at load time: the value ranges (s, ndim, [grid] n,
 [time] nt, theta, [semigroup] nt, count and t, and [probe] method, p,
 levels and sweep), the [grid] box (2 ndim numbers, a positive and equal
-extent on every axis) and the dimension of the [omega] and [inner]
-regions, which must be ndim.
+extent on every axis) and the dimension of every region, which must be
+ndim; a region is any section with a kind key.
 
 Schema (sections and keys understood by the experiment drivers):
 
@@ -19,11 +19,16 @@ Schema (sections and keys understood by the experiment drivers):
                 ndim = 1 | 2
   [grid]        n = <int or list>        (refinement levels)
                 box = lo, hi             (1D)  or  lo, lo, hi, hi (2D)
+                half_width = <float>     (symbol: the grid is [-w, w])
   [omega]       kind = ball | box,  center/radius or bounds
   [inner]       optional probe region (same keys as [omega])
+  [boundary]    elliptic-regularity's boundary probe region (same keys)
+  [symbol]      k = <list of float>, window_inner, window_outer = <float>,
+                window_order = <int>
   [source]      profile = constant | jump | power | bump | csv
                 value/exponent/path ... per profile
-  [time]        T = <float>, nt = <int or list>, theta = <float or list>
+  [time]        T = <float>, nt = <int or list>, theta = <float in [1/2, 1]>,
+                slack = <float>      (ledger tolerance, default 0.05)
   [semigroup]   t = <list of float >= 0>, nt = <int >= 1>, count = <int >= 1>
   [probe]       method = gagliardo | besov   (optional, default gagliardo)
                 p = <float in (1, inf)>, or <float >= 1, inf allowed> for besov
@@ -33,12 +38,12 @@ Schema (sections and keys understood by the experiment drivers):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .gridfn import MIN_NODES
-from .probe import METHODS
+from .probe import METHODS, p_error
+from .regions import region_from_mapping
 
 
 @dataclass
@@ -59,51 +64,42 @@ class RunConfig:
     def has(self, section, key):
         return key in self.section(section)
 
-    def _value(self, section, key, default, required):
-        sec = self.section(section)
-        if key not in sec:
-            if required:
-                raise ConfigError(f"missing key '{key}' in section [{section}]",
-                                  path=self.path)
-            return None, default
-        return sec[key], default
+    def get_str(self, section, key, default=None):
+        cv = self.section(section).get(key)
+        return cv.raw if cv is not None else default
 
-    def get_str(self, section, key, default=None, required=False):
-        cv, d = self._value(section, key, default, required)
-        return cv.raw if cv is not None else d
-
-    def get_int(self, section, key, default=None, required=False):
-        cv, d = self._value(section, key, default, required)
+    def get_int(self, section, key, default=None):
+        cv = self.section(section).get(key)
         if cv is None:
-            return d
+            return default
         try:
             return int(cv.raw)
         except ValueError:
             raise ConfigError(f"expected integer for {key}, got {cv.raw!r}",
                               cv.line, cv.column, self.path) from None
 
-    def get_float(self, section, key, default=None, required=False):
-        cv, d = self._value(section, key, default, required)
+    def get_float(self, section, key, default=None):
+        cv = self.section(section).get(key)
         if cv is None:
-            return d
+            return default
         try:
             return float(cv.raw)
         except ValueError:
             raise ConfigError(f"expected number for {key}, got {cv.raw!r}",
                               cv.line, cv.column, self.path) from None
 
-    def get_floats(self, section, key, default=None, required=False):
-        cv, d = self._value(section, key, default, required)
+    def get_floats(self, section, key, default=None):
+        cv = self.section(section).get(key)
         if cv is None:
-            return d
+            return default
         try:
             return [float(tok) for tok in cv.raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(f"expected numbers for {key}, got {cv.raw!r}",
                               cv.line, cv.column, self.path) from None
 
-    def get_ints(self, section, key, default=None, required=False):
-        vals = self.get_floats(section, key, default, required)
+    def get_ints(self, section, key, default=None):
+        vals = self.get_floats(section, key, default)
         if vals is default or vals is None:
             return vals
         out = []
@@ -120,14 +116,10 @@ class RunConfig:
         cv = self.section(section)[key]
         return ConfigError(message, cv.line, cv.column, self.path)
 
-    def region(self, section, required=False):
+    def region(self, section):
         sec = self.section(section)
         if not sec:
-            if required:
-                raise ConfigError(f"missing region section [{section}]", path=self.path)
             return None
-        from .regions import region_from_mapping
-
         kv = {k: v.raw for k, v in sec.items()}
         try:
             return region_from_mapping(kv, where=f"[{section}] ")
@@ -222,15 +214,13 @@ def _check_probe(cfg):
                         f"method must be {' or '.join(METHODS)}, got {method!r}")
     if not cfg.has("probe", "p"):
         return
-    p = cfg.get_float("probe", "p")
-    if method == "besov" and not p >= 1.0:
-        raise cfg.error("probe", "p", f"p must be >= 1 (inf allowed) for besov, got {p:g}")
-    if method != "besov" and not 1.0 < p < math.inf:
-        raise cfg.error("probe", "p", f"p must be in (1, inf) for {method}, got {p:g}")
+    problem = p_error(method, cfg.get_float("probe", "p"))
+    if problem:
+        raise cfg.error("probe", "p", problem)
 
 
 def _check_geometry(cfg):
-    """The [grid] box and the [omega] and [inner] regions against [params] ndim."""
+    """The [grid] box, and every region (a section with a kind), against [params] ndim."""
     ndim = cfg.get_int("params", "ndim", default=1)
     box = cfg.get_floats("grid", "box")
     if box is not None:
@@ -242,9 +232,9 @@ def _check_geometry(cfg):
             raise cfg.error("grid", "box", "box must have hi > lo on every axis")
         if max(widths) - min(widths) > 1e-12 * max(widths):
             raise cfg.error("grid", "box", "box must be square so the spacing is equal per axis")
-    for section in ("omega", "inner"):
+    for section in [name for name in cfg.sections if cfg.has(name, "kind")]:
         region = cfg.region(section)
-        if region is not None and region.dim != ndim:
-            key = next(k for k in ("center", "bounds", "lo", "kind") if cfg.has(section, k))
+        if region.dim != ndim:
+            key = next(k for k in ("center", "bounds", "kind") if cfg.has(section, k))
             raise cfg.error(section, key, f"[{section}] region has dimension {region.dim}, "
                             f"but ndim={ndim}")

@@ -6,6 +6,8 @@ import pytest
 
 from fraclab.cli import main
 from fraclab.errors import ConfigError
+from fraclab.experiments import source_profile
+from fraclab.gridfn import build_grid
 from fraclab.regions import Ball, region_to_mapping
 from fraclab.runconfig import parse_config_text
 
@@ -70,8 +72,11 @@ def test_typed_getters_raise_config_errors():
         cfg.get_int("a", "x")
     with pytest.raises(ConfigError):
         cfg.get_floats("a", "x")
-    with pytest.raises(ConfigError):
-        cfg.get_str("a", "missing", required=True)
+    # a CSV source needs its path
+    cfg = parse_config_text("[source]\nprofile = csv\n")
+    grid = build_grid(1, ((-2.0, 2.0),), 17, Ball((0.0,), 1.0))
+    with pytest.raises(ConfigError, match="missing key 'path' in section \\[source\\]"):
+        source_profile(cfg, grid)
 
 
 def test_region_serialization_round_trip():
@@ -166,22 +171,6 @@ def test_cli_determinism_across_threads(tmp_path, capsys):
         assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
 
 
-def test_cli_run_check_mode(tmp_path, capsys):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("""
-[experiment]
-name = product-rule
-[params]
-s = 0.5
-[grid]
-n = 33, 65, 129
-""")
-    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--check"])
-    out = capsys.readouterr().out
-    assert "criterion  3" in out
-    assert rc == 0
-
-
 def test_cli_check_subset(tmp_path, capsys):
     rc = main(["check", "--out", str(tmp_path / "acc"), "--criteria", "9"])
     out = capsys.readouterr().out
@@ -211,6 +200,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      ":5:10:"),
     ("[experiment]\nname = getoor\n[params]\nndim = 2\n[omega]\nkind = box\nbounds = -1, 1\n",
      ":7:10:"),
+    ("[experiment]\nname = elliptic-regularity\n[params]\ns = 0.5\n[grid]\nn = 33\n"
+     "[boundary]\nkind = ball\ncenter = 0.0, 0.0\nradius = 0.5\n", ":9:10:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besvo\n", ":4:10:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\np = inf\n", ":4:5:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\np = 1\n", ":4:5:"),
@@ -219,7 +210,7 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = regularity-sweep\n[probe]\nlevels = 2\n", ":4:10:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\nsweep = 0.5, 2.5\n", ":4:9:"),
     ("[experiment]\nname = product-rule\n[params]\nndim = 2\n", ":4:8:"),
-    ("[experiment]\nname = identity-check\n[params]\nndim = 2\n", ":4:8:"),
+    ("[experiment]\nname = boundary-profile\n[params]\nndim = 2\n", ":4:8:"),
     ("[experiment]\nname = regularity-sweep\n[params]\nndim = 2\n", ":4:8:"),
     ("[experiment]\nname = elliptic-regularity\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
      "p = inf\n", ":7:5:"),
@@ -234,9 +225,9 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      "[inner]\nkind = box\nbounds = 0.5, 1.5\n", ":6:10:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
-        "omega-ball-dim", "omega-box-dim", "probe-method", "probe-p-inf", "probe-p-1",
-        "probe-p-half", "probe-besov-p-half", "probe-levels", "probe-sweep",
-        "ndim-product-rule", "ndim-alias", "ndim-regularity-sweep",
+        "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
+        "probe-p-1", "probe-p-half", "probe-besov-p-half", "probe-levels", "probe-sweep",
+        "ndim-product-rule", "ndim-boundary-profile", "ndim-regularity-sweep",
         "besov-p-elliptic-regularity", "besov-p-g-bound", "besov-p-region-mode",
         "besov-method-elliptic-regularity", "besov-method-g-bound",
         "besov-method-region-mode"])
@@ -265,12 +256,3 @@ path = {csv_path}
     err = capsys.readouterr().err
     assert f"{cfg_path}:9:8:" in err
     assert "holds 3 values for 7 Omega nodes" in err
-
-
-def test_cli_run_check_resolves_alias(tmp_path, capsys):
-    cfg_path = tmp_path / "alias.cfg"
-    cfg_path.write_text("[experiment]\nname = identity-check\n[params]\ns = 0.5\n"
-                        "[grid]\nn = 33, 65, 129\n")
-    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--check"])
-    assert "criterion  3" in capsys.readouterr().out
-    assert rc == 0

@@ -187,16 +187,16 @@ n = 129
     assert (tmp_path / "profile_s0.5.csv").exists()
 
 
-def test_experiment_alias_and_unknown(tmp_path):
+def test_experiment_product_rule_and_unknown(tmp_path):
     cfg = _cfg("""
 [experiment]
-name = identity-check
+name = product-rule
 [params]
 s = 0.5
 [grid]
 n = 65, 129
 """)
-    summary = run_experiment("identity-check", cfg, str(tmp_path))
+    summary = run_experiment("product-rule", cfg, str(tmp_path))
     assert min(summary["factors"][0.5]) >= 2.0
     with pytest.raises(ConfigError):
         run_experiment("nope", cfg, str(tmp_path))

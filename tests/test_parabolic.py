@@ -6,6 +6,7 @@ import scipy.linalg
 
 from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.errors import LengthMismatchError, SingularOperatorError
+from fraclab.experiments import run_experiment
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
@@ -14,6 +15,7 @@ from fraclab.parabolic import (
     solve_parabolic,
 )
 from fraclab.regions import Ball
+from fraclab.runconfig import parse_config_text
 from fraclab.spaces import lp_norm
 
 
@@ -176,15 +178,20 @@ def test_source_of_wrong_length_raises(setup, caller, short):
 
 
 def test_ledger_csv_export(tmp_path, setup):
+    # parabolic-energy writes each ledger as one row per step, at 17 digits
     grid, params, matrix = setup
     f = np.ones(grid.n_omega)
     traj = solve_parabolic(f, 0.5, 4, 1.0, params, grid, matrix=matrix)
     ledger = energy_report(traj, f, matrix=matrix)
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    lines = path.read_text().strip().splitlines()
+    cfg = parse_config_text("[experiment]\nname = parabolic-energy\n[grid]\nn = 65\n"
+                            "[time]\nT = 0.5\nnt = 4\n")
+    run_experiment("parabolic-energy", cfg, str(tmp_path))
+    lines = (tmp_path / "ledger_nt4.csv").read_text().strip().splitlines()
     assert lines[0] == "k,t,dissipation,energy,source_norm"
     assert len(lines) == 6
+    for k, line in enumerate(lines[1:]):
+        cols = (ledger.times, ledger.dissipation, ledger.energy, ledger.source)
+        assert line == ",".join([str(k)] + [f"{col[k]:.17g}" for col in cols])
 
 
 def test_semigroup_identity_at_time_zero(setup):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,26 @@ from fraclab.errors import InconclusiveVerdictError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid
 from fraclab.operator import FractionalParams
 from fraclab.probe import (
-    DivergenceProtocol,
+    DEFAULT_RATE_THRESHOLD,
     _clean_verdicts,
     estimate_local_exponent,
+    growth_rate,
 )
 from fraclab.regions import Ball, Box
 
 
 def test_protocol_growth_rate():
-    proto = DivergenceProtocol(rate_threshold=0.15)
-    assert proto.is_divergent([1.0, 2.0, 4.0])
-    assert not proto.is_divergent([1.0, 1.05, 1.02])
-    assert proto.growth_rate([1.0, 0.0, 1.0]) == -np.inf
+    assert growth_rate([1.0, 2.0, 4.0]) == 1.0
+    assert growth_rate([1.0, 1.05, 1.02]) < DEFAULT_RATE_THRESHOLD
+    assert growth_rate([1.0, 0.0, 1.0]) == -np.inf
+    # the probe's verdicts follow its rate_threshold
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    shell = Box((0.5,), (1.5,))
+    est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, shell, sweep=(0.5, 1.5))
+    assert est.verdicts == [False, True]
+    est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, shell, sweep=(0.5, 1.5),
+                                  rate_threshold=math.inf)
+    assert est.verdicts == [False, False]
 
 
 def test_clean_verdicts_tolerates_one_flip():
@@ -145,3 +155,35 @@ def test_interior_boundary_dichotomy_constant_source(s):
     shell = estimate_local_exponent(resolve, base, 2.0, Box((0.5,), (1.5,)),
                                     sweep=sweep, levels=3)
     assert deep.sigma_star > shell.sigma_star
+
+
+def _counting(resolve):
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return resolve(grid)
+    return counted, calls
+
+
+def test_probe_rejects_besov_in_region_mode_before_solving():
+    # a region meeting the Omega boundary is probed by the Gagliardo estimator only
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_cusp_resolver(0.5))
+    with pytest.raises(ValueError, match="region mode"):
+        estimate_local_exponent(resolve, base, 2.0, Box((0.5,), (1.5,)), method="besov")
+    assert calls == []
+
+
+@pytest.mark.parametrize("method, p, inner", [
+    ("gagliardo", math.inf, Box((-0.4,), (0.4,))),
+    ("gagliardo", 1.0, Box((-0.4,), (0.4,))),
+    ("besov", 0.5, Box((-0.4,), (0.4,))),
+    ("gagliardo", math.inf, Box((0.5,), (1.5,))),
+], ids=["gagliardo-inf", "gagliardo-1", "besov-half", "region-inf"])
+def test_probe_rejects_p_outside_estimator_range_before_solving(method, p, inner):
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_bump_resolver())
+    with pytest.raises(ValueError, match="p must"):
+        estimate_local_exponent(resolve, base, p, inner, method=method)
+    assert calls == []

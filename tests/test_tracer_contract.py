@@ -1,10 +1,13 @@
-"""The names and argument positions benchmarks/tracer.py relies on.
+"""The names and arguments benchmarks/tracer.py and benchmarks/workloads.py rely on.
 
 The tracer wraps fraclab functions by name and reads some arguments by
 position; a refactor that moves them breaks `--trace` runs.  This loads
-the tracer by path, unchanged, and checks that contract in tier 1.
+the tracer by path, unchanged, and checks that contract in tier 1.  The
+workloads call fraclab by module attribute and keyword; their source is
+parsed, not run, and every such name and keyword is checked to resolve.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -19,6 +22,7 @@ import pytest
 import fraclab
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,46 @@ def test_traced_names_resolve(tracer):
 ])
 def test_positional_arguments_read_by_tracer(dotted, param, position):
     assert list(inspect.signature(_resolve(dotted)).parameters).index(param) == position
+
+
+def _fraclab_references(path):
+    """(dotted name, object, keywords passed) for each fraclab name the module reads."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fraclab":
+            modules.update({a.asname or a.name: f"fraclab.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fraclab."):
+            names.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+
+    def target(expr):
+        if isinstance(expr, ast.Name) and expr.id in names:
+            return names[expr.id]
+        if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                and expr.value.id in modules):
+            return modules[expr.value.id], expr.attr
+        return None
+
+    keywords = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and target(node.func):
+            keywords.setdefault(target(node.func), set()).update(
+                kw.arg for kw in node.keywords if kw.arg is not None)
+    refs = {target(node) for node in ast.walk(tree)} - {None}
+    refs |= set(names.values())
+    for module, name in sorted(refs):
+        obj = getattr(importlib.import_module(module), name, None)
+        yield f"{module}.{name}", obj, keywords.get((module, name), set())
+
+
+def test_workload_names_and_keywords_resolve():
+    refs = list(_fraclab_references(WORKLOADS_PATH))
+    assert "fraclab.probe.estimate_local_exponent" in [dotted for dotted, _, _ in refs]
+    for dotted, obj, keywords in refs:
+        assert obj is not None, dotted
+        if keywords:
+            params = inspect.signature(obj).parameters
+            assert keywords <= set(params), (dotted, keywords - set(params))
 
 
 def test_corner_weight_cache_info_read_by_worker():
