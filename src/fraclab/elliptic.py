@@ -24,6 +24,12 @@ def _rhs_on_omega(f, grid):
     return vec
 
 
+def _check_matrix(matrix, params, grid):
+    """Raise ValueError unless matrix is None or the operator of (grid, params)."""
+    if matrix is not None and (matrix.grid is not grid or matrix.params != params):
+        raise ValueError("matrix was built for another grid or params")
+
+
 def solve_dirichlet(f, params, grid, matrix=None):
     """Exterior-zero solution of the restricted system A u = f on Omega.
 
@@ -36,6 +42,7 @@ def solve_dirichlet(f, params, grid, matrix=None):
     the same path: the p < 2 distinction only matters for which norms a
     probe inspects afterwards, not for the solve.
     """
+    _check_matrix(matrix, params, grid)
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
     return extend_by_zero(matrix.solve(_rhs_on_omega(f, grid)), grid)

@@ -85,7 +85,10 @@ def source_profile(cfg, grid):
         path = cfg.get_str("source", "path")
         if path is None:
             raise ConfigError("missing key 'path' in section [source]", path=cfg.path)
-        vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
+        try:
+            vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
+        except (OSError, ValueError) as exc:
+            raise cfg.error("source", "path", f"cannot read CSV source {path}: {exc}") from None
         if vals.size != grid.n_omega:
             raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
                             f"values for {grid.n_omega} Omega nodes")

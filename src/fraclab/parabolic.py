@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .elliptic import _rhs_on_omega
+from .elliptic import _check_matrix, _rhs_on_omega
 from .gridfn import extend_by_zero
 from .operator import assemble_operator_matrix
 
@@ -55,6 +55,7 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
     if nt < 2:
         raise ValueError(f"need nt >= 2 steps, got {nt}")
+    _check_matrix(matrix, params, grid)
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
     tau = T / nt
@@ -101,6 +102,7 @@ def energy_report(traj, f, matrix=None, slack=None):
     transform introduces in the discrete identity.
     """
     grid, params = traj.grid, traj.params
+    _check_matrix(matrix, params, grid)
     if matrix is None:
         matrix = assemble_operator_matrix(grid, params)
     hN = grid.h ** grid.ndim
@@ -131,6 +133,7 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
         raise ValueError("time must be nonnegative")
     if t > 0 and nt < 1:
         raise ValueError(f"need nt >= 1 steps for t > 0, got {nt}")
+    _check_matrix(matrix, params, grid)
     batched = isinstance(phi, list)
     batch = phi if batched else [phi]
     data = np.empty((grid.n_omega, len(batch)), order="F")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NestingError
+from .errors import NestingError
 
 
 @dataclass(frozen=True)
@@ -217,36 +217,3 @@ def require_nested(inner, outer, what="regions"):
         raise NestingError(f"{what}: inner region must sit strictly inside outer (margin {m:.3g})")
     return m
 
-
-def region_from_mapping(kv, where=""):
-    """Build a region from config keys: kind=ball|box plus center/radius or bounds."""
-    kind = kv.get("kind")
-    if kind == "ball":
-        if "center" not in kv or "radius" not in kv:
-            raise ConfigError(f"{where}ball region needs center and radius")
-        return Ball(tuple(_floats(kv["center"])), float(kv["radius"]))
-    if kind == "box":
-        if "bounds" not in kv:
-            raise ConfigError(f"{where}box region needs bounds")
-        vals = _floats(kv["bounds"])
-        if len(vals) % 2:
-            raise ConfigError(f"{where}box bounds need an even number of values")
-        half = len(vals) // 2
-        return Box(tuple(vals[:half]), tuple(vals[half:]))
-    raise ConfigError(f"{where}unknown region kind {kind!r} (expected ball or box)")
-
-
-def region_to_mapping(region):
-    d = region.describe()
-    if d["kind"] == "ball":
-        return {"kind": "ball",
-                "center": ", ".join(f"{v:.17g}" for v in d["center"]),
-                "radius": f"{d['radius']:.17g}"}
-    if d["kind"] == "box":
-        return {"kind": "box",
-                "bounds": ", ".join(f"{v:.17g}" for v in d["lo"] + d["hi"])}
-    raise ValueError("only ball/box regions serialize to config mappings")
-
-
-def _floats(value):
-    return [float(tok) for tok in value.replace(",", " ").split()]

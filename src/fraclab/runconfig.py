@@ -2,48 +2,55 @@
 
 The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
-separated lists.  Parse errors carry 1-based line and column numbers, and
-so do the checks made at load time: the value ranges (s, ndim, [grid] n,
-[time] nt, theta, [semigroup] nt, count and t, and [probe] method, p,
-levels and sweep), the [grid] box (2 ndim numbers, a positive and equal
-extent on every axis) and the dimension of every region, which must be
-ndim; a region is any section with a kind key.
-
-Schema (sections and keys understood by the experiment drivers):
-
-  [experiment]  name = getoor | symbol | elliptic-regularity |
-                parabolic-energy | semigroup-contraction | product-rule |
-                g-bound | regularity-sweep | boundary-profile
-                seed = <int>         (optional, default 0)
-  [params]      s = <float in (0,1)>     (or list for multi-s recipes)
-                ndim = 1 | 2
-  [grid]        n = <int or list>        (refinement levels)
-                box = lo, hi             (1D)  or  lo, lo, hi, hi (2D)
-                half_width = <float>     (symbol: the grid is [-w, w])
-  [omega]       kind = ball | box,  center/radius or bounds
-  [inner]       optional probe region (same keys as [omega])
-  [boundary]    elliptic-regularity's boundary probe region (same keys)
-  [symbol]      k = <list of float>, window_inner, window_outer = <float>,
-                window_order = <int>
-  [source]      profile = constant | jump | power | bump | csv
-                value/exponent/path ... per profile
-  [time]        T = <float>, nt = <int or list>, theta = <float in [1/2, 1]>,
-                slack = <float>      (ledger tolerance, default 0.05)
-  [semigroup]   t = <list of float >= 0>, nt = <int >= 1>, count = <int >= 1>
-  [probe]       method = gagliardo | besov   (optional, default gagliardo)
-                p = <float in (1, inf)>, or <float >= 1, inf allowed> for besov
-                sweep = <list of sigma in (0, 2)>, levels = <int >= 3>,
-                rate_threshold = <float>
+separated lists.  _SCHEMA lists every section and key a recipe reads.
+Parse errors carry 1-based line and column numbers, and so do the checks
+made at load time: an unknown section or key, a value outside its
+_SCHEMA range, a [probe] p the method does not accept, the [grid] box
+(2 ndim numbers, a positive and equal extent on every axis) and each
+region section ([omega], [inner], [boundary]), which must be a ball or a
+box of dimension ndim.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .gridfn import MIN_NODES
 from .probe import METHODS, p_error
-from .regions import region_from_mapping
+from .regions import Ball, Box
+
+_REGION = {"kind": None, "center": None, "radius": None, "bounds": None}
+
+# section -> key -> (integer-valued, test, allowed range) or None.  Values
+# outside a range fail at load time, instead of deep in a recipe.
+_SCHEMA = {
+    "experiment": {"name": None, "seed": None},
+    "params": {"s": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+               "ndim": (True, lambda v: v in (1, 2), "1 or 2")},
+    "grid": {"n": (True, lambda v: v >= MIN_NODES, f">= {MIN_NODES}"),
+             "box": None,
+             "half_width": (False, lambda v: v > 0.0, "> 0")},
+    "omega": _REGION,
+    "inner": _REGION,
+    "boundary": _REGION,
+    "symbol": {"k": (False, lambda v: v != 0.0, "nonzero"),
+               "window_inner": None, "window_outer": None, "window_order": None},
+    "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
+               "center": None, "inner_fraction": None, "outer_fraction": None, "path": None},
+    "time": {"T": (False, lambda v: v > 0.0, "> 0"),
+             "nt": (True, lambda v: v >= 2, ">= 2"),
+             "theta": (False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
+             "slack": None},
+    "semigroup": {"t": (False, lambda v: v >= 0.0, ">= 0"),
+                  "nt": (True, lambda v: v >= 1, ">= 1"),
+                  "count": (True, lambda v: v >= 1, ">= 1")},
+    "probe": {"method": None, "p": None,
+              "levels": (True, lambda v: v >= 3, ">= 3"),
+              "sweep": (False, lambda v: 0.0 < v < 2.0, "in (0, 2)"),
+              "rate_threshold": None},
+}
 
 
 @dataclass
@@ -68,26 +75,6 @@ class RunConfig:
         cv = self.section(section).get(key)
         return cv.raw if cv is not None else default
 
-    def get_int(self, section, key, default=None):
-        cv = self.section(section).get(key)
-        if cv is None:
-            return default
-        try:
-            return int(cv.raw)
-        except ValueError:
-            raise ConfigError(f"expected integer for {key}, got {cv.raw!r}",
-                              cv.line, cv.column, self.path) from None
-
-    def get_float(self, section, key, default=None):
-        cv = self.section(section).get(key)
-        if cv is None:
-            return default
-        try:
-            return float(cv.raw)
-        except ValueError:
-            raise ConfigError(f"expected number for {key}, got {cv.raw!r}",
-                              cv.line, cv.column, self.path) from None
-
     def get_floats(self, section, key, default=None):
         cv = self.section(section).get(key)
         if cv is None:
@@ -95,21 +82,30 @@ class RunConfig:
         try:
             return [float(tok) for tok in cv.raw.replace(",", " ").split()]
         except ValueError:
-            raise ConfigError(f"expected numbers for {key}, got {cv.raw!r}",
-                              cv.line, cv.column, self.path) from None
+            raise self.error(section, key, f"expected numbers for {key}, got {cv.raw!r}") from None
 
     def get_ints(self, section, key, default=None):
-        vals = self.get_floats(section, key, default)
-        if vals is default or vals is None:
-            return vals
-        out = []
-        for v in vals:
-            if v != int(v):
-                cv = self.section(section)[key]
-                raise ConfigError(f"expected integers for {key}, got {cv.raw!r}",
-                                  cv.line, cv.column, self.path)
-            out.append(int(v))
-        return out
+        vals = self.get_floats(section, key)
+        if vals is None:
+            return default
+        if not all(math.isfinite(v) and v == int(v) for v in vals):
+            raise self.error(section, key, f"expected integers for {key}, "
+                             f"got {self.get_str(section, key)!r}")
+        return [int(v) for v in vals]
+
+    def get_float(self, section, key, default=None):
+        return self._one(section, key, self.get_floats(section, key), default)
+
+    def get_int(self, section, key, default=None):
+        return self._one(section, key, self.get_ints(section, key), default)
+
+    def _one(self, section, key, vals, default):
+        if vals is None:
+            return default
+        if len(vals) != 1:
+            raise self.error(section, key, f"expected one value for {key}, "
+                             f"got {self.get_str(section, key)!r}")
+        return vals[0]
 
     def error(self, section, key, message):
         """ConfigError located at the value of `key` in `section`."""
@@ -117,15 +113,30 @@ class RunConfig:
         return ConfigError(message, cv.line, cv.column, self.path)
 
     def region(self, section):
+        """Ball or Box of a region section, or None when the config has no such section."""
         sec = self.section(section)
         if not sec:
             return None
-        kv = {k: v.raw for k, v in sec.items()}
+        kind = self.get_str(section, "kind")
+        needs = {"ball": ("center", "radius"), "box": ("bounds",)}.get(kind)
+        if needs is None:
+            raise self.error(section, "kind" if kind else next(iter(sec)),
+                             f"[{section}] unknown region kind {kind!r} (expected ball or box)")
+        if not all(self.has(section, key) for key in needs):
+            raise self.error(section, "kind",
+                             f"[{section}] {kind} region needs {' and '.join(needs)}")
         try:
-            return region_from_mapping(kv, where=f"[{section}] ")
-        except ConfigError as exc:
-            first = next(iter(sec.values()))
-            raise ConfigError(str(exc), first.line, first.column, self.path) from None
+            if kind == "ball":
+                return Ball(tuple(self.get_floats(section, "center")),
+                            self.get_float(section, "radius"))
+            bounds = self.get_floats(section, "bounds")
+            if len(bounds) % 2:
+                raise self.error(section, "bounds",
+                                 f"[{section}] box bounds need an even number of values")
+            half = len(bounds) // 2
+            return Box(tuple(bounds[:half]), tuple(bounds[half:]))
+        except ValueError as exc:
+            raise self.error(section, needs[-1], f"[{section}] {exc}") from None
 
     def echo(self):
         return {name: {k: v.raw for k, v in sec.items()}
@@ -152,6 +163,9 @@ def parse_config_text(text, path="<config>"):
             name = stripped[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", ln, indent + 1, path)
+            if name not in _SCHEMA:
+                raise ConfigError(f"unknown section [{name}] (known: {', '.join(_SCHEMA)})",
+                                  ln, indent + 1, path)
             if name in cfg.sections:
                 raise ConfigError(f"duplicate section [{name}]", ln, indent + 1, path)
             cfg.sections[name] = {}
@@ -165,6 +179,9 @@ def parse_config_text(text, path="<config>"):
         key_stripped = key.strip()
         if not key_stripped:
             raise ConfigError("empty key", ln, indent + 1, path)
+        if key_stripped not in _SCHEMA[current]:
+            raise ConfigError(f"unknown key '{key_stripped}' in [{current}] "
+                              f"(known: {', '.join(_SCHEMA[current])})", ln, indent + 1, path)
         value = value.split("#", 1)[0].strip()
         if not value:
             col = line.index("=") + 2
@@ -180,30 +197,16 @@ def parse_config_text(text, path="<config>"):
     return cfg
 
 
-# Values outside these ranges fail here, at load time, instead of deep in
-# a recipe: (section, key, integer-valued, test, allowed range).
-_RANGES = (
-    ("params", "s", False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("params", "ndim", True, lambda v: v in (1, 2), "1 or 2"),
-    ("grid", "n", True, lambda v: v >= MIN_NODES, f">= {MIN_NODES}"),
-    ("time", "nt", True, lambda v: v >= 2, ">= 2"),
-    ("time", "theta", False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
-    ("semigroup", "nt", True, lambda v: v >= 1, ">= 1"),
-    ("semigroup", "count", True, lambda v: v >= 1, ">= 1"),
-    ("semigroup", "t", False, lambda v: v >= 0.0, ">= 0"),
-    ("probe", "levels", True, lambda v: v >= 3, ">= 3"),
-    ("probe", "sweep", False, lambda v: 0.0 < v < 2.0, "in (0, 2)"),
-)
-
-
 def _check_ranges(cfg):
-    for section, key, integer, ok, allowed in _RANGES:
-        if not cfg.has(section, key):
-            continue
-        values = (cfg.get_ints if integer else cfg.get_floats)(section, key)
-        bad = [v for v in values if not ok(v)]
-        if bad:
-            raise cfg.error(section, key, f"{key} must be {allowed}, got {bad[0]:g}")
+    for section, keys in cfg.sections.items():
+        for key in keys:
+            if _SCHEMA[section][key] is None:
+                continue
+            integer, ok, allowed = _SCHEMA[section][key]
+            values = (cfg.get_ints if integer else cfg.get_floats)(section, key)
+            bad = [v for v in values if not ok(v)]
+            if bad:
+                raise cfg.error(section, key, f"{key} must be {allowed}, got {bad[0]:g}")
 
 
 def _check_probe(cfg):
@@ -220,7 +223,7 @@ def _check_probe(cfg):
 
 
 def _check_geometry(cfg):
-    """The [grid] box, and every region (a section with a kind), against [params] ndim."""
+    """The [grid] box, and every region section, against [params] ndim."""
     ndim = cfg.get_int("params", "ndim", default=1)
     box = cfg.get_floats("grid", "box")
     if box is not None:
@@ -232,9 +235,9 @@ def _check_geometry(cfg):
             raise cfg.error("grid", "box", "box must have hi > lo on every axis")
         if max(widths) - min(widths) > 1e-12 * max(widths):
             raise cfg.error("grid", "box", "box must be square so the spacing is equal per axis")
-    for section in [name for name in cfg.sections if cfg.has(name, "kind")]:
+    for section in ("omega", "inner", "boundary"):
         region = cfg.region(section)
-        if region.dim != ndim:
+        if region is not None and region.dim != ndim:
             key = next(k for k in ("center", "bounds", "kind") if cfg.has(section, k))
             raise cfg.error(section, key, f"[{section}] region has dimension {region.dim}, "
                             f"but ndim={ndim}")

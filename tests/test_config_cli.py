@@ -1,6 +1,8 @@
+import ast
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,11 @@ from fraclab.cli import main
 from fraclab.errors import ConfigError
 from fraclab.experiments import source_profile
 from fraclab.gridfn import build_grid
-from fraclab.regions import Ball, region_to_mapping
-from fraclab.runconfig import parse_config_text
+from fraclab.regions import Ball, Box
+from fraclab.runconfig import _SCHEMA, parse_config_text
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "fraclab"
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
 GOOD = """
 # comment
@@ -56,22 +61,22 @@ def test_parse_errors_carry_line_and_column():
         parse_config_text("name = getoor\n")
     assert err.value.line == 1
     with pytest.raises(ConfigError) as err:
-        parse_config_text("[a]\nkey =\n")
+        parse_config_text("[experiment]\nseed =\n")
     assert err.value.line == 2
-    assert err.value.column >= 5
+    assert err.value.column >= 6
     with pytest.raises(ConfigError) as err:
-        parse_config_text("[a]\nx = 1\nx = 2\n")
+        parse_config_text("[experiment]\nseed = 1\nseed = 2\n")
     assert err.value.line == 3
     with pytest.raises(ConfigError):
-        parse_config_text("[a]\njust a line\n")
+        parse_config_text("[experiment]\njust a line\n")
 
 
 def test_typed_getters_raise_config_errors():
-    cfg = parse_config_text("[a]\nx = hello\n")
+    cfg = parse_config_text("[experiment]\nseed = hello\n")
     with pytest.raises(ConfigError):
-        cfg.get_int("a", "x")
+        cfg.get_int("experiment", "seed")
     with pytest.raises(ConfigError):
-        cfg.get_floats("a", "x")
+        cfg.get_floats("experiment", "seed")
     # a CSV source needs its path
     cfg = parse_config_text("[source]\nprofile = csv\n")
     grid = build_grid(1, ((-2.0, 2.0),), 17, Ball((0.0,), 1.0))
@@ -80,12 +85,12 @@ def test_typed_getters_raise_config_errors():
 
 
 def test_region_serialization_round_trip():
-    region = Ball((0.5,), 0.75)
-    kv = region_to_mapping(region)
-    text = "[omega]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items()) + "\n"
-    cfg = parse_config_text(text)
-    back = cfg.region("omega")
-    assert back.describe() == region.describe()
+    cfg = parse_config_text("[params]\nndim = 2\n"
+                            "[omega]\nkind = ball\ncenter = 0.25, -1\nradius = 0.75\n"
+                            "[inner]\nkind = box\nbounds = -1, 0, 1, 2\n")
+    assert cfg.region("omega") == Ball((0.25, -1.0), 0.75)
+    assert cfg.region("inner") == Box((-1.0, 0.0), (1.0, 2.0))
+    assert cfg.region("boundary") is None
 
 
 def test_cli_list(capsys):
@@ -223,6 +228,22 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = g-bound\n[grid]\nn = 33, 65\n[probe]\nmethod = besov\n", ":6:10:"),
     ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
      "[inner]\nkind = box\nbounds = 0.5, 1.5\n", ":6:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = ball\ncenter = 0.0\nradius = abc\n",
+     ":6:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = ball\ncenter = 0.0\nradius = -1\n",
+     ":6:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = box\nbounds = 1.0, -1.0\n", ":5:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = box\nbounds = -1, 0, 1\n", ":5:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = triangle\n", ":4:8:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = inf\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = nan\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = 1e400\n", ":4:5:"),
+    ("[experiment]\nname = getoor\n[omgea]\nkind = ball\n", ":3:1:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nrate_treshold = 0.2\n", ":4:1:"),
+    ("[experiment]\nname = symbol\n[symbol]\nk = 0\n", ":4:5:"),
+    ("[experiment]\nname = symbol\n[grid]\nhalf_width = -5\n", ":4:14:"),
+    ("[experiment]\nname = parabolic-energy\n[time]\nT = -1\n", ":4:5:"),
+    ("[experiment]\nname = parabolic-energy\n[params]\ns = 0.3, 0.5\n", ":4:5:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -230,7 +251,10 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
         "ndim-product-rule", "ndim-boundary-profile", "ndim-regularity-sweep",
         "besov-p-elliptic-regularity", "besov-p-g-bound", "besov-p-region-mode",
         "besov-method-elliptic-regularity", "besov-method-g-bound",
-        "besov-method-region-mode"])
+        "besov-method-region-mode", "omega-radius-text", "omega-radius-negative",
+        "omega-box-extent", "omega-box-odd-bounds", "omega-kind", "grid-n-inf", "grid-n-nan",
+        "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
+        "grid-half-width", "time-T", "one-value-list"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)
@@ -256,3 +280,81 @@ path = {csv_path}
     err = capsys.readouterr().err
     assert f"{cfg_path}:9:8:" in err
     assert "holds 3 values for 7 Omega nodes" in err
+
+
+@pytest.mark.parametrize("content", [None, "a, b\n"], ids=["missing", "unparsable"])
+def test_cli_run_unreadable_csv_source_exits_2(tmp_path, capsys, content):
+    csv_path = tmp_path / "f.csv"
+    if content is not None:
+        csv_path.write_text(content)
+    cfg_path = tmp_path / "csv.cfg"
+    cfg_path.write_text(f"""[experiment]
+name = parabolic-energy
+[grid]
+n = 17
+[time]
+nt = 4
+[source]
+profile = csv
+path = {csv_path}
+""")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}:9:8: cannot read CSV source" in err
+
+
+@pytest.mark.parametrize("recipe", ["getoor", "elliptic-regularity"])
+def test_cli_run_reads_integral_float_n(tmp_path, recipe):
+    # every recipe reads [grid] n through get_ints, as a list or as one value
+    cfg_path = tmp_path / "n.cfg"
+    cfg_path.write_text(f"[experiment]\nname = {recipe}\n[params]\ns = 0.5\n[grid]\nn = 33.0\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["grid"]["n"] == "33.0"
+
+
+def _literal_args(call):
+    """The call's constant string arguments, up to the first one that is not."""
+    out = []
+    for arg in call.args:
+        if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+            break
+        out.append(arg.value)
+    return out
+
+
+def test_schema_lists_every_key_a_recipe_reads():
+    getters = {"get_str", "get_int", "get_float", "get_ints", "get_floats", "has", "error"}
+    seen = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg"):
+                continue
+            args = _literal_args(node)
+            if node.func.attr == "region" and args:
+                assert args[0] in ("omega", "inner", "boundary"), (path.name, args)
+            elif node.func.attr in getters and len(args) >= 2:
+                section, key = args[:2]
+                assert key in _SCHEMA.get(section, {}), (path.name, section, key)
+                seen.add((section, key))
+    assert ("experiment", "name") in seen and ("probe", "rate_threshold") in seen
+
+
+def _embedded_configs(path):
+    """Text of every _cfg(...) call in the module; f-string fields read as 0."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_cfg"):
+            arg = node.args[0]
+            parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+            yield "".join(p.value if isinstance(p, ast.Constant) else "0" for p in parts)
+
+
+@pytest.mark.parametrize("path", [SRC_DIR / "acceptance.py", WORKLOADS_PATH],
+                         ids=["acceptance", "workloads"])
+def test_embedded_configs_parse(path):
+    texts = list(_embedded_configs(path))
+    assert texts
+    for text in texts:
+        parse_config_text(text)

@@ -161,7 +161,7 @@ SOURCE_CALLERS = {
     "solve_parabolic-u0": lambda bad, good, p, g, A: solve_parabolic(
         good, 1.0, 4, 1.0, p, g, matrix=A, u0=bad),
     "energy_report": lambda bad, good, p, g, A: energy_report(
-        solve_parabolic(good, 1.0, 4, 1.0, p, g, matrix=A), bad, matrix=A),
+        solve_parabolic(good, 1.0, 4, 1.0, p, g), bad, matrix=A),
     "semigroup_apply": lambda bad, good, p, g, A: semigroup_apply(bad, 0.5, 4, p, g, matrix=A),
     "semigroup_apply-batch": lambda bad, good, p, g, A: semigroup_apply(
         [good, bad], 0.5, 4, p, g, matrix=A),
@@ -175,6 +175,20 @@ def test_source_of_wrong_length_raises(setup, caller, short):
     bad = np.ones(grid.n_omega - 1 if short else 1)
     with pytest.raises(LengthMismatchError, match=f"got {bad.size} values for {grid.n_omega}"):
         SOURCE_CALLERS[caller](bad, np.ones(grid.n_omega), params, grid, matrix)
+
+
+@pytest.mark.parametrize("other", ["s", "grid"])
+@pytest.mark.parametrize("caller", sorted(set(SOURCE_CALLERS) - {"residual_check"}))
+def test_matrix_of_another_operator_raises(setup, caller, other):
+    grid, params, _ = setup
+    if other == "s":
+        wrong = assemble_operator_matrix(grid, FractionalParams(1, 0.3))
+    else:
+        wrong = assemble_operator_matrix(
+            build_grid(1, ((-3.0, 3.0),), 65, Ball((0.0,), 1.0)), params)
+    good = np.ones(grid.n_omega)
+    with pytest.raises(ValueError, match="matrix was built for another grid or params"):
+        SOURCE_CALLERS[caller](good, good, params, grid, wrong)
 
 
 def test_ledger_csv_export(tmp_path, setup):

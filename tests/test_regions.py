@@ -7,8 +7,6 @@ from fraclab.regions import (
     Box,
     DisjointUnion,
     nesting_margin,
-    region_from_mapping,
-    region_to_mapping,
     require_nested,
     separation,
 )
@@ -68,17 +66,3 @@ def test_union_requires_disjoint_members():
     assert u.exterior_distance(pts)[1] == pytest.approx(1.5)
     assert u.bounding_box()[0] == (-2.5, 2.5)
 
-
-def test_region_mapping_round_trip():
-    for region in (Ball((0.25, -1.0), 0.75), Box((-1.0, 0.0), (1.0, 2.0))):
-        kv = region_to_mapping(region)
-        back = region_from_mapping(kv)
-        assert type(back) is type(region)
-        assert back.describe() == region.describe()
-
-
-def test_region_mapping_rejects_unknown_kind():
-    from fraclab.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        region_from_mapping({"kind": "triangle"})
