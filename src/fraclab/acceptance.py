@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .elliptic import solve_dirichlet
 from .experiments import run_experiment
@@ -193,10 +192,8 @@ def criterion_8(out_dir, shared=None):
     matrix = assemble_operator_matrix(grid, params)
     f = np.ones(grid.n_omega)
     u_inf = solve_dirichlet(f, params, grid, matrix=matrix)
-    lam1 = float(scipy.linalg.eigvalsh(matrix.matrix,
-                                       subset_by_index=[0, 0])[0])
-    relax_T = math.log(u_inf.linf() / 1e-4) / lam1
-    T = 1.5 * relax_T
+    lam1 = float(matrix.spectrum[0][0])
+    T = 1.5 * math.log(u_inf.linf() / 1e-4) / lam1
     rows = []
     passed = True
     for theta in (0.5, 1.0):

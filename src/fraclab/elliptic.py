@@ -24,10 +24,13 @@ def _rhs_on_omega(f, grid):
     return vec
 
 
-def _check_matrix(matrix, params, grid):
-    """Raise ValueError unless matrix is None or the operator of (grid, params)."""
-    if matrix is not None and (matrix.grid is not grid or matrix.params != params):
+def _operator(matrix, params, grid):
+    """matrix, checked to be the operator of (grid, params), or a new one if it is None."""
+    if matrix is None:
+        return assemble_operator_matrix(grid, params)
+    if matrix.grid is not grid or matrix.params != params:
         raise ValueError("matrix was built for another grid or params")
+    return matrix
 
 
 def solve_dirichlet(f, params, grid, matrix=None):
@@ -36,15 +39,13 @@ def solve_dirichlet(f, params, grid, matrix=None):
     OperatorMatrix.solve: conjugate gradients with the FFT apply and the
     box-circulant preconditioner, to a residual of 1e-10 relative to
     ||f||_inf (operator.RESIDUAL_REL_TOL).  No dense matrix is gathered
-    or factored, so the solve has no size cap; SingularOperatorError
+    or decomposed, so the solve has no size cap; SingularOperatorError
     reports the residual reached if the iteration cap is hit.
     All grid data are finite-energy, so low-integrability sources take
     the same path: the p < 2 distinction only matters for which norms a
     probe inspects afterwards, not for the solve.
     """
-    _check_matrix(matrix, params, grid)
-    if matrix is None:
-        matrix = assemble_operator_matrix(grid, params)
+    matrix = _operator(matrix, params, grid)
     return extend_by_zero(matrix.solve(_rhs_on_omega(f, grid)), grid)
 
 

@@ -26,7 +26,7 @@ class MemoryBudgetError(FracLabError):
 
 
 class SingularOperatorError(FracLabError):
-    """The restricted operator could not be factored, or solved to tolerance."""
+    """The restricted operator could not be decomposed or solved, or I + c A is not SPD."""
 
 
 class LocalizationError(FracLabError):

@@ -13,8 +13,8 @@ restricted to Omega (OperatorMatrix): every product with it is
 apply(), the same FFT convolution on Omega vectors, and solve() runs
 conjugate gradients on apply() with a box-circulant preconditioner.  Its
 dense matrix is gathered from d and t onto Omega pairs only when first
-read, by factor(c), the Cholesky factor of I + c A that the time
-steppers use, and by the dense cross-checks.  Since
+read, by `spectrum`, the one symmetric eigendecomposition of A that the
+time steppers use for every step size, and by the dense cross-checks.  Since
 t(kappa) = t(-kappa) exactly, the restricted matrix is
 exactly symmetric with the M-matrix sign pattern: positive diagonal,
 nonpositive off-diagonal, and a strictly positive action on the
@@ -141,8 +141,8 @@ class OperatorMatrix:
 
     The kernel comes from toeplitz_operator when the operator is made.
     apply() and solve() work from the kernel alone; the dense matrix is
-    gathered from it only on first access to `matrix`, which raises
-    MemoryBudgetError above DEFAULT_DENSE_CAP Omega nodes.
+    gathered from it only on first access to `matrix` or `spectrum`, which
+    raise MemoryBudgetError above DEFAULT_DENSE_CAP Omega nodes.
     """
 
     grid: Grid
@@ -192,19 +192,20 @@ class OperatorMatrix:
         C = self.params.scale(self.grid.h)
         return C * (op.d[mask] * vec - self._circulant(vec, op.t_hat))
 
-    def factor(self, c):
-        """Upper Cholesky factor of I + c A.
+    @cached_property
+    def spectrum(self):
+        """Ascending eigenvalues lam and orthonormal eigenvectors Q: A = Q diag(lam) Q^T.
 
-        I + c A is formed in one Fortran-ordered buffer that LAPACK
-        factors in place.
+        Read-only, computed on first access and shared by every function of A
+        the time steppers take, such as (I + c A)^(-1) for any c.
         """
-        shifted = np.multiply(self.matrix, c, order="F")
-        shifted[np.diag_indices_from(shifted)] += 1.0
         try:
-            return scipy.linalg.cho_factor(shifted, lower=False, overwrite_a=True,
-                                           check_finite=False)
+            lam, vecs = scipy.linalg.eigh(self.matrix, driver="evd", check_finite=False)
         except scipy.linalg.LinAlgError as exc:
-            raise SingularOperatorError(f"operator factorization failed: {exc}") from exc
+            raise SingularOperatorError(f"operator eigendecomposition failed: {exc}") from exc
+        lam.setflags(write=False)
+        vecs.setflags(write=False)
+        return lam, vecs
 
     def solve(self, rhs):
         """Solution x of A x = rhs by preconditioned conjugate gradients.

@@ -1,20 +1,17 @@
 """Theta-scheme time stepping, energy bookkeeping, and the discrete semigroup.
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
-+ theta f_{k+1}]; at theta = 1 the explicit part is skipped, A u_k
-included.  A trajectory is one read-only (nt+1, m) array of Omega values.
-Each semigroup step applies (I + tau A)^(-1) to every datum of a batch at
-once: the data are the columns of one Fortran-ordered array, so a step is
-one multi-right-hand-side triangular solve pair.  The steppers reach A
-only through OperatorMatrix.apply (the explicit part and the ledger's
-energy) and OperatorMatrix.factor(tau theta) or factor(tau), one
-Cholesky factor per call.  The factor needs the operator's dense matrix,
-gathered on first use, so these stay within the dense cap
-(MemoryBudgetError above it), unlike the matrix-free elliptic solve.  A
-factorization failure raises SingularOperatorError.  theta is restricted
-to [1/2, 1]: explicit stepping is excluded because the nonlocal stiffness
-grows like h^(-2s).  Results may change in the last digits with the BLAS
-thread count, which is not fixed here.
++ theta f_{k+1}], theta in [1/2, 1]: explicit stepping is excluded because
+the nonlocal stiffness grows like h^(-2s).  A trajectory is one read-only
+(nt+1, m) array of Omega values.  All three functions work in the eigenbasis
+of OperatorMatrix.spectrum, A = Q diag(lam) Q^T, computed once per operator:
+the theta scheme transforms its source once, steps mode by mode and returns
+with one product by Q; a batch of semigroup images is Q (1 + tau lam)^(-nt)
+Q^T phi; and the ledger's energy B[v, v] is sum(lam (Q^T v)^2).  The spectrum
+needs the dense matrix, so these stay within the dense cap (MemoryBudgetError
+above it), unlike the matrix-free elliptic solve.  A failed eigendecomposition,
+or a step matrix I + c A that is not positive definite, raises
+SingularOperatorError.
 """
 
 from __future__ import annotations
@@ -22,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .elliptic import _check_matrix, _rhs_on_omega
+from .elliptic import _operator, _rhs_on_omega
+from .errors import SingularOperatorError
 from .gridfn import extend_by_zero
-from .operator import assemble_operator_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,30 +45,37 @@ def _source_at(f, t, grid):
     return _rhs_on_omega(f(t) if callable(f) else f, grid)
 
 
+def _modes(matrix, c):
+    """Eigenvalues lam and eigenvectors Q of A, and the eigenvalues 1 + c lam of I + c A."""
+    lam, vecs = matrix.spectrum
+    shifted = 1.0 + c * lam
+    if not (shifted > 0.0).all():
+        raise SingularOperatorError(f"I + {c:g} A is not positive definite ({shifted.min():.3e})")
+    return lam, vecs, shifted
+
+
 def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     """Run the theta scheme from a zero (or supplied) initial datum."""
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
     if nt < 2:
         raise ValueError(f"need nt >= 2 steps, got {nt}")
-    _check_matrix(matrix, params, grid)
-    if matrix is None:
-        matrix = assemble_operator_matrix(grid, params)
+    matrix = _operator(matrix, params, grid)
     tau = T / nt
-    cho = matrix.factor(tau * theta)
-    values = np.empty((nt + 1, grid.n_omega))
-    values[0] = 0.0 if u0 is None else _source_at(u0, 0.0, grid)
-    f_now = _source_at(f, 0.0, grid)
+    times = np.arange(nt + 1) * tau
+    lam, vecs, shifted = _modes(matrix, tau * theta)
+    at = times if callable(f) else times[:1]  # a constant source is read once
+    g = np.broadcast_to(np.array([_source_at(f, t, grid) for t in at]) @ vecs, (nt + 1, len(lam)))
+    # mode j: (1 + tau theta lam_j) u_{k+1} = (1 - tau (1-theta) lam_j) u_k + drive_k
+    ratio = (1.0 - tau * (1 - theta) * lam) / shifted
+    drive = tau * ((1 - theta) * g[:-1] + theta * g[1:]) / shifted
+    modes = np.empty((nt + 1, len(lam)))
+    modes[0] = 0.0 if u0 is None else _source_at(u0, 0.0, grid) @ vecs
     for k in range(nt):
-        u = values[k]
-        f_next = _source_at(f, (k + 1) * tau, grid)
-        # at theta = 1 the explicit part (1 - theta)(f_k - A u_k) is zero
-        explicit = (1 - theta) * (f_now - matrix.apply(u)) if theta < 1 else 0.0
-        values[k + 1] = scipy.linalg.cho_solve(cho, u + tau * (explicit + theta * f_next),
-                                               check_finite=False)
-        f_now = f_next
+        modes[k + 1] = ratio * modes[k] + drive[k]
+    values = modes @ vecs.T
     values.setflags(write=False)
-    return Trajectory(grid, params, theta, tau, np.arange(nt + 1) * tau, values)
+    return Trajectory(grid, params, theta, tau, times, values)
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,7 @@ def energy_report(traj, f, matrix=None, slack=None):
     transform introduces in the discrete identity.
     """
     grid, params = traj.grid, traj.params
-    _check_matrix(matrix, params, grid)
-    if matrix is None:
-        matrix = assemble_operator_matrix(grid, params)
+    matrix = _operator(matrix, params, grid)
     hN = grid.h ** grid.ndim
     tau = traj.tau
     if slack is None:
@@ -114,7 +115,8 @@ def energy_report(traj, f, matrix=None, slack=None):
     g = np.array([_source_at(f, t, grid) for t in traj.times[1:]]) * damping[1:]
     dv = np.diff(v, axis=0) / tau
     diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
-    energy = hN * (np.array([row @ matrix.apply(row) for row in v]) + (v * v).sum(axis=1))
+    lam, vecs = matrix.spectrum
+    energy = hN * ((v @ vecs) ** 2 @ lam + (v * v).sum(axis=1))
     source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
     ok = source[1:] > 0
     violation = bool(np.any((diss[1:] + energy[1:])[ok] > (1.0 + slack) * source[1:][ok]))
@@ -125,25 +127,20 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     """Approximate the homogeneous evolution semigroup by implicit Euler.
 
     phi is one datum, or a list of data that all share (t, nt): the list
-    is stacked into one Fortran-ordered (m, k) array, each of the nt
-    steps is one k-column solve, and the k exterior-zero images come back
-    as a list in the same order.  One datum is a batch of one.
+    is stacked into one (k, m) array, the nt steps (I + tau A)^(-nt) are one
+    diagonal scaling in the eigenbasis of A, and the k exterior-zero images
+    come back as a list in the same order.  One datum is a batch of one.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     if t > 0 and nt < 1:
         raise ValueError(f"need nt >= 1 steps for t > 0, got {nt}")
-    _check_matrix(matrix, params, grid)
+    matrix = _operator(matrix, params, grid)
     batched = isinstance(phi, list)
     batch = phi if batched else [phi]
-    data = np.empty((grid.n_omega, len(batch)), order="F")
-    for j, datum in enumerate(batch):
-        data[:, j] = _source_at(datum, 0.0, grid)
+    data = np.array([_source_at(datum, 0.0, grid) for datum in batch])
     if t > 0:
-        if matrix is None:
-            matrix = assemble_operator_matrix(grid, params)
-        cho = matrix.factor(t / nt)
-        for _ in range(nt):
-            data = scipy.linalg.cho_solve(cho, data, overwrite_b=True, check_finite=False)
-    images = [extend_by_zero(data[:, j], grid) for j in range(len(batch))]
+        _, vecs, shifted = _modes(matrix, t / nt)
+        data = (data @ vecs) * shifted ** -float(nt) @ vecs.T
+    images = [extend_by_zero(row, grid) for row in data]
     return images if batched else images[0]

@@ -80,15 +80,19 @@ class RunConfig:
         if cv is None:
             return default
         try:
-            return [float(tok) for tok in cv.raw.replace(",", " ").split()]
+            vals = [float(tok) for tok in cv.raw.replace(",", " ").split()]
         except ValueError:
             raise self.error(section, key, f"expected numbers for {key}, got {cv.raw!r}") from None
+        inf_ok = (section, key) == ("probe", "p")  # p = inf: the sup-norm Besov estimator
+        if not all(math.isfinite(v) or (inf_ok and v == math.inf) for v in vals):
+            raise self.error(section, key, f"expected finite numbers for {key}, got {cv.raw!r}")
+        return vals
 
     def get_ints(self, section, key, default=None):
         vals = self.get_floats(section, key)
         if vals is None:
             return default
-        if not all(math.isfinite(v) and v == int(v) for v in vals):
+        if not all(v == int(v) for v in vals):
             raise self.error(section, key, f"expected integers for {key}, "
                              f"got {self.get_str(section, key)!r}")
         return [int(v) for v in vals]

@@ -244,6 +244,14 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = symbol\n[grid]\nhalf_width = -5\n", ":4:14:"),
     ("[experiment]\nname = parabolic-energy\n[time]\nT = -1\n", ":4:5:"),
     ("[experiment]\nname = parabolic-energy\n[params]\ns = 0.3, 0.5\n", ":4:5:"),
+    ("[experiment]\nname = parabolic-energy\n[grid]\nn = 17\n[time]\nT = inf\nnt = 4\n",
+     ":6:5:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = ball\ncenter = 0.0\nradius = nan\n",
+     ":6:10:"),
+    ("[experiment]\nname = getoor\n[omega]\nkind = ball\ncenter = nan\nradius = 1\n",
+     ":5:10:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = nan\n", ":5:5:"),
+    ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = -inf\n", ":5:5:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -254,7 +262,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
         "besov-method-region-mode", "omega-radius-text", "omega-radius-negative",
         "omega-box-extent", "omega-box-odd-bounds", "omega-kind", "grid-n-inf", "grid-n-nan",
         "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
-        "grid-half-width", "time-T", "one-value-list"])
+        "grid-half-width", "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
+        "omega-center-nan", "probe-p-nan", "probe-p-minus-inf"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

@@ -150,6 +150,63 @@ def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _theta_steps_by_cholesky(f, T, nt, theta, A, u0):
+    """The theta scheme step by step: one Cholesky factor of I + tau theta A, one solve per step."""
+    tau = T / nt
+    cho = scipy.linalg.cho_factor(np.eye(len(A)) + tau * theta * A)
+    src = f if callable(f) else (lambda t: f)
+    values = [u0]
+    for k in range(nt):
+        u = values[-1]
+        rhs = u + tau * ((1 - theta) * (src(k * tau) - A @ u) + theta * src((k + 1) * tau))
+        values.append(scipy.linalg.cho_solve(cho, rhs))
+    return np.array(values)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d-n65", "2d-n17"])
+def small_problem(request):
+    ndim = request.param
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, 65 if ndim == 1 else 17,
+                      Ball((0.0,) * ndim, 1.0))
+    params = FractionalParams(ndim, 0.5)
+    return grid, params, assemble_operator_matrix(grid, params)
+
+
+def _rel_gap(fast, slow):
+    return float(np.abs(fast - slow).max() / np.abs(slow).max())
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_spectral_theta_scheme_matches_cholesky_stepper(small_problem, theta, kind):
+    grid, params, matrix = small_problem
+    rng = np.random.default_rng(31)
+    g, u0 = rng.standard_normal(grid.n_omega), rng.standard_normal(grid.n_omega)
+    f = g if kind == "constant" else (lambda t: g * (1.0 + 0.5 * math.sin(3.0 * t)))
+    traj = solve_parabolic(f, 0.8, 24, theta, params, grid, matrix=matrix, u0=u0)
+    slow = _theta_steps_by_cholesky(f, 0.8, 24, theta, matrix.matrix, u0)
+    assert _rel_gap(traj.values, slow) <= 1e-12
+    ledger = energy_report(traj, f, matrix=matrix)
+    hN = grid.h ** grid.ndim
+    v = traj.values * np.exp(-traj.times)[:, None]
+    energy = [hN * (row @ matrix.apply(row) + row @ row) for row in v]
+    assert _rel_gap(ledger.energy, np.array(energy)) <= 1e-12
+
+
+def test_spectral_semigroup_matches_repeated_cholesky_solves(small_problem):
+    grid, params, matrix = small_problem
+    rng = np.random.default_rng(32)
+    data = [rng.standard_normal(grid.n_omega) for _ in range(5)]
+    for t, nt in ((0.1, 16), (1.0, 32)):
+        images = semigroup_apply(data, t, nt, params, grid, matrix=matrix)
+        cho = scipy.linalg.cho_factor(np.eye(grid.n_omega) + (t / nt) * matrix.matrix)
+        slow = np.array(data).T
+        for _ in range(nt):
+            slow = scipy.linalg.cho_solve(cho, slow)
+        for image, want in zip(images, slow.T):
+            assert _rel_gap(image.values[grid.mask], want) <= 1e-12
+
+
 SOURCE_CALLERS = {
     "solve_dirichlet": lambda bad, good, p, g, A: solve_dirichlet(bad, p, g, matrix=A),
     "residual_check": lambda bad, good, p, g, A: residual_check(
@@ -233,16 +290,6 @@ def test_semigroup_positivity_and_contraction(setup):
             assert out.values[grid.mask].min() >= -1e-12
             for p in (1.0, 1.5, 2.0, 4.0, math.inf):
                 assert lp_norm(out, p, "omega") <= lp_norm(phi_fn, p, "omega") + 1e-12
-
-
-def test_factor_matches_fresh_cholesky(setup):
-    grid, params, matrix = setup
-    for c in (0.1 / 16, 1.0 / 16):
-        factor, lower = matrix.factor(c)
-        fresh, fresh_lower = scipy.linalg.cho_factor(
-            np.eye(grid.n_omega) + c * matrix.matrix, lower=False, check_finite=False)
-        assert lower is fresh_lower is False
-        assert factor.tobytes() == fresh.tobytes()
 
 
 def test_semigroup_batch_images_in_order(setup):

@@ -13,6 +13,8 @@ one node) drive the seminorms through their rectangle-sum terms for the
 nodes off the support and their closed forms for the far shifts.
 The conjugate-gradient Dirichlet solve meets the residual contract and
 agrees with a Cholesky solve of the gathered dense matrix.
+The eigenvectors of the operator's spectrum are orthonormal, and the
+spectral (I + c A)^(-1) b agrees with a Cholesky solve.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
 contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
 gives each datum its one-datum image, in order.
@@ -169,6 +171,27 @@ def test_semigroup_positive_and_contractive(ndim, n_max):
             for p in (1.0, 2.0, np.inf):
                 before = lp_norm(phi, p, "omega")
                 assert lp_norm(out, p, "omega") <= before * (1.0 + 1e-12)
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_spectral_solve_matches_cholesky(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max), st.floats(-4.0, 0.0))
+    def check(problem, log_c):
+        grid, params, rng = problem
+        matrix = assemble_operator_matrix(grid, params)
+        _, vecs = matrix.spectrum
+        assert matrix.spectrum[1] is vecs and not vecs.flags.writeable
+        m = grid.n_omega
+        assert np.abs(vecs.T @ vecs - np.eye(m)).max() <= 1e-12
+        c = 10.0 ** log_c
+        b = rng.standard_normal(m)
+        # one implicit-Euler step of length c is (I + c A)^(-1) b
+        spectral = semigroup_apply(b, c, 1, params, grid, matrix=matrix).values[grid.mask]
+        cho = scipy.linalg.cho_factor(np.eye(m) + c * matrix.matrix)
+        assert _rel_gap(spectral, scipy.linalg.cho_solve(cho, b)) <= 1e-12
 
     check()
 
