@@ -294,7 +294,7 @@ def run_parabolic_energy(cfg, out_dir):
     worst = {}
     for nt in nt_list:
         traj = solve_parabolic(f, T, nt, theta, params, grid, matrix=matrix)
-        ledger = energy_report(traj, f, matrix=matrix, slack=slack)
+        ledger = energy_report(traj, slack=slack)
         _write_csv(os.path.join(out_dir, f"ledger_nt{nt}.csv"),
                    ("k", "t", "dissipation", "energy", "source_norm"),
                    zip(range(nt + 1), ledger.times, ledger.dissipation, ledger.energy,

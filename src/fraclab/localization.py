@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalizationError
-from .gridfn import GridFunction
+from .gridfn import GridFunction, build_cutoff
 from .operator import apply_fractional_laplacian, convolve, toeplitz_operator
 from .regions import require_nested
 from .spaces import gagliardo_seminorm, lp_norm
@@ -75,6 +75,12 @@ def product_rule_residual(u, eta, params):
     return float(np.abs(lhs.values - rhs).max())
 
 
+def _cutoff_remainder(u, eta, params):
+    """g = u (-Delta)^s eta - I_s(u, eta) on the box."""
+    return (u.values * apply_fractional_laplacian(eta, params).values
+            - remainder_Is(u, eta, params).values)
+
+
 def localized_rhs(u, eta, f, params, verify=True, residual_bound=None):
     """Right-hand side F for the cut-off product u eta, as a whole-space source.
 
@@ -88,9 +94,7 @@ def localized_rhs(u, eta, f, params, verify=True, residual_bound=None):
         f_full[:] = f.values
     else:
         f_full[grid.mask] = np.asarray(f, float).ravel()
-    F = (eta.values * f_full
-         + u.values * apply_fractional_laplacian(eta, params).values
-         - remainder_Is(u, eta, params).values)
+    F = eta.values * f_full + _cutoff_remainder(u, eta, params)
     if verify:
         if residual_bound is None:
             residual_bound = product_rule_residual(u, eta, params)
@@ -129,15 +133,11 @@ def g_bound_monitor(u, eta_spec, params, omega2, p):
     ||g||_p / (||u||_{W^{s,p}(omega2)} + ||u||_{L^p(Omega)}).  Only
     finiteness and refinement stability are meaningful, not the value.
     """
-    from .gridfn import build_cutoff
-
     grid = u.grid
     eta = build_cutoff(grid, eta_spec)
     require_nested(eta_spec.outer, omega2, "g-bound outer/omega2")
     require_nested(omega2, grid.omega, "g-bound omega2/Omega")
-    g = (u.values * apply_fractional_laplacian(eta, params).values
-         - remainder_Is(u, eta, params).values)
-    g_norm = lp_norm(GridFunction(grid, g), p)
+    g_norm = lp_norm(GridFunction(grid, _cutoff_remainder(u, eta, params)), p)
     semi = gagliardo_seminorm(u, params.s, p, omega2)
     lp_o2 = lp_norm(u, p, omega2)
     sobolev = (lp_o2 ** p + semi ** p) ** (1.0 / p)

@@ -2,15 +2,16 @@
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 + theta f_{k+1}], theta in [1/2, 1]: explicit stepping is excluded because
-the nonlocal stiffness grows like h^(-2s).  A trajectory is one read-only
-(nt+1, m) array of Omega values.  All three functions work in the eigenbasis
-of OperatorMatrix.spectrum, A = Q diag(lam) Q^T, computed once per operator:
-the theta scheme transforms its source once, steps mode by mode and returns
+the nonlocal stiffness grows like h^(-2s).  A Trajectory is the one record of
+a run: read-only rows u_k, f_k and B[u_k, u_k] per step.  The stepper and the
+semigroup work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam)
+Q^T, computed once per operator: the theta scheme transforms its source once,
+steps the mode values c_k, records B[u_k, u_k] = sum(lam c_k^2) and returns
 with one product by Q; a batch of semigroup images is Q (1 + tau lam)^(-nt)
-Q^T phi; and the ledger's energy B[v, v] is sum(lam (Q^T v)^2).  The spectrum
-needs the dense matrix, so these stay within the dense cap (MemoryBudgetError
-above it), unlike the matrix-free elliptic solve.  A failed eigendecomposition,
-or a step matrix I + c A that is not positive definite, raises
+Q^T phi.  The energy ledger reads the trajectory alone.  The spectrum needs
+the dense matrix, so both stay within the dense cap (MemoryBudgetError above
+it), unlike the matrix-free elliptic solve.  A failed eigendecomposition, or
+a step matrix I + c A that is not positive definite, raises
 SingularOperatorError.
 """
 
@@ -27,22 +28,17 @@ from .gridfn import extend_by_zero
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Omega values u_k at t_k = k tau, one row each of a read-only array; u_0 the datum."""
+    """Read-only rows per t_k = k tau: Omega values u_k (u_0 the datum), source f_k, B[u_k, u_k]."""
 
     grid: object
-    params: object
-    theta: float
     tau: float
     times: np.ndarray
     values: np.ndarray
+    source: np.ndarray
+    form: np.ndarray
 
     def final(self):
         return extend_by_zero(self.values[-1], self.grid)
-
-
-def _source_at(f, t, grid):
-    """Source as Omega vector at time t: a constant vector, or a callable of t."""
-    return _rhs_on_omega(f(t) if callable(f) else f, grid)
 
 
 def _modes(matrix, c):
@@ -55,7 +51,7 @@ def _modes(matrix, c):
 
 
 def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
-    """Run the theta scheme from a zero (or supplied) initial datum."""
+    """Run the theta scheme from a zero (or supplied) u0; a callable f is read once per t_k."""
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
     if nt < 2:
@@ -64,18 +60,22 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     tau = T / nt
     times = np.arange(nt + 1) * tau
     lam, vecs, shifted = _modes(matrix, tau * theta)
-    at = times if callable(f) else times[:1]  # a constant source is read once
-    g = np.broadcast_to(np.array([_source_at(f, t, grid) for t in at]) @ vecs, (nt + 1, len(lam)))
+    rows = np.array([_rhs_on_omega(f(t), grid) for t in times] if callable(f)
+                    else [_rhs_on_omega(f, grid)])
+    source = np.broadcast_to(rows, (nt + 1, len(lam)))
+    g = np.broadcast_to(rows @ vecs, (nt + 1, len(lam)))
     # mode j: (1 + tau theta lam_j) u_{k+1} = (1 - tau (1-theta) lam_j) u_k + drive_k
     ratio = (1.0 - tau * (1 - theta) * lam) / shifted
     drive = tau * ((1 - theta) * g[:-1] + theta * g[1:]) / shifted
     modes = np.empty((nt + 1, len(lam)))
-    modes[0] = 0.0 if u0 is None else _source_at(u0, 0.0, grid) @ vecs
+    modes[0] = 0.0 if u0 is None else _rhs_on_omega(u0, grid) @ vecs
     for k in range(nt):
         modes[k + 1] = ratio * modes[k] + drive[k]
+    form = modes ** 2 @ lam
     values = modes @ vecs.T
-    values.setflags(write=False)
-    return Trajectory(grid, params, theta, tau, times, values)
+    for arr in (form, values):
+        arr.setflags(write=False)
+    return Trajectory(grid, tau, times, values, source, form)
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,25 @@ class EnergyLedger:
         return float(((self.dissipation[ok] + self.energy[ok]) / self.source[ok]).max())
 
 
-def energy_report(traj, f, matrix=None, slack=None):
-    """Discrete energy ledger of a trajectory.
+def energy_report(traj, slack=None):
+    """Discrete energy ledger, read from the trajectory's values, source rows and form alone.
 
-    Flags a violation when dissipation-so-far plus current energy exceeds
-    (1 + slack) times the source term at any step; the default slack is
-    proportional to tau, reflecting the O(tau) perturbation the damping
-    transform introduces in the discrete identity.
+    The energy is hN (e^(-2t) B[u_k, u_k] + |v_k|^2).  Flags a violation when
+    dissipation-so-far plus current energy exceeds (1 + slack) times the
+    source term at any step; the default slack is proportional to tau,
+    reflecting the O(tau) perturbation the damping transform introduces in
+    the discrete identity.
     """
-    grid, params = traj.grid, traj.params
-    matrix = _operator(matrix, params, grid)
+    grid, tau = traj.grid, traj.tau
     hN = grid.h ** grid.ndim
-    tau = traj.tau
     if slack is None:
         slack = max(0.05, 2.0 * tau)
-    damping = np.exp(-traj.times)[:, None]
-    v = traj.values * damping
-    g = np.array([_source_at(f, t, grid) for t in traj.times[1:]]) * damping[1:]
+    damping = np.exp(-traj.times)
+    v = traj.values * damping[:, None]
+    g = traj.source[1:] * damping[1:, None]
     dv = np.diff(v, axis=0) / tau
     diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
-    lam, vecs = matrix.spectrum
-    energy = hN * ((v @ vecs) ** 2 @ lam + (v * v).sum(axis=1))
+    energy = hN * (damping ** 2 * traj.form + (v * v).sum(axis=1))
     source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
     ok = source[1:] > 0
     violation = bool(np.any((diss[1:] + energy[1:])[ok] > (1.0 + slack) * source[1:][ok]))
@@ -138,7 +136,7 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     matrix = _operator(matrix, params, grid)
     batched = isinstance(phi, list)
     batch = phi if batched else [phi]
-    data = np.array([_source_at(datum, 0.0, grid) for datum in batch])
+    data = np.array([_rhs_on_omega(datum, grid) for datum in batch])
     if t > 0:
         _, vecs, shifted = _modes(matrix, t / nt)
         data = (data @ vecs) * shifted ** -float(nt) @ vecs.T

@@ -36,13 +36,14 @@ _SCHEMA = {
     "inner": _REGION,
     "boundary": _REGION,
     "symbol": {"k": (False, lambda v: v != 0.0, "nonzero"),
-               "window_inner": None, "window_outer": None, "window_order": None},
+               "window_inner": None, "window_outer": None,
+               "window_order": (True, lambda v: v >= 0, ">= 0")},
     "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
                "center": None, "inner_fraction": None, "outer_fraction": None, "path": None},
     "time": {"T": (False, lambda v: v > 0.0, "> 0"),
              "nt": (True, lambda v: v >= 2, ">= 2"),
              "theta": (False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
-             "slack": None},
+             "slack": (False, lambda v: v >= 0.0, ">= 0")},
     "semigroup": {"t": (False, lambda v: v >= 0.0, ">= 0"),
                   "nt": (True, lambda v: v >= 1, ">= 1"),
                   "count": (True, lambda v: v >= 1, ">= 1")},

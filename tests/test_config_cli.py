@@ -252,6 +252,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      ":5:10:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = nan\n", ":5:5:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = -inf\n", ":5:5:"),
+    ("[experiment]\nname = parabolic-energy\n[time]\nslack = -2\n", ":4:9:"),
+    ("[experiment]\nname = symbol\n[symbol]\nwindow_order = -1\n", ":4:16:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -263,7 +265,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
         "omega-box-extent", "omega-box-odd-bounds", "omega-kind", "grid-n-inf", "grid-n-nan",
         "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
         "grid-half-width", "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
-        "omega-center-nan", "probe-p-nan", "probe-p-minus-inf"])
+        "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
+        "symbol-window-order-negative"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

@@ -42,6 +42,38 @@ def test_initial_datum_is_zero(setup):
     assert traj.final().dirichlet
 
 
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_trajectory_source_and_form_are_read_only(setup, kind):
+    grid, params, matrix = setup
+    g = np.ones(grid.n_omega)
+    f = g if kind == "constant" else (lambda t: (1.0 + t) * g)
+    traj = solve_parabolic(f, 1.0, 4, 0.5, params, grid, matrix=matrix)
+    assert traj.source.shape == (5, grid.n_omega)
+    assert traj.form.shape == (5,)
+    for arr in (traj.source, traj.form):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0.0
+
+
+def test_callable_source_is_read_once_per_step_time(setup):
+    # the ledger reads the source rows of the trajectory, not the callable
+    grid, params, matrix = setup
+    g = np.ones(grid.n_omega)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (1.0 + t) * g
+
+    nt = 16
+    traj = solve_parabolic(f, 1.0, nt, 0.5, params, grid, matrix=matrix)
+    energy_report(traj)
+    assert len(calls) == nt + 1
+    assert np.array_equal(calls, traj.times)
+    assert np.array_equal(traj.source, (1.0 + traj.times)[:, None] * g)
+
+
 def test_theta_validation(setup):
     grid, params, matrix = setup
     f = np.ones(grid.n_omega)
@@ -87,7 +119,7 @@ def test_theta_scheme_orders(setup):
 def test_energy_ledger_zero_source(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.zeros(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
-    ledger = energy_report(traj, np.zeros(grid.n_omega), matrix=matrix)
+    ledger = energy_report(traj)
     assert not ledger.violation
     assert ledger.dissipation[-1] == 0.0
     assert ledger.energy.max() == 0.0
@@ -98,7 +130,7 @@ def test_energy_inequality_implicit_euler(setup):
     f = np.ones(grid.n_omega)
     for nt in (64, 128):
         traj = solve_parabolic(f, 1.0, nt, 1.0, params, grid, matrix=matrix)
-        ledger = energy_report(traj, f, matrix=matrix, slack=0.05)
+        ledger = energy_report(traj, slack=0.05)
         assert not ledger.violation
         assert ledger.worst_ratio() <= 1.05
 
@@ -109,7 +141,7 @@ def test_energy_ledger_converges_under_tau_refinement(setup):
     finals = {}
     for nt in (64, 128):
         traj = solve_parabolic(f, 1.0, nt, 1.0, params, grid, matrix=matrix)
-        led = energy_report(traj, f, matrix=matrix)
+        led = energy_report(traj)
         finals[nt] = (led.dissipation[-1], led.energy[-1], led.source[-1])
     for a, b in zip(finals[64], finals[128]):
         assert b / a == pytest.approx(1.0, abs=0.05)
@@ -142,7 +174,7 @@ def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
     else:
         f, u0 = (lambda t: bump * (1.0 + 0.5 * math.sin(3.0 * t))), 2.0 * bump
     traj = solve_parabolic(f, 0.8, 24, theta, params, grid, matrix=matrix, u0=u0)
-    ledger = energy_report(traj, f, matrix=matrix)
+    ledger = energy_report(traj)
     assert np.array_equal(ledger.times, traj.times)
     for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
                          _ledger_by_steps(traj, f, matrix.matrix)):
@@ -186,7 +218,9 @@ def test_spectral_theta_scheme_matches_cholesky_stepper(small_problem, theta, ki
     traj = solve_parabolic(f, 0.8, 24, theta, params, grid, matrix=matrix, u0=u0)
     slow = _theta_steps_by_cholesky(f, 0.8, 24, theta, matrix.matrix, u0)
     assert _rel_gap(traj.values, slow) <= 1e-12
-    ledger = energy_report(traj, f, matrix=matrix)
+    form = [row @ (matrix.matrix @ row) for row in traj.values]
+    assert _rel_gap(traj.form, np.array(form)) <= 1e-12
+    ledger = energy_report(traj)
     hN = grid.h ** grid.ndim
     v = traj.values * np.exp(-traj.times)[:, None]
     energy = [hN * (row @ matrix.apply(row) + row @ row) for row in v]
@@ -217,8 +251,6 @@ SOURCE_CALLERS = {
         lambda t: bad, 1.0, 4, 0.5, p, g, matrix=A),
     "solve_parabolic-u0": lambda bad, good, p, g, A: solve_parabolic(
         good, 1.0, 4, 1.0, p, g, matrix=A, u0=bad),
-    "energy_report": lambda bad, good, p, g, A: energy_report(
-        solve_parabolic(good, 1.0, 4, 1.0, p, g), bad, matrix=A),
     "semigroup_apply": lambda bad, good, p, g, A: semigroup_apply(bad, 0.5, 4, p, g, matrix=A),
     "semigroup_apply-batch": lambda bad, good, p, g, A: semigroup_apply(
         [good, bad], 0.5, 4, p, g, matrix=A),
@@ -253,7 +285,7 @@ def test_ledger_csv_export(tmp_path, setup):
     grid, params, matrix = setup
     f = np.ones(grid.n_omega)
     traj = solve_parabolic(f, 0.5, 4, 1.0, params, grid, matrix=matrix)
-    ledger = energy_report(traj, f, matrix=matrix)
+    ledger = energy_report(traj)
     cfg = parse_config_text("[experiment]\nname = parabolic-energy\n[grid]\nn = 65\n"
                             "[time]\nT = 0.5\nnt = 4\n")
     run_experiment("parabolic-energy", cfg, str(tmp_path))

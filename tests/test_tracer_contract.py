@@ -154,7 +154,7 @@ matrix = operator.assemble_operator_matrix(grid, params)
 f = np.ones(grid.n_omega)
 for nt, theta in ((12, 0.5), (20, 1.0)):
     traj = parabolic.solve_parabolic(f, 1.0, nt, theta, params, grid, matrix=matrix)
-    parabolic.energy_report(traj, f, matrix=matrix)
+    parabolic.energy_report(traj)
 parabolic.semigroup_apply([f, -f, 2 * f], 0.5, 7, params, grid, matrix=matrix)
 print(json.dumps(tracer.stats))
 """
