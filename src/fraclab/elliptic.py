@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import FracLabError, LengthMismatchError
 from .gridfn import GridFunction, extend_by_zero
 from .operator import apply_fractional_laplacian, assemble_operator_matrix
 
@@ -12,7 +12,8 @@ from .operator import apply_fractional_laplacian, assemble_operator_matrix
 def _rhs_on_omega(f, grid):
     """f as a float vector on the Omega nodes, from a GridFunction, box values or Omega values.
 
-    Raises LengthMismatchError unless that gives one value per Omega node.
+    Raises LengthMismatchError unless that gives one value per Omega node,
+    and FracLabError if any of them is inf or nan.
     """
     if isinstance(f, GridFunction):
         vec = f.values[grid.mask].astype(float)
@@ -21,6 +22,9 @@ def _rhs_on_omega(f, grid):
         vec = arr[grid.mask] if arr.shape == grid.shape else arr.ravel()
     if vec.size != grid.n_omega:
         raise LengthMismatchError(f"got {vec.size} values for {grid.n_omega} Omega nodes")
+    bad = vec.size - int(np.isfinite(vec).sum())
+    if bad:
+        raise FracLabError(f"{bad} of {vec.size} Omega values are not finite (inf or nan)")
     return vec
 
 

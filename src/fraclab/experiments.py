@@ -3,7 +3,10 @@
 Every recipe reads a RunConfig, runs deterministically (worker count
 never changes results), writes CSV/JSON artifacts plus a manifest into
 the output directory, and returns a summary dict used by the acceptance
-thresholds.  Floats are serialized with 17 significant digits.
+thresholds.  Floats are serialized with 17 significant digits.  The two
+probe recipes, elliptic-regularity and regularity-sweep, run one probe
+(_probe): it reads [source] and every [probe] key and writes one
+estimate JSON per region.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_b
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
-from .probe import DEFAULT_RATE_THRESHOLD, estimate_local_exponent, p_error
+from .probe import DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP, estimate_local_exponent, p_error
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norm
 
@@ -58,9 +61,9 @@ def write_manifest(out_dir, experiment, cfg, **fields):
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def source_profile(cfg, grid):
-    """Source on Omega nodes from the [source] section (default constant 1)."""
-    profile = cfg.get_str("source", "profile", default="constant")
+def source_profile(cfg, grid, default="constant"):
+    """Source on Omega nodes from the [source] section, of profile `default` if it sets none."""
+    profile = cfg.get_str("source", "profile", default=default)
     pts = grid.omega_nodes()
     if profile == "constant":
         return np.full(grid.n_omega, cfg.get_float("source", "value", default=1.0))
@@ -72,7 +75,8 @@ def source_profile(cfg, grid):
         expo = cfg.get_float("source", "exponent", default=0.5)
         center = cfg.get_floats("source", "center", default=[0.0] * grid.ndim)
         r = np.linalg.norm(pts - np.asarray(center), axis=1)
-        return r ** expo
+        with np.errstate(divide="ignore"):  # a node at the center: the solve rejects the inf
+            return r ** expo
     if profile == "bump":
         frac_in = cfg.get_float("source", "inner_fraction", default=0.3)
         frac_out = cfg.get_float("source", "outer_fraction", default=0.8)
@@ -100,7 +104,7 @@ def _require_gagliardo(cfg, p, runner):
     """[probe] p and method, when set, must suit the Gagliardo estimator `runner` runs.
 
     The load-time check allows method = besov, and with it p = 1 and
-    p = inf; it cannot see which recipes and probe modes run the
+    p = inf; it cannot see which recipes and probe regions run the
     Gagliardo estimator whatever the method.
     """
     problem = p_error("gagliardo", p)
@@ -111,6 +115,39 @@ def _require_gagliardo(cfg, p, runner):
     if method != "gagliardo":
         raise cfg.error("probe", "method", f"method must be gagliardo, got {method!r}: "
                         f"{runner} runs the Gagliardo estimator only")
+
+
+def _probe(cfg, s, grid, regions, paths, default="constant"):
+    """Estimate the maximal exponent of the [source] solution on each region, written to its path.
+
+    Every [probe] key is read here.  A region that meets the Omega
+    boundary is probed in region mode, by the Gagliardo estimator only,
+    so p and method are checked against it for every region before
+    anything is solved.  `default` is the source profile when [source]
+    sets none.
+    """
+    p = cfg.get_float("probe", "p", default=2.0)
+    opts = {"sweep": cfg.get_floats("probe", "sweep", default=DEFAULT_SWEEP),
+            "levels": cfg.get_int("probe", "levels", default=3),
+            "rate_threshold": cfg.get_float("probe", "rate_threshold",
+                                            default=DEFAULT_RATE_THRESHOLD),
+            "method": cfg.get_str("probe", "method", default="gagliardo")}
+    for region in regions:
+        if nesting_margin(region, grid.omega) <= 0:
+            _require_gagliardo(cfg, p, f"region mode ({region.describe()} meets the "
+                               "Omega boundary)")
+    params = FractionalParams(1, s)
+
+    def resolve(g):
+        return solve_dirichlet(source_profile(cfg, g, default), params, g)
+
+    estimates = [estimate_local_exponent(resolve, grid, p, region, **opts)
+                 for region in regions]
+    for est, path in zip(estimates, paths):
+        with open(path, "w") as fh:
+            fh.write(est.to_json())
+            fh.write("\n")
+    return estimates
 
 
 def _default_grid(cfg, ndim, n):
@@ -240,43 +277,25 @@ def run_symbol(cfg, out_dir):
     return {"table": summary}
 
 
-def _jump_resolver(cfg, params):
-    def resolve(grid):
-        f = np.where(grid.omega_nodes()[:, 0] > 0, 1.0, 0.0)
-        return solve_dirichlet(f, params, grid)
-    return resolve
-
-
 def run_elliptic_regularity(cfg, out_dir):
-    """Interior vs boundary maximal exponents for a jump source."""
+    """Interior vs boundary maximal exponents, by default for a jump source."""
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5])
-    p = cfg.get_float("probe", "p", default=2.0)
-    _require_gagliardo(cfg, p, "elliptic-regularity")
-    levels = cfg.get_int("probe", "levels", default=3)
     base_n = cfg.get_int("grid", "n", default=129)
-    thr = cfg.get_float("probe", "rate_threshold", default=DEFAULT_RATE_THRESHOLD)
     interior = cfg.region("inner") or Box((-0.4,), (0.4,))
     boundary = cfg.region("boundary") or Box((0.5,), (1.5,))
+    grid = _default_grid(cfg, 1, base_n)
     out = {}
     for s in s_list:
-        params = FractionalParams(1, s)
-        grid = _default_grid(cfg, 1, base_n)
-        resolve = _jump_resolver(cfg, params)
-        est_int = estimate_local_exponent(resolve, grid, p, interior,
-                                          levels=levels, rate_threshold=thr)
-        est_bdy = estimate_local_exponent(resolve, grid, p, boundary,
-                                          levels=levels, rate_threshold=thr)
-        for tag, est in (("interior", est_int), ("boundary", est_bdy)):
-            with open(os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json"), "w") as fh:
-                fh.write(est.to_json())
-                fh.write("\n")
+        est_int, est_bdy = _probe(cfg, s, grid, [interior, boundary],
+                                  [os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json")
+                                   for tag in ("interior", "boundary")], default="jump")
         out[s] = {"interior": est_int.sigma_star, "boundary": est_bdy.sigma_star}
-    write_manifest(out_dir, "elliptic-regularity", cfg, ndim=1, s=s_list, p=p,
-                   n=base_n, levels=levels,
+    write_manifest(out_dir, "elliptic-regularity", cfg, ndim=1, s=s_list, p=est_int.p,
+                   n=base_n, levels=est_int.levels,
                    regions={"omega": grid.omega.describe(),
                             "interior": interior.describe(),
                             "boundary": boundary.describe()})
-    return {"sigma_star": out, "p": p}
+    return {"sigma_star": out, "p": est_int.p}
 
 
 def run_parabolic_energy(cfg, out_dir):
@@ -409,31 +428,12 @@ def run_g_bound(cfg, out_dir):
 def run_regularity_sweep(cfg, out_dir):
     """Generic exponent sweep for a configurable source and region."""
     s = cfg.get_float("params", "s", default=0.5)
-    p = cfg.get_float("probe", "p", default=2.0)
-    levels = cfg.get_int("probe", "levels", default=3)
     base_n = cfg.get_int("grid", "n", default=129)
-    method = cfg.get_str("probe", "method", default="gagliardo")
-    sweep = cfg.get_floats("probe", "sweep", default=None)
-    thr = cfg.get_float("probe", "rate_threshold", default=DEFAULT_RATE_THRESHOLD)
     inner = cfg.region("inner") or Box((-0.4,), (0.4,))
-    params = FractionalParams(1, s)
     grid = _default_grid(cfg, 1, base_n)
-    if nesting_margin(inner, grid.omega) <= 0:
-        _require_gagliardo(cfg, p, "regularity-sweep with an [inner] that meets the Omega "
-                           "boundary (region mode)")
-
-    def resolve(g):
-        return solve_dirichlet(source_profile(cfg, g), params, g)
-
-    kwargs = {"levels": levels, "method": method, "rate_threshold": thr}
-    if sweep is not None:
-        kwargs["sweep"] = sweep
-    est = estimate_local_exponent(resolve, grid, p, inner, **kwargs)
-    with open(os.path.join(out_dir, "estimate.json"), "w") as fh:
-        fh.write(est.to_json())
-        fh.write("\n")
-    write_manifest(out_dir, "regularity-sweep", cfg, ndim=1, s=s, p=p, n=base_n,
-                   levels=levels,
+    est, = _probe(cfg, s, grid, [inner], [os.path.join(out_dir, "estimate.json")])
+    write_manifest(out_dir, "regularity-sweep", cfg, ndim=1, s=s, p=est.p, n=base_n,
+                   levels=est.levels,
                    regions={"omega": grid.omega.describe(),
                             "inner": inner.describe()})
     return {"sigma_star": est.sigma_star, "mode": est.mode}

@@ -6,9 +6,10 @@ separated lists.  _SCHEMA lists every section and key a recipe reads.
 Parse errors carry 1-based line and column numbers, and so do the checks
 made at load time: an unknown section or key, a value outside its
 _SCHEMA range, a [probe] p the method does not accept, the [grid] box
-(2 ndim numbers, a positive and equal extent on every axis) and each
+(2 ndim numbers, a positive and equal extent on every axis), each
 region section ([omega], [inner], [boundary]), which must be a ball or a
-box of dimension ndim.
+box of dimension ndim, and the [source] geometry: a center of ndim
+numbers and a bump inner_fraction below its outer_fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ _SCHEMA = {
                "window_inner": None, "window_outer": None,
                "window_order": (True, lambda v: v >= 0, ">= 0")},
     "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
-               "center": None, "inner_fraction": None, "outer_fraction": None, "path": None},
+               "center": None, "path": None,
+               "inner_fraction": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+               "outer_fraction": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)")},
     "time": {"T": (False, lambda v: v > 0.0, "> 0"),
              "nt": (True, lambda v: v >= 2, ">= 2"),
              "theta": (False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
@@ -228,7 +231,11 @@ def _check_probe(cfg):
 
 
 def _check_geometry(cfg):
-    """The [grid] box, and every region section, against [params] ndim."""
+    """The [grid] box, every region section and the [source] center against [params] ndim.
+
+    Also the bump's radii: inner_fraction below outer_fraction, each
+    taken at its default (0.3 and 0.8) when unset.
+    """
     ndim = cfg.get_int("params", "ndim", default=1)
     box = cfg.get_floats("grid", "box")
     if box is not None:
@@ -246,3 +253,13 @@ def _check_geometry(cfg):
             key = next(k for k in ("center", "bounds", "kind") if cfg.has(section, k))
             raise cfg.error(section, key, f"[{section}] region has dimension {region.dim}, "
                             f"but ndim={ndim}")
+    center = cfg.get_floats("source", "center")
+    if center is not None and len(center) != ndim:
+        raise cfg.error("source", "center", f"[source] center needs {ndim} numbers for "
+                        f"ndim={ndim}, got {len(center)}")
+    inner = cfg.get_float("source", "inner_fraction", default=0.3)
+    outer = cfg.get_float("source", "outer_fraction", default=0.8)
+    if inner >= outer:
+        key = "inner_fraction" if cfg.has("source", "inner_fraction") else "outer_fraction"
+        raise cfg.error("source", key, f"[source] inner_fraction must be below "
+                        f"outer_fraction, got {inner:g} >= {outer:g}")

@@ -254,6 +254,16 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = -inf\n", ":5:5:"),
     ("[experiment]\nname = parabolic-energy\n[time]\nslack = -2\n", ":4:9:"),
     ("[experiment]\nname = symbol\n[symbol]\nwindow_order = -1\n", ":4:16:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = power\n"
+     "center = 0.3, 0.3\n", ":7:10:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
+     "inner_fraction = -0.2\n", ":7:18:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
+     "inner_fraction = 0.9\nouter_fraction = 0.5\n", ":7:18:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
+     "outer_fraction = 1.5\n", ":7:18:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
+     "outer_fraction = 0.2\n", ":7:18:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -266,7 +276,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
         "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
         "grid-half-width", "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
         "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
-        "symbol-window-order-negative"])
+        "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
+        "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)
@@ -313,6 +324,30 @@ path = {csv_path}
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{cfg_path}:9:8: cannot read CSV source" in err
+
+
+@pytest.mark.parametrize("recipe, source", [
+    ("parabolic-energy", "csv inf"), ("parabolic-energy", "csv nan"), ("g-bound", "csv nan"),
+    ("regularity-sweep", "csv nan"), ("regularity-sweep", "power")])
+def test_cli_run_non_finite_source_exits_3(tmp_path, capsys, recipe, source):
+    # n = 33 puts a node at the center of the unit ball, where r^-0.5 is inf
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    if source == "power":
+        section = "profile = power\nexponent = -0.5\n"
+    else:
+        values = ["1"] * grid.n_omega
+        values[3] = source.split()[1]
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text(", ".join(values) + "\n")
+        section = f"profile = csv\npath = {csv_path}\n"
+    time = "[time]\nnt = 4\n" if recipe == "parabolic-energy" else ""
+    cfg_path = tmp_path / "nonfinite.cfg"
+    cfg_path.write_text(f"[experiment]\nname = {recipe}\n[grid]\nn = 33\n{time}"
+                        f"[source]\n{section}")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: 1 of {grid.n_omega} Omega values are not finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("recipe", ["getoor", "elliptic-regularity"])

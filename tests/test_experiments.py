@@ -172,6 +172,50 @@ bounds = -0.4, 0.4
     assert payload["sigma_star"] == 1.2
 
 
+def test_elliptic_regularity_reads_probe_sweep_and_source(tmp_path):
+    # the interior estimate is regularity-sweep's for the same s, n, region and source
+    text = """
+[experiment]
+name = {}
+[params]
+s = 0.5
+[grid]
+n = 33
+[probe]
+sweep = 0.5, 0.9
+[source]
+profile = constant
+"""
+    run_experiment("elliptic-regularity", _cfg(text.format("elliptic-regularity")),
+                   str(tmp_path / "er"))
+    run_experiment("regularity-sweep", _cfg(text.format("regularity-sweep")),
+                   str(tmp_path / "rs"))
+    interior = json.loads((tmp_path / "er" / "estimate_s0.5_interior.json").read_text())
+    boundary = json.loads((tmp_path / "er" / "estimate_s0.5_boundary.json").read_text())
+    assert interior["sweep"] == boundary["sweep"] == [0.5, 0.9]
+    assert interior == json.loads((tmp_path / "rs" / "estimate.json").read_text())
+
+
+def test_elliptic_regularity_runs_besov_on_cutoff_regions(tmp_path):
+    cfg = _cfg("""
+[experiment]
+name = elliptic-regularity
+[params]
+s = 0.5
+[grid]
+n = 33
+[probe]
+method = besov
+[boundary]
+kind = box
+bounds = -0.7, -0.5
+""")
+    run_experiment("elliptic-regularity", cfg, str(tmp_path))
+    for tag in ("interior", "boundary"):
+        payload = json.loads((tmp_path / f"estimate_s0.5_{tag}.json").read_text())
+        assert (payload["method"], payload["mode"]) == ("besov", "cutoff")
+
+
 def test_boundary_profile_experiment(tmp_path):
     cfg = _cfg("""
 [experiment]

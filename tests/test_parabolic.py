@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from fraclab.elliptic import residual_check, solve_dirichlet
-from fraclab.errors import LengthMismatchError, SingularOperatorError
+from fraclab.errors import FracLabError, LengthMismatchError, SingularOperatorError
 from fraclab.experiments import run_experiment
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
@@ -263,6 +263,15 @@ def test_source_of_wrong_length_raises(setup, caller, short):
     grid, params, matrix = setup
     bad = np.ones(grid.n_omega - 1 if short else 1)
     with pytest.raises(LengthMismatchError, match=f"got {bad.size} values for {grid.n_omega}"):
+        SOURCE_CALLERS[caller](bad, np.ones(grid.n_omega), params, grid, matrix)
+
+
+@pytest.mark.parametrize("caller", sorted(SOURCE_CALLERS))
+def test_non_finite_source_raises(setup, caller):
+    grid, params, matrix = setup
+    bad = np.ones(grid.n_omega)
+    bad[0], bad[-1] = np.inf, np.nan
+    with pytest.raises(FracLabError, match=f"2 of {grid.n_omega} Omega values are not finite"):
         SOURCE_CALLERS[caller](bad, np.ones(grid.n_omega), params, grid, matrix)
 
 
