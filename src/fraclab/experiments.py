@@ -41,9 +41,18 @@ def getoor_constant(ndim, s):
 
 
 def _write_csv(path, header, rows):
+    """Write a header, then the rows: a list of tuples, or a 2-D float array.
+
+    An array is formatted in one % operation, to the bytes csv.writer
+    writes: floats as %.17g, ',' between fields, '\\r\\n' after each line.
+    """
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             wr.writerow([F17(v) if isinstance(v, float) else str(v) for v in row])
 
@@ -171,7 +180,6 @@ def run_getoor(cfg, out_dir):
     levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
     params = FractionalParams(ndim, s)
     lam = getoor_constant(ndim, s)
-    rows = []
     err_rows = []
     for n in levels:
         grid = _default_grid(cfg, ndim, n)
@@ -183,11 +191,10 @@ def run_getoor(cfg, out_dir):
         rel = np.abs(u.values[inner] - exact[inner]) / np.abs(exact[inner])
         err_rows.append((n, grid.h, float(rel.max()),
                          float(np.abs(u.values - exact).max())))
-        if n == levels[-1]:
-            for pt, uv, ev in zip(pts, u.values.ravel(), exact.ravel()):
-                rows.append(tuple(float(c) for c in pt) + (float(uv), float(ev)))
+    # the last level's solution
     _write_csv(os.path.join(out_dir, "solution.csv"),
-               tuple(f"x{a}" for a in range(ndim)) + ("u", "exact"), rows)
+               tuple(f"x{a}" for a in range(ndim)) + ("u", "exact"),
+               np.column_stack([pts, u.values.ravel(), exact.ravel()]))
     _write_csv(os.path.join(out_dir, "error_vs_h.csv"),
                ("n", "h", "rel_err_inner_half", "linf_err"), err_rows)
     write_manifest(out_dir, "getoor", cfg, ndim=ndim, s=s, n=levels,
@@ -201,7 +208,7 @@ def _windowed_sine(kf, center, r1, r2, order):
         a = max(d - r1, 0.0)
         b = max(r2 - d, 0.0)
         t = b / (a + b) if a + b > 0 else 0.0
-        return math.sin(kf * y) * float(smoothstep(t, order))
+        return math.sin(kf * y) * smoothstep(t, order)
     return f
 
 
@@ -452,11 +459,9 @@ def run_boundary_profile(cfg, out_dir):
         vals = u.values[grid.mask]
         ratio = vals / rho ** s
         pts = grid.omega_nodes()
-        rows = [(tuple(float(c) for c in pt) + (float(r), float(v), float(q)))
-                for pt, r, v, q in zip(pts, rho, vals, ratio)]
         _write_csv(os.path.join(out_dir, f"profile_s{s:g}.csv"),
                    tuple(f"x{a}" for a in range(grid.ndim)) + ("rho", "u", "ratio"),
-                   rows)
+                   np.column_stack([pts, rho, vals, ratio]))
         bb = grid.omega.bounding_box()
         center = np.asarray([0.5 * (lo + hi) for lo, hi in bb])
         rad = 0.5 * min(hi - lo for lo, hi in bb)

@@ -38,6 +38,16 @@ built once per (ndim, n, s) at unit spacing, scaled by h^(-2s).  The
 operator at node x is C h^(-2s) ((diag + 2N near) u(x)
 - sum_kappa t'(kappa) u(x + kappa h)), where t' adds `near` to `far` at
 the unit offsets.
+
+The 2D kernel |z|^(-2s), the Gauss-order schedule and the square box are
+invariant under z1 -> -z1, z2 -> -z2 and z1 <-> z2, so both 2D tables
+are evaluated on one octant and mirrored to the other seven:
+cell_corner_weights runs its Gauss sums only on the cells
+[ka,ka+1]x[kb,kb+1] with 0 <= kb <= ka, one (cells, g^2) by (g^2, 4)
+product per Gauss order g; a reflection ka -> -1-ka swaps the corners
+da = 0 and 1, a transposition swaps (ka, kb) and (da, db).
+tail_integral_2d evaluates the nodes i <= j in the first half of each
+axis.  Both tables therefore hold these symmetries exactly.
 """
 
 from __future__ import annotations
@@ -104,9 +114,18 @@ def sweep_1d(n, s):
 # 2D near-square moment and tail integrals
 
 
+@lru_cache(maxsize=None)
+def _leggauss(g):
+    """Gauss-Legendre nodes and weights of order g on [-1, 1], read-only."""
+    rule = leggauss(g)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
 def near_square_moment(s):
     """int over [-1,1]^2 of z1^2 |z|^(-2-2s) dz."""
-    t, wt = leggauss(64)
+    t, wt = _leggauss(64)
     theta = (t + 1.0) * (np.pi / 8.0)
     return float(4.0 / (2 - 2 * s) * (np.pi / 8.0) * np.sum(wt * np.cos(theta) ** (2 * s - 2)))
 
@@ -165,41 +184,42 @@ def cell_corner_weights(n, s):
     of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1],
     ka = a - (n-1), kb = b - (n-1).  Tensor Gauss order grows toward the
     singularity; the four cells around the origin are near-field cells and
-    get zero weight here.
+    get zero weight here.  The cached table is read-only.
     """
-    ncell = 2 * n - 2
-    base = np.arange(ncell) - (n - 1)
-    cw = np.zeros((2, 2, ncell, ncell))
-    ka = base[:, None] * np.ones((1, ncell), dtype=int)
-    kb = base[None, :] * np.ones((ncell, 1), dtype=int)
-    corner_dist = np.minimum(np.abs(ka), np.abs(ka + 1))
-    corner_dist = np.maximum(corner_dist, np.minimum(np.abs(kb), np.abs(kb + 1)))
-    near = (ka >= -1) & (ka <= 0) & (kb >= -1) & (kb <= 0)
-
-    # _gauss_order of every cell at once: the first schedule bound >= the distance
+    # Octant cells 0 <= kb <= ka <= n-2; a cell's Gauss order depends on ka alone there
+    ka, kb = np.tril_indices(n - 1)
     bounds, schedule = zip(*_GAUSS_SCHEDULE)
-    order = np.array(schedule + (_GAUSS_FAR,))[np.searchsorted(bounds, corner_dist)]
+    order = np.array(schedule + (_GAUSS_FAR,))[np.searchsorted(bounds, ka)]
+    vals = np.zeros((len(ka), 4))
     for g in np.unique(order):
-        sel = (~near) & (order == g)
-        if not sel.any():
-            continue
-        t, wt = leggauss(g)
+        sel = np.flatnonzero((order == g) & (ka > 0))  # ka = 0: the near cell (0, 0)
+        t, wt = _leggauss(g)
         xi = (t + 1.0) / 2.0
-        wq = wt / 2.0
-        XI, UP = np.meshgrid(xi, xi, indexing="ij")
-        WQ = np.outer(wq, wq)
-        kas = ka[sel][:, None, None]
-        kbs = kb[sel][:, None, None]
-        Z1 = kas + XI[None]
-        Z2 = kbs + UP[None]
-        ker = (Z1 * Z1 + Z2 * Z2) ** (-s)
-        for da, Nx in ((0, 1.0 - XI), (1, XI)):
-            for db, Ny in ((0, 1.0 - UP), (1, UP)):
-                vals = (WQ[None] * Nx[None] * Ny[None] * ker).sum(axis=(1, 2))
-                cw[da, db][sel] = vals
-    for da in (0, 1):
-        for db in (0, 1):
-            cw[da, db].setflags(write=False)
+        # rule[g i + j, 2 da + db]: the weight of node (xi_i, xi_j) times the shape
+        # function of corner (da, db), with N_0 = 1 - xi and N_1 = xi per axis
+        shape = np.stack([(1.0 - xi) * wt / 2.0, xi * wt / 2.0], axis=1)
+        rule = (shape[:, None, :, None] * shape[None, :, None, :]).reshape(g * g, 4)
+        z1 = ka[sel, None, None] + xi[None, :, None]
+        z2 = kb[sel, None, None] + xi[None, None, :]
+        ker = z1 * z1 + z2 * z2
+        np.power(ker, -s, out=ker)
+        vals[sel] = ker.reshape(len(sel), g * g) @ rule
+    # The transposition fixes the cells ka = kb: their corners (0, 1) and (1, 0)
+    # agree up to the summation order, and are made equal
+    vals[ka == kb, 2] = vals[ka == kb, 1]
+    # Quadrant ka, kb >= 0: a transposition swaps (ka, kb) and (da, db)
+    vals = vals.T.reshape(2, 2, -1)
+    quad = np.empty((2, 2, n - 1, n - 1))
+    quad[:, :, ka, kb] = vals
+    quad.transpose(1, 0, 3, 2)[:, :, ka, kb] = vals
+    # Other quadrants: the reflection ka -> -1-ka maps a -> 2n-3-a and flips da
+    ncell = 2 * n - 2
+    cw = np.empty((2, 2, ncell, ncell))
+    cw[:, :, n - 1:, n - 1:] = quad
+    cw[:, :, :n - 1, n - 1:] = quad[::-1, :, ::-1, :]
+    cw[:, :, n - 1:, :n - 1] = quad[:, ::-1, :, ::-1]
+    cw[:, :, :n - 1, :n - 1] = quad[::-1, ::-1, ::-1, ::-1]
+    cw.setflags(write=False)
     return cw
 
 
@@ -233,15 +253,19 @@ def tail_integral_2d(n, s):
     B+ = box - x and B- = x - box are the two box images seen from node x;
     the kernel is even, so both complements carry the same integral.
     Zero on the box edge, where the tail always meets a vanishing factor.
+    Evaluated at the nodes i <= j <= (n-1)/2, where p = i and q = n-1-i
+    has min(p, q) = p, and mirrored to the rest.
     """
-    p = np.arange(1, n - 1, dtype=float)
-    q = (n - 1) - p
-    m = np.minimum(p, q)
-    r_plus = rect_complement_integral(p[:, None], q[:, None], p[None, :], q[None, :], s)
-    r_cap = rect_complement_integral(m[:, None], m[:, None], m[None, :], m[None, :], s)
-    tail = np.zeros((n, n))
-    tail[1:-1, 1:-1] = 2.0 * r_plus - r_cap
-    return tail
+    half = (n - 1) // 2
+    i, j = np.triu_indices(half)
+    i, j = i + 1, j + 1
+    pi, pj = i.astype(float), j.astype(float)
+    r_plus = rect_complement_integral(pi, (n - 1) - pi, pj, (n - 1) - pj, s)
+    r_cap = rect_complement_integral(pi, pi, pj, pj, s)
+    quarter = np.zeros((half + 1, half + 1))
+    quarter[i, j] = quarter[j, i] = 2.0 * r_plus - r_cap
+    fold = np.minimum(np.arange(n), np.arange(n - 1, -1, -1))
+    return quarter[np.ix_(fold, fold)]
 
 
 def sweep_2d(n, s):

@@ -86,7 +86,9 @@ class RunConfig:
         try:
             vals = [float(tok) for tok in cv.raw.replace(",", " ").split()]
         except ValueError:
-            raise self.error(section, key, f"expected numbers for {key}, got {cv.raw!r}") from None
+            vals = []
+        if not vals:
+            raise self.error(section, key, f"expected numbers for {key}, got {cv.raw!r}")
         inf_ok = (section, key) == ("probe", "p")  # p = inf: the sup-norm Besov estimator
         if not all(math.isfinite(v) or (inf_ok and v == math.inf) for v in vals):
             raise self.error(section, key, f"expected finite numbers for {key}, got {cv.raw!r}")

@@ -264,6 +264,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
      "outer_fraction = 1.5\n", ":7:18:"),
     ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
      "outer_fraction = 0.2\n", ":7:18:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = ,\n", ":4:5:"),
+    ("[experiment]\nname = elliptic-regularity\n[params]\ns = , ,\n", ":4:5:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -277,7 +279,8 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
         "grid-half-width", "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
         "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
         "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
-        "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner"])
+        "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner",
+        "grid-n-empty-list", "params-s-empty-list"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)

@@ -7,6 +7,7 @@ import pytest
 
 from fraclab.errors import ConfigError
 from fraclab.experiments import (
+    _write_csv,
     getoor_constant,
     run_experiment,
     source_profile,
@@ -27,6 +28,20 @@ def test_getoor_constant_values():
     assert getoor_constant(1, 0.5) == pytest.approx(1.0, rel=1e-12)
     assert getoor_constant(2, 0.5) == pytest.approx(np.pi / 2, rel=1e-12)
     assert getoor_constant(1, 0.3) == pytest.approx(0.8935153492876903, rel=1e-12)
+
+
+def test_write_csv_array_and_rows_give_the_same_bytes(tmp_path):
+    table = np.array([[-0.0, np.inf, -np.inf],
+                      [3.0, -2.0, 1e300],
+                      [0.1, 1.0 / 3.0, -2.220446049250313e-16],
+                      [123456789.12345678, 5e-324, 0.30000000000000004]])
+    header = ("a", "b", "c")
+    _write_csv(tmp_path / "array.csv", header, table)
+    _write_csv(tmp_path / "rows.csv", header, [tuple(float(v) for v in row) for row in table])
+    data = (tmp_path / "array.csv").read_bytes()
+    assert data == (tmp_path / "rows.csv").read_bytes()
+    assert data.splitlines()[1] == b"-0,inf,-inf"
+    assert data.count(b"\r\n") == 5
 
 
 def test_source_profiles(tmp_path, grid65):

@@ -13,6 +13,9 @@ one node) drive the seminorms through their rectangle-sum terms for the
 nodes off the support and their closed forms for the far shifts.
 The conjugate-gradient Dirichlet solve meets the residual contract and
 agrees with a Cholesky solve of the gathered dense matrix.
+The 2D corner-weight and tail tables, evaluated on one lattice octant
+and mirrored, match a full-lattice evaluation and hold the eight
+symmetries of the square exactly.
 The eigenvectors of the operator's spectrum are orthonormal, and the
 spectral (I + c A)^(-1) b agrees with a Cholesky solve.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
@@ -23,8 +26,9 @@ gives each datum its one-datum image, in order.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.gridfn import Grid, GridFunction, build_grid, extend_by_zero
@@ -32,6 +36,8 @@ from fraclab.localization import remainder_Is
 from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from fraclab.parabolic import semigroup_apply
 from fraclab.quadrature import (
+    _GAUSS_FAR,
+    _GAUSS_SCHEDULE,
     cell_corner_weights,
     first_cell_moment,
     interior_weights_1d,
@@ -39,6 +45,7 @@ from fraclab.quadrature import (
     offset_distance_sq,
     rect_complement_integral,
     tail_coefficient_1d,
+    tail_integral_2d,
 )
 from fraclab.reference import naive_apply_omega, pairwise_gagliardo, shift_loop_besov
 from fraclab.regions import Ball, Box, DisjointUnion
@@ -118,6 +125,64 @@ def test_fft_apply_matches_naive_oracle(ndim, n_max):
         assert _rel_gap(fast, naive_apply_omega(u, params)) <= 1e-12
 
     check()
+
+
+def _full_lattice_corner_weights(n, s):
+    """cell_corner_weights evaluated on every cell of the lattice, with no symmetry used."""
+    ncell = 2 * n - 2
+    base = np.arange(ncell) - (n - 1)
+    cw = np.zeros((2, 2, ncell, ncell))
+    ka = base[:, None] * np.ones((1, ncell), dtype=int)
+    kb = base[None, :] * np.ones((ncell, 1), dtype=int)
+    corner_dist = np.minimum(np.abs(ka), np.abs(ka + 1))
+    corner_dist = np.maximum(corner_dist, np.minimum(np.abs(kb), np.abs(kb + 1)))
+    near = (ka >= -1) & (ka <= 0) & (kb >= -1) & (kb <= 0)
+    bounds, schedule = zip(*_GAUSS_SCHEDULE)
+    order = np.array(schedule + (_GAUSS_FAR,))[np.searchsorted(bounds, corner_dist)]
+    for g in np.unique(order):
+        sel = (~near) & (order == g)
+        if not sel.any():
+            continue
+        t, wt = leggauss(g)
+        xi = (t + 1.0) / 2.0
+        wq = wt / 2.0
+        XI, UP = np.meshgrid(xi, xi, indexing="ij")
+        WQ = np.outer(wq, wq)
+        Z1 = ka[sel][:, None, None] + XI[None]
+        Z2 = kb[sel][:, None, None] + UP[None]
+        ker = (Z1 * Z1 + Z2 * Z2) ** (-s)
+        for da, Nx in ((0, 1.0 - XI), (1, XI)):
+            for db, Ny in ((0, 1.0 - UP), (1, UP)):
+                cw[da, db][sel] = (WQ[None] * Nx[None] * Ny[None] * ker).sum(axis=(1, 2))
+    return cw
+
+
+def _full_lattice_tail(n, s):
+    """tail_integral_2d evaluated at every box node, with no symmetry used."""
+    p = np.arange(1, n - 1, dtype=float)
+    q = (n - 1) - p
+    m = np.minimum(p, q)
+    r_plus = rect_complement_integral(p[:, None], q[:, None], p[None, :], q[None, :], s)
+    r_cap = rect_complement_integral(m[:, None], m[:, None], m[None, :], m[None, :], s)
+    tail = np.zeros((n, n))
+    tail[1:-1, 1:-1] = 2.0 * r_plus - r_cap
+    return tail
+
+
+@PROPERTY
+@given(st.integers(2, 33), st.floats(0.05, 0.95))
+@example(17, 0.5)
+@example(32, 0.5)
+def test_octant_tables_match_full_lattice(n, s):
+    cw, tail = cell_corner_weights(n, s), tail_integral_2d(n, s)
+    assert cw.shape == (2, 2, 2 * n - 2, 2 * n - 2) and not cw.flags.writeable
+    assert _rel_gap(cw, _full_lattice_corner_weights(n, s)) <= 1e-14
+    assert _rel_gap(tail, _full_lattice_tail(n, s)) <= 1e-13
+    # the eight symmetries of the square hold exactly: both reflections and the transposition
+    assert np.array_equal(cw, cw[::-1, :, ::-1, :])  # cw[da, db, a, b] == cw[1-da, db, 2n-3-a, b]
+    assert np.array_equal(cw, cw[:, ::-1, :, ::-1])
+    assert np.array_equal(cw, cw.transpose(1, 0, 3, 2))
+    assert np.array_equal(tail, tail[::-1]) and np.array_equal(tail, tail.T)
 
 
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
