@@ -40,9 +40,10 @@ def _operator(matrix, params, grid):
 def solve_dirichlet(f, params, grid, matrix=None):
     """Exterior-zero solution of the restricted system A u = f on Omega.
 
-    OperatorMatrix.solve: conjugate gradients with the FFT apply and the
-    box-circulant preconditioner, to a residual of 1e-10 relative to
-    ||f||_inf (operator.RESIDUAL_REL_TOL).  No dense matrix is gathered
+    OperatorMatrix.solve: conjugate gradients with the windowed FFT apply
+    and the windowed circulant preconditioner on Omega's bounding box, to
+    a residual of 1e-10 relative to ||f||_inf
+    (operator.RESIDUAL_REL_TOL).  No dense matrix is gathered
     or decomposed, so the solve has no size cap; SingularOperatorError
     reports the residual reached if the iteration cap is hit.
     All grid data are finite-energy, so low-integrability sources take

@@ -129,7 +129,8 @@ def _require_gagliardo(cfg, p, runner):
 def _probe(cfg, s, grid, regions, paths, default="constant"):
     """Estimate the maximal exponent of the [source] solution on each region, written to its path.
 
-    Every [probe] key is read here.  A region that meets the Omega
+    Every [probe] key is read here.  Each level is solved once, and its
+    solution serves every region.  A region that meets the Omega
     boundary is probed in region mode, by the Gagliardo estimator only,
     so p and method are checked against it for every region before
     anything is solved.  `default` is the source profile when [source]
@@ -146,9 +147,12 @@ def _probe(cfg, s, grid, regions, paths, default="constant"):
             _require_gagliardo(cfg, p, f"region mode ({region.describe()} meets the "
                                "Omega boundary)")
     params = FractionalParams(1, s)
+    solved = {}  # every region refines the same base grid: one solve per level
 
     def resolve(g):
-        return solve_dirichlet(source_profile(cfg, g, default), params, g)
+        if g.n not in solved:
+            solved[g.n] = solve_dirichlet(source_profile(cfg, g, default), params, g).values
+        return GridFunction(g, solved[g.n], dirichlet=True)
 
     estimates = [estimate_local_exponent(resolve, grid, p, region, **opts)
                  for region in regions]
@@ -404,12 +408,15 @@ def run_product_rule(cfg, out_dir):
     return {"factors": factors}
 
 
+G_BOUND_LEVELS = [129, 257, 513]
+
+
 def run_g_bound(cfg, out_dir):
     """Refinement stability of the localization-bound constant."""
     s = cfg.get_float("params", "s", default=0.5)
     p = cfg.get_float("probe", "p", default=2.0)
     _require_gagliardo(cfg, p, "g-bound")
-    levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
+    levels = cfg.get_ints("grid", "n", default=G_BOUND_LEVELS)
     params = FractionalParams(1, s)
     ratios = []
     rows = []
@@ -488,6 +495,8 @@ RECIPES = {
 
 # the recipes that read [params] ndim; every other one runs in 1D only
 READS_NDIM = {"getoor"}
+# the recipes that solve for the [source] on refined grids, whatever [grid] n lists
+PROBE_RECIPES = {"elliptic-regularity", "regularity-sweep"}
 
 
 def run_experiment(name, cfg, out_dir):
@@ -496,5 +505,11 @@ def run_experiment(name, cfg, out_dir):
                           path=cfg.path if cfg else None)
     if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
         raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
+    # a CSV source fits one grid: reject it before any solve where the recipe solves on several
+    if cfg.get_str("source", "profile") == "csv" and (
+            name in PROBE_RECIPES or (
+                name == "g-bound" and len(cfg.get_ints("grid", "n", default=G_BOUND_LEVELS)) > 1)):
+        raise cfg.error("source", "profile", f"{name} solves on more than one grid, but a CSV "
+                        "source holds values for one grid")
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[name](cfg, out_dir)

@@ -10,8 +10,9 @@ unit spacing, scaled by h^(-2s) (FractionalParams.scale).
 apply_fractional_laplacian evaluates it at every box node with one real
 FFT convolution.  assemble_operator_matrix returns the operator
 restricted to Omega (OperatorMatrix): every product with it is
-apply(), the same FFT convolution on Omega vectors, and solve() runs
-conjugate gradients on apply() with a box-circulant preconditioner.  Its
+apply(), an FFT convolution on Omega's bounding box with t cut to the
+offsets that box holds, and solve() runs conjugate gradients on apply()
+with the windowed circulant of that cut kernel as preconditioner.  Its
 dense matrix is gathered from d and t onto Omega pairs only when first
 read, by `spectrum`, the one symmetric eigendecomposition of A that the
 time steppers use for every step size, and by the dense cross-checks.  Since
@@ -75,6 +76,19 @@ class FractionalParams:
 
 
 Toeplitz = namedtuple("Toeplitz", "t d t_hat size near")
+Window = namedtuple("Window", "mask t t_hat shape d inverse_symbol")
+
+
+def _kernel_transform(t, shape):
+    """Real FFT of the centred kernel t (offsets |k| <= (t.shape - 1) / 2) on a grid of `shape`.
+
+    t(k) goes to index k mod shape: no wrap-around while each side of
+    `shape` is at least t's.
+    """
+    wrapped = np.zeros(shape)
+    wrapped[np.ix_(*[np.arange(-(w // 2), w // 2 + 1) % L
+                     for w, L in zip(t.shape, shape)])] = t
+    return scipy.fft.rfftn(wrapped)
 
 
 @lru_cache(maxsize=16)
@@ -93,26 +107,22 @@ def toeplitz_operator(ndim, n, s):
             unit = [n - 1] * ndim
             unit[axis] += step
             t[tuple(unit)] += kernel.near
-    # t(k) goes to index k mod L: no wrap-around for offsets |k| <= n-1
     size = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    wrapped = np.zeros((size,) * ndim)
-    wrapped[np.ix_(*[np.arange(1 - n, n) % size] * ndim)] = t
-    t_hat = scipy.fft.rfftn(wrapped)
+    t_hat = _kernel_transform(t, (size,) * ndim)
     for part in (t, d, t_hat):
         part.setflags(write=False)
     return Toeplitz(t, d, t_hat, size, kernel.near)
 
 
-def _circulant(values, symbol, size):
-    """Product with the circulant of this symbol on the box padded to side size, cut back."""
-    shape = (size,) * values.ndim
+def _circulant(values, symbol, shape):
+    """Product with the circulant of this symbol on values padded to `shape`, cut back."""
     full = scipy.fft.irfftn(scipy.fft.rfftn(values, shape) * symbol, shape)
     return full[tuple(slice(0, n) for n in values.shape)]
 
 
 def convolve(op, values):
     """sum_j t(j - i) values_j at every box node i, for the kernel t of op."""
-    return _circulant(values, op.t_hat, op.size)
+    return _circulant(values, op.t_hat, (op.size,) * values.ndim)
 
 
 def apply_fractional_laplacian(u, params):
@@ -140,9 +150,10 @@ class OperatorMatrix:
     """The operator restricted to Omega nodes (mask order).
 
     The kernel comes from toeplitz_operator when the operator is made.
-    apply() and solve() work from the kernel alone; the dense matrix is
-    gathered from it only on first access to `matrix` or `spectrum`, which
-    raise MemoryBudgetError above DEFAULT_DENSE_CAP Omega nodes.
+    apply() and solve() work from its cut to Omega's bounding box alone
+    (`window`); the dense matrix is gathered from the kernel only on first
+    access to `matrix` or `spectrum`, which raise MemoryBudgetError above
+    DEFAULT_DENSE_CAP Omega nodes.
     """
 
     grid: Grid
@@ -179,18 +190,49 @@ class OperatorMatrix:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def window(self):
+        """The kernel cut to Omega's bounding box, built on first use.
+
+        With b Omega's bounding-box extent per axis, a product on Omega
+        vectors reads t only at offsets |k| <= b - 1; their real FFT at
+        next_fast_len(2b - 1) per axis serves apply() without wrap-around.
+        Holds the box's Omega mask, the cut t, its transform t_hat and the
+        transform's shape, d on Omega, and the inverse of the windowed
+        circulant preconditioner symbol C (max d - t_hat).  That symbol
+        is positive when max d exceeds the window's kernel sum, its
+        largest t_hat; SingularOperatorError reports its minimum if not.
+        """
+        grid, op = self.grid, self.kernel
+        nodes = np.argwhere(grid.mask)
+        mask = grid.mask[tuple(slice(lo, hi + 1)
+                               for lo, hi in zip(nodes.min(axis=0), nodes.max(axis=0)))]
+        n = grid.n
+        t = op.t[tuple(slice(n - b, n - 1 + b) for b in mask.shape)]
+        shape = tuple(scipy.fft.next_fast_len(2 * b - 1, real=True) for b in mask.shape)
+        t_hat = _kernel_transform(t, shape)
+        d = op.d[grid.mask]
+        symbol = self.params.scale(grid.h) * (d.max() - t_hat.real)
+        if not symbol.min() > 0.0:
+            raise SingularOperatorError(
+                f"windowed circulant preconditioner symbol has minimum {symbol.min():.3e} <= 0")
+        inverse_symbol = 1.0 / symbol
+        for part in (t, t_hat, d, inverse_symbol):
+            part.setflags(write=False)
+        return Window(mask, t, t_hat, shape, d, inverse_symbol)
+
     def _circulant(self, vec, symbol):
-        """Circulant product of an Omega vector on the padded box, restricted to Omega."""
-        mask = self.grid.mask
-        box = np.zeros(self.grid.shape)
-        box[mask] = vec
-        return _circulant(box, symbol, self.kernel.size)[mask]
+        """Circulant product of an Omega vector on Omega's bounding box, restricted to Omega."""
+        win = self.window
+        box = np.zeros(win.mask.shape)
+        box[win.mask] = vec
+        return _circulant(box, symbol, win.shape)[win.mask]
 
     def apply(self, vec):
-        """A vec for an Omega vector, by one FFT convolution; no dense matrix is read."""
-        op, mask = self.kernel, self.grid.mask
+        """A vec for an Omega vector, by one windowed FFT convolution; no dense matrix is read."""
+        win = self.window
         C = self.params.scale(self.grid.h)
-        return C * (op.d[mask] * vec - self._circulant(vec, op.t_hat))
+        return C * (win.d * vec - self._circulant(vec, win.t_hat))
 
     @cached_property
     def spectrum(self):
@@ -211,20 +253,19 @@ class OperatorMatrix:
         """Solution x of A x = rhs by preconditioned conjugate gradients.
 
         A is applied by apply(); the preconditioner is the inverse of the
-        circulant C (max d - t) on the padded box, max d taken over Omega,
-        applied by FFT and restricted to Omega (T. Chan 1988; Chan & Ng
-        1996).  It is symmetric positive definite: d_i weighs node i
-        against all of R^N, box and closed-form tail, so it exceeds the
-        kernel's sum over the padded box, the largest value of t_hat.
-        Iterates until the true residual is at most RESIDUAL_REL_TOL
+        windowed circulant C (max d - t) on Omega's bounding box, max d
+        taken over Omega and t cut to the box's offsets, applied by FFT and
+        restricted to Omega (T. Chan 1988; Chan & Ng 1996).  It is
+        symmetric positive definite: d_i weighs node i against all of R^N,
+        box and closed-form tail, so it exceeds the kernel's sum over the
+        window, the largest value of t_hat (checked when `window` is
+        built).  Iterates until the true residual is at most RESIDUAL_REL_TOL
         ||rhs||_inf; CG ends within m steps in exact arithmetic, so after m
         steps SingularOperatorError reports the residual reached.  No dense
         matrix is gathered.
         """
-        grid, op, apply = self.grid, self.kernel, self.apply
-        m = grid.n_omega
-        C = self.params.scale(grid.h)
-        inverse_symbol = 1.0 / (C * (op.d[grid.mask].max() - op.t_hat.real))
+        apply, inverse_symbol = self.apply, self.window.inverse_symbol
+        m = self.grid.n_omega
         rhs = np.asarray(rhs, float)
         scale = max(np.abs(rhs).max(initial=0.0), 1e-300)
         sol = np.zeros(m)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fraclab import experiments
 from fraclab.cli import main
 from fraclab.errors import ConfigError
 from fraclab.experiments import source_profile
@@ -331,7 +332,7 @@ path = {csv_path}
 
 @pytest.mark.parametrize("recipe, source", [
     ("parabolic-energy", "csv inf"), ("parabolic-energy", "csv nan"), ("g-bound", "csv nan"),
-    ("regularity-sweep", "csv nan"), ("regularity-sweep", "power")])
+    ("regularity-sweep", "power")])
 def test_cli_run_non_finite_source_exits_3(tmp_path, capsys, recipe, source):
     # n = 33 puts a node at the center of the unit ball, where r^-0.5 is inf
     grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
@@ -351,6 +352,28 @@ def test_cli_run_non_finite_source_exits_3(tmp_path, capsys, recipe, source):
     err = capsys.readouterr().err
     assert f"numerical failure: 1 of {grid.n_omega} Omega values are not finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("recipe, grid", [
+    ("regularity-sweep", "[grid]\nn = 33\n"), ("elliptic-regularity", "[grid]\nn = 33\n"),
+    ("g-bound", "[grid]\nn = 33, 65\n"), ("g-bound", "")],
+    ids=["regularity-sweep", "elliptic-regularity", "g-bound-two-n", "g-bound-default-n"])
+def test_cli_run_csv_source_in_refining_recipe_exits_2(tmp_path, capsys, monkeypatch,
+                                                       recipe, grid):
+    # a CSV fits one grid: rejected at the profile value, before any solve (a g-bound
+    # with one n accepts it: test_cli_run_non_finite_source_exits_3 reaches its solve)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the CSV source was rejected")
+
+    monkeypatch.setattr(experiments, "solve_dirichlet", no_solve)
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text(", ".join(["1"] * 15) + "\n")  # the 15 Omega nodes at n = 33
+    cfg_path = tmp_path / "csv.cfg"
+    cfg_path.write_text(f"[experiment]\nname = {recipe}\n[source]\nprofile = csv\n"
+                        f"path = {csv_path}\n{grid}")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}:4:11:" in err and "a CSV source holds values for one grid" in err
 
 
 @pytest.mark.parametrize("recipe", ["getoor", "elliptic-regularity"])

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from fraclab import experiments
+from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import ConfigError
 from fraclab.experiments import (
     _write_csv,
@@ -15,7 +17,8 @@ from fraclab.experiments import (
 from fraclab.gridfn import build_grid, extend_by_zero
 from fraclab.operator import FractionalParams
 from fraclab.parabolic import semigroup_apply
-from fraclab.regions import Ball
+from fraclab.probe import estimate_local_exponent
+from fraclab.regions import Ball, Box
 from fraclab.runconfig import parse_config_text
 from fraclab.spaces import lp_norm
 
@@ -229,6 +232,32 @@ bounds = -0.7, -0.5
     for tag in ("interior", "boundary"):
         payload = json.loads((tmp_path / f"estimate_s0.5_{tag}.json").read_text())
         assert (payload["method"], payload["mode"]) == ("besov", "cutoff")
+
+
+def test_probe_solves_each_level_once(tmp_path, monkeypatch):
+    # both regions read one solve per level; each estimate is the one an unshared resolve gives
+    cfg = _cfg("[experiment]\nname = elliptic-regularity\n[params]\ns = 0.3, 0.5\n"
+               "[grid]\nn = 17\n")
+    solved = []
+
+    def counted(f, params, grid, matrix=None):
+        solved.append((params.s, grid.n))
+        return solve_dirichlet(f, params, grid, matrix)
+
+    monkeypatch.setattr(experiments, "solve_dirichlet", counted)
+    run_experiment("elliptic-regularity", cfg, str(tmp_path))
+    assert sorted(solved) == [(s, n) for s in (0.3, 0.5) for n in (17, 33, 65)]
+    grid = build_grid(1, ((-2.0, 2.0),), 17, Ball((0.0,), 1.0))
+    for s in (0.3, 0.5):
+        params = FractionalParams(1, s)
+
+        def resolve(g):
+            return solve_dirichlet(source_profile(cfg, g, "jump"), params, g)
+
+        for tag, region in (("interior", Box((-0.4,), (0.4,))),
+                            ("boundary", Box((0.5,), (1.5,)))):
+            unshared = estimate_local_exponent(resolve, grid, 2.0, region).to_json() + "\n"
+            assert (tmp_path / f"estimate_s{s:g}_{tag}.json").read_text() == unshared
 
 
 def test_boundary_profile_experiment(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from fraclab import operator
-from fraclab.errors import MemoryBudgetError
+from fraclab.errors import MemoryBudgetError, SingularOperatorError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
 from fraclab.operator import (
@@ -194,3 +194,11 @@ def test_memory_budget_cap(grid65, params_half, monkeypatch):
     with pytest.raises(MemoryBudgetError):
         A.matrix
 
+
+
+def test_nonpositive_preconditioner_symbol_raises(grid65, params_half):
+    # a diagonal below the window's kernel sum leaves the circulant symbol nonpositive
+    A = assemble_operator_matrix(grid65, params_half)
+    object.__setattr__(A, "kernel", A.kernel._replace(d=0.5 * A.kernel.d))
+    with pytest.raises(SingularOperatorError, match="symbol has minimum -"):
+        A.solve(np.ones(grid65.n_omega))

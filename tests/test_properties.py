@@ -12,7 +12,11 @@ Data supported on a random sub-box of the lattice (touching its edge, or
 one node) drive the seminorms through their rectangle-sum terms for the
 nodes off the support and their closed forms for the far shifts.
 The conjugate-gradient Dirichlet solve meets the residual contract and
-agrees with a Cholesky solve of the gathered dense matrix.
+agrees with a Cholesky solve of the gathered dense matrix.  Its windowed
+circulant preconditioner has a positive symbol, and the restricted apply
+and the solve hold on an off-centre rectangle, whose window axes differ,
+and on an interval two cells from the box edge, whose window is nearly
+the whole box.
 The 2D corner-weight and tail tables, evaluated on one lattice octant
 and mirrored, match a full-lattice evaluation and hold the eight
 symmetries of the square exactly.
@@ -33,7 +37,12 @@ from numpy.polynomial.legendre import leggauss
 from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.gridfn import Grid, GridFunction, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
-from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
+from fraclab.operator import (
+    FractionalParams,
+    apply_fractional_laplacian,
+    assemble_operator_matrix,
+    toeplitz_operator,
+)
 from fraclab.parabolic import semigroup_apply
 from fraclab.quadrature import (
     _GAUSS_FAR,
@@ -112,6 +121,55 @@ def test_restricted_apply_matches_dense_matrix(ndim, n_max):
         assert _rel_gap(matrix.apply(vec), matrix.matrix @ vec) <= 1e-12
 
     check()
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_windowed_preconditioner_symbol_positive(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, _ = problem
+        win = assemble_operator_matrix(grid, params).window
+        assert (params.scale(grid.h) * (win.d.max() - win.t_hat.real)).min() > 0.0
+        assert win.d.max() > win.t.sum()
+
+    check()
+
+
+# Off-centre rectangle: the two axes of the window differ.  Interval two
+# cells from the box edge (Grid skips build_grid's 25% collar): the window
+# is nearly the whole box.
+OFF_CENTRE = Box((-1.5, -0.3), (0.2, 1.1))
+WINDOW_CASES = [
+    (build_grid(2, ((-2.0, 2.0),) * 2, 33, OFF_CENTRE), 0.3),
+    (build_grid(2, ((-2.0, 2.0),) * 2, 65, OFF_CENTRE), 0.7),
+] + [(Grid(1, (-2.0,), (2.0,), 33, Box((-1.8,), (1.8,))), s) for s in (0.05, 0.5, 0.95)]
+
+
+@pytest.mark.parametrize("grid, s", WINDOW_CASES,
+                         ids=["box-2d-33", "box-2d-65", "collar-1d-0.05", "collar-1d-0.5",
+                              "collar-1d-0.95"])
+def test_window_off_centre_and_near_box(grid, s):
+    params = FractionalParams(grid.ndim, s)
+    matrix = assemble_operator_matrix(grid, params)
+    win = matrix.window
+    if grid.ndim == 2:
+        assert win.mask.shape[0] != win.mask.shape[1] and win.shape[0] != win.shape[1]
+    else:
+        assert np.argwhere(grid.mask).min() == 2 and win.mask.shape == (grid.n - 4,)
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal(grid.n_omega)
+    assert _rel_gap(matrix.apply(vec), matrix.matrix @ vec) <= 1e-12
+    f = rng.standard_normal(grid.n_omega)
+    pcg = solve_dirichlet(f, params, grid, matrix=matrix).values[grid.mask]
+    dense = scipy.linalg.cho_solve(scipy.linalg.cho_factor(matrix.matrix), f)
+    assert _rel_gap(pcg, dense) <= 1e-8
+
+
+def test_window_transform_smaller_than_box_transform():
+    grid = build_grid(2, ((-2.0, 2.0),) * 2, 129, Ball((0.0, 0.0), 1.0))
+    window = assemble_operator_matrix(grid, FractionalParams(2, 0.5)).window
+    assert all(side < toeplitz_operator(2, 129, 0.5).size for side in window.shape)
 
 
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 11)])
