@@ -115,10 +115,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def on_omega(self):
-        """Values restricted to Omega nodes (flat, mask order)."""
-        return self.values[self.grid.mask].copy()
-
     def linf(self):
         return float(np.abs(self.values).max())
 

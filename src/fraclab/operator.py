@@ -6,18 +6,21 @@ Toeplitz kernel plus a diagonal,
   (A u)_i = C h^(-2s) (d_i u_i - sum_{j != i} t(j - i) u_j),
 
 with d and t built from nonnegative weights once per (ndim, n, s) at
-unit spacing, scaled by h^(-2s) (FractionalParams.scale).
-apply_fractional_laplacian evaluates it at every box node with one real
-FFT convolution.  assemble_operator_matrix returns the operator
-restricted to Omega (OperatorMatrix): every product with it is
-apply(), an FFT convolution on Omega's bounding box with t cut to the
-offsets that box holds, and solve() runs conjugate gradients on apply()
-with the windowed circulant of that cut kernel as preconditioner.  Its
-dense matrix is gathered from d and t onto Omega pairs only when first
-read, by `spectrum`, the one symmetric eigendecomposition of A that the
-time steppers use for every step size, and by the dense cross-checks.  Since
-t(kappa) = t(-kappa) exactly, the restricted matrix is
-exactly symmetric with the M-matrix sign pattern: positive diagonal,
+unit spacing, scaled by h^(-2s) (FractionalParams.scale).  Every FFT
+product with t takes its transform from kernel_transform: for a box of
+extent b per axis, t cut to the offsets |k| <= b - 1 and transformed at
+next_fast_len(2b - 1), built on first use per extent and kept with the
+kernel.  apply_fractional_laplacian evaluates the operator at every box
+node with one such convolution on the grid box.  assemble_operator_matrix
+returns the operator restricted to Omega (OperatorMatrix): every product
+with it is apply(), the same convolution on Omega's bounding box, and
+solve() runs conjugate gradients on apply() with the circulant of that
+box's transform as preconditioner, so it never builds the grid-box
+transform.  Its dense matrix is gathered from d and t onto Omega pairs
+only when first read, by `spectrum`, the one symmetric eigendecomposition
+of A that the time steppers use for every step size, and by the dense
+cross-checks.  Since t(kappa) = t(-kappa) exactly, the restricted matrix
+is exactly symmetric with the M-matrix sign pattern: positive diagonal,
 nonpositive off-diagonal, and a strictly positive action on the
 all-ones vector.  That structure carries the discrete maximum principle
 used by the solvers and semigroup tests.
@@ -75,30 +78,19 @@ class FractionalParams:
         return self.cns * h ** (-2 * self.s)
 
 
-Toeplitz = namedtuple("Toeplitz", "t d t_hat size near")
-Window = namedtuple("Window", "mask t t_hat shape d inverse_symbol")
-
-
-def _kernel_transform(t, shape):
-    """Real FFT of the centred kernel t (offsets |k| <= (t.shape - 1) / 2) on a grid of `shape`.
-
-    t(k) goes to index k mod shape: no wrap-around while each side of
-    `shape` is at least t's.
-    """
-    wrapped = np.zeros(shape)
-    wrapped[np.ix_(*[np.arange(-(w // 2), w // 2 + 1) % L
-                     for w, L in zip(t.shape, shape)])] = t
-    return scipy.fft.rfftn(wrapped)
+Toeplitz = namedtuple("Toeplitz", "t d near transforms")
+Window = namedtuple("Window", "mask t_hat shape d inverse_symbol")
 
 
 @lru_cache(maxsize=16)
 def toeplitz_operator(ndim, n, s):
-    """Kernel t, diagonal d and the size-point real FFT t_hat of t, at unit spacing.
+    """Kernel t (offsets |k| <= n - 1 per axis) and diagonal d, at unit spacing.
 
     The one kernel cache: every grid with this (ndim, n, s) shares the
     entry, whatever its box, and FractionalParams.scale(h) supplies the
     normalization and the spacing.  t and d include the near-field
-    stencil, whose weight per unit offset is `near`.
+    stencil, whose weight per unit offset is `near`.  No transform is
+    built here: kernel_transform fills `transforms` on first use.
     """
     kernel = (sweep_1d if ndim == 1 else sweep_2d)(n, s)
     t, d = kernel.far, kernel.diag + 2 * ndim * kernel.near
@@ -107,11 +99,30 @@ def toeplitz_operator(ndim, n, s):
             unit = [n - 1] * ndim
             unit[axis] += step
             t[tuple(unit)] += kernel.near
-    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    t_hat = _kernel_transform(t, (size,) * ndim)
-    for part in (t, d, t_hat):
+    for part in (t, d):
         part.setflags(write=False)
-    return Toeplitz(t, d, t_hat, size, kernel.near)
+    return Toeplitz(t, d, kernel.near, {})
+
+
+def kernel_transform(op, extents):
+    """(t_hat, shape): the real FFT of op's kernel for products on a box of these extents.
+
+    A product on a box of extent b per axis reads t only at offsets
+    |k| <= b - 1.  That cut goes to index k mod shape, with shape
+    next_fast_len(2b - 1) per axis, so the circulant product holds the
+    linear convolution without wrap-around.  Built on first use per
+    extent tuple and kept with the kernel in op.transforms.
+    """
+    if extents not in op.transforms:
+        n = (op.t.shape[0] + 1) // 2
+        shape = tuple(scipy.fft.next_fast_len(2 * b - 1, real=True) for b in extents)
+        wrapped = np.zeros(shape)
+        wrapped[np.ix_(*[np.arange(1 - b, b) % L for b, L in zip(extents, shape)])] = \
+            op.t[tuple(slice(n - b, n - 1 + b) for b in extents)]
+        t_hat = scipy.fft.rfftn(wrapped)
+        t_hat.setflags(write=False)
+        op.transforms[extents] = (t_hat, shape)
+    return op.transforms[extents]
 
 
 def _circulant(values, symbol, shape):
@@ -121,8 +132,8 @@ def _circulant(values, symbol, shape):
 
 
 def convolve(op, values):
-    """sum_j t(j - i) values_j at every box node i, for the kernel t of op."""
-    return _circulant(values, op.t_hat, (op.size,) * values.ndim)
+    """sum_j t(j - i) values_j at every node i of the box that values fill, for op's kernel t."""
+    return _circulant(values, *kernel_transform(op, values.shape))
 
 
 def apply_fractional_laplacian(u, params):
@@ -150,10 +161,10 @@ class OperatorMatrix:
     """The operator restricted to Omega nodes (mask order).
 
     The kernel comes from toeplitz_operator when the operator is made.
-    apply() and solve() work from its cut to Omega's bounding box alone
-    (`window`); the dense matrix is gathered from the kernel only on first
-    access to `matrix` or `spectrum`, which raise MemoryBudgetError above
-    DEFAULT_DENSE_CAP Omega nodes.
+    apply() and solve() work from its transform on Omega's bounding box
+    alone (`window`); the dense matrix is gathered from the kernel only on
+    first access to `matrix` or `spectrum`, which raise MemoryBudgetError
+    above DEFAULT_DENSE_CAP Omega nodes.
     """
 
     grid: Grid
@@ -192,34 +203,28 @@ class OperatorMatrix:
 
     @cached_property
     def window(self):
-        """The kernel cut to Omega's bounding box, built on first use.
+        """The kernel transform on Omega's bounding box, built on first use.
 
-        With b Omega's bounding-box extent per axis, a product on Omega
-        vectors reads t only at offsets |k| <= b - 1; their real FFT at
-        next_fast_len(2b - 1) per axis serves apply() without wrap-around.
-        Holds the box's Omega mask, the cut t, its transform t_hat and the
-        transform's shape, d on Omega, and the inverse of the windowed
+        Holds the box's Omega mask, kernel_transform's t_hat and shape for
+        that box's extents, d on Omega, and the inverse of the windowed
         circulant preconditioner symbol C (max d - t_hat).  That symbol
         is positive when max d exceeds the window's kernel sum, its
         largest t_hat; SingularOperatorError reports its minimum if not.
         """
-        grid, op = self.grid, self.kernel
+        grid = self.grid
         nodes = np.argwhere(grid.mask)
         mask = grid.mask[tuple(slice(lo, hi + 1)
                                for lo, hi in zip(nodes.min(axis=0), nodes.max(axis=0)))]
-        n = grid.n
-        t = op.t[tuple(slice(n - b, n - 1 + b) for b in mask.shape)]
-        shape = tuple(scipy.fft.next_fast_len(2 * b - 1, real=True) for b in mask.shape)
-        t_hat = _kernel_transform(t, shape)
-        d = op.d[grid.mask]
+        t_hat, shape = kernel_transform(self.kernel, mask.shape)
+        d = self.kernel.d[grid.mask]
         symbol = self.params.scale(grid.h) * (d.max() - t_hat.real)
         if not symbol.min() > 0.0:
             raise SingularOperatorError(
                 f"windowed circulant preconditioner symbol has minimum {symbol.min():.3e} <= 0")
         inverse_symbol = 1.0 / symbol
-        for part in (t, t_hat, d, inverse_symbol):
+        for part in (d, inverse_symbol):
             part.setflags(write=False)
-        return Window(mask, t, t_hat, shape, d, inverse_symbol)
+        return Window(mask, t_hat, shape, d, inverse_symbol)
 
     def _circulant(self, vec, symbol):
         """Circulant product of an Omega vector on Omega's bounding box, restricted to Omega."""

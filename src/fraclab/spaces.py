@@ -49,6 +49,8 @@ def _region_selector(u, region):
 
 def lp_norm(u, p, region=None):
     """Riemann-sum L^p norm over the region's nodes (max for p = inf)."""
+    if not p >= 1:  # also rejects nan
+        raise ValueError(f"p must be >= 1 (inf allowed), got {p}")
     grid = u.grid
     sel = _region_selector(u, region)
     vals = np.abs(u.values[sel])
@@ -56,8 +58,6 @@ def lp_norm(u, p, region=None):
         return 0.0
     if np.isinf(p):
         return float(vals.max())
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     return float((vals ** p).sum() * grid.h ** grid.ndim) ** (1.0 / p)
 
 
@@ -367,8 +367,10 @@ def besov_seminorm(u, sigma, p, q):
     sig, scalar = _sweep_of(sigma)
     if not np.all((sig > 0) & (sig < 2) & (sig != 1)):
         raise ValueError(f"sigma must lie in (0,1) or (1,2), got {sigma}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not p >= 1:  # also rejects nan
+        raise ValueError(f"p must be >= 1 (inf allowed), got {p}")
+    if not q > 0:
+        raise ValueError(f"q must be > 0 (inf allowed), got {q}")
     grid = u.grid
     n, h, ndim = grid.n, grid.h, grid.ndim
     up_norm = lp_norm(u, p)

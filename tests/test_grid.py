@@ -65,7 +65,7 @@ def test_extend_by_zero_and_restrict_identity(grid65):
     assert u.dirichlet
     assert np.all(u.values[grid65.mask] == 1.0)
     assert np.all(u.values[~grid65.mask] == 0.0)
-    again = extend_by_zero(u.on_omega(), grid65)
+    again = extend_by_zero(u.values[grid65.mask], grid65)
     assert np.array_equal(again.values, u.values)
 
 

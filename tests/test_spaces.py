@@ -5,7 +5,7 @@ import pytest
 
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, apply_fractional_laplacian
-from fraclab.regions import Ball
+from fraclab.regions import Ball, Box
 from fraclab.reference import shift_loop_besov
 from fraclab.spaces import (
     _difference_norms,
@@ -29,10 +29,17 @@ def test_lp_norm_basics(grid129):
     assert lp_norm(extend_by_zero(peak, grid129), math.inf) == 3.0
 
 
-def test_lp_norm_rejects_bad_p(grid129):
-    ones = extend_by_zero(np.ones(grid129.n_omega), grid129)
-    with pytest.raises(ValueError):
-        lp_norm(ones, 0.5)
+@pytest.mark.parametrize("p, region", [
+    (0.5, None),
+    (0.5, Box((0.01,), (0.02,))),  # no node: p is checked before the empty region
+    (-math.inf, None),
+    (math.nan, None),
+], ids=["half", "half-empty-region", "minus-inf", "nan"])
+def test_lp_norm_rejects_bad_p(p, region):
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    ones = extend_by_zero(np.ones(grid.n_omega), grid)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm(ones, p, region)
 
 
 def test_gagliardo_zero_and_constant(grid129):
@@ -137,6 +144,12 @@ def test_besov_sup_variant(grid65, bump65):
 def test_besov_rejects_sigma_one(bump65):
     with pytest.raises(ValueError):
         besov_seminorm(bump65, 1.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+def test_besov_rejects_nonpositive_q(bump65, q):
+    with pytest.raises(ValueError, match="q must be > 0"):
+        besov_seminorm(bump65, 0.5, 2.0, q)
 
 
 def test_sobolev_seminorm_composed_range(grid65, bump65):
