@@ -10,10 +10,11 @@ from __future__ import annotations
 import filecmp
 import math
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .elliptic import solve_dirichlet
 from .experiments import run_experiment
@@ -244,18 +245,36 @@ def criterion_9(out_dir, shared=None):
                            f"worst matrix-vs-naive gap {worst:.2e} (<= 1e-12)")
 
 
+_CHILD = "import sys; from fraclab.acceptance import run_criteria; " \
+    "run_criteria(sys.argv[1], [int(a) for a in sys.argv[2:]])"
+_DETERMINISM_RUNS = (("forward", "0", range(1, 10)), ("reverse", "1", range(9, 0, -1)))
+
+
 def criterion_10(out_dir, shared=None):
-    """Criterion runs 1-9 write byte-identical artifacts at 1 and 8 FFT workers."""
-    dirs = {}
-    for workers in (1, 8):
-        sub = os.path.join(out_dir, f"criterion_10_threads{workers}")
-        os.makedirs(sub, exist_ok=True)
-        fresh = {}
-        with scipy.fft.set_workers(workers):
-            for fn in CRITERIA[:9]:
-                fn(sub, fresh)
-        dirs[workers] = sub
-    mismatches = _tree_diff(dirs[1], dirs[8])
+    """Criteria 1-9 write byte-identical artifacts in two fresh interpreters.
+
+    Each child runs at one BLAS thread; the second has another hash seed
+    and runs the criteria in reverse order, so its caches start cold and
+    fill in another order.  The two children run side by side.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    dirs, children = [], []
+    for name, seed, order in _DETERMINISM_RUNS:
+        sub = os.path.join(out_dir, f"criterion_10_{name}")
+        dirs.append(sub)
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _CHILD, sub, *map(str, order)],
+            env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    errors = [child.communicate()[1].strip() for child in children]
+    for (name, _, _), child, err in zip(_DETERMINISM_RUNS, children, errors):
+        if child.returncode != 0:
+            return CriterionResult(10, "determinism", False, f"{name} run exited "
+                                   f"{child.returncode}: {err.splitlines()[-1] if err else ''}")
+    mismatches = _tree_diff(*dirs)
     passed = not mismatches
     detail = "all artifact bytes identical" if passed else \
         f"differing files: {', '.join(mismatches[:5])}"
@@ -284,11 +303,8 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_criteria(out_dir, numbers=None):
+    """Run the criteria numbered in `numbers`, in that order (default: all, ascending)."""
     os.makedirs(out_dir, exist_ok=True)
     shared = {}
-    results = []
-    for idx, fn in enumerate(CRITERIA, start=1):
-        if numbers is not None and idx not in numbers:
-            continue
-        results.append(fn(out_dir, shared))
-    return results
+    order = range(1, len(CRITERIA) + 1) if numbers is None else numbers
+    return [CRITERIA[idx - 1](out_dir, shared) for idx in order]

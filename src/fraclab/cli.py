@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import scipy.fft
-
 from . import __version__
 from .acceptance import run_criteria
 from .errors import ConfigError, FracLabError
@@ -34,16 +32,12 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="config file path")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="FFT worker threads of the operator apply (results do not depend on it)")
 
     p_list = sub.add_parser("list", help="list experiment recipes")
     p_list.add_argument("--json", action="store_true", help="emit a JSON array")
 
     p_check = sub.add_parser("check", help="run the embedded acceptance suite")
     p_check.add_argument("--out", default="out/acceptance", help="output directory")
-    p_check.add_argument("--threads", type=int, default=1,
-                         help="FFT worker threads of the operator apply (results do not depend on it)")
     p_check.add_argument("--criteria", default=None,
                          help="comma-separated criterion numbers (default: all)")
     return parser
@@ -63,8 +57,7 @@ def cmd_run(args):
         print("error: config needs [experiment] name = <recipe>", file=sys.stderr)
         return EXIT_USAGE
     try:
-        with scipy.fft.set_workers(max(1, args.threads)):
-            summary = run_experiment(name, cfg, args.out)
+        summary = run_experiment(name, cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -99,8 +92,7 @@ def cmd_check(args):
             print("error: criterion numbers must lie in 1..10", file=sys.stderr)
             return EXIT_USAGE
     try:
-        with scipy.fft.set_workers(max(1, args.threads)):
-            results = run_criteria(args.out, numbers=numbers)
+        results = run_criteria(args.out, numbers=None if numbers is None else sorted(numbers))
     except FracLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,8 +25,9 @@ nonpositive off-diagonal, and a strictly positive action on the
 all-ones vector.  That structure carries the discrete maximum principle
 used by the solvers and semigroup tests.
 
-The FFTs run on scipy.fft's worker count (scipy.fft.set_workers); the
-results do not depend on it.
+The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
+lengths (next_fast_len).  scipy.linalg is imported by `spectrum` alone,
+on first use, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import MemoryBudgetError, SingularOperatorError
 from .gridfn import Grid, GridFunction
@@ -104,6 +103,19 @@ def toeplitz_operator(ndim, n, s):
     return Toeplitz(t, d, kernel.near, {})
 
 
+def next_fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: a length that the real FFT handles fast."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def kernel_transform(op, extents):
     """(t_hat, shape): the real FFT of op's kernel for products on a box of these extents.
 
@@ -115,11 +127,11 @@ def kernel_transform(op, extents):
     """
     if extents not in op.transforms:
         n = (op.t.shape[0] + 1) // 2
-        shape = tuple(scipy.fft.next_fast_len(2 * b - 1, real=True) for b in extents)
+        shape = tuple(next_fast_len(2 * b - 1) for b in extents)
         wrapped = np.zeros(shape)
         wrapped[np.ix_(*[np.arange(1 - b, b) % L for b, L in zip(extents, shape)])] = \
             op.t[tuple(slice(n - b, n - 1 + b) for b in extents)]
-        t_hat = scipy.fft.rfftn(wrapped)
+        t_hat = np.fft.rfftn(wrapped, axes=range(len(shape)))
         t_hat.setflags(write=False)
         op.transforms[extents] = (t_hat, shape)
     return op.transforms[extents]
@@ -127,7 +139,8 @@ def kernel_transform(op, extents):
 
 def _circulant(values, symbol, shape):
     """Product with the circulant of this symbol on values padded to `shape`, cut back."""
-    full = scipy.fft.irfftn(scipy.fft.rfftn(values, shape) * symbol, shape)
+    axes = range(len(shape))
+    full = np.fft.irfftn(np.fft.rfftn(values, shape, axes) * symbol, shape, axes)
     return full[tuple(slice(0, n) for n in values.shape)]
 
 
@@ -246,6 +259,8 @@ class OperatorMatrix:
         Read-only, computed on first access and shared by every function of A
         the time steppers take, such as (I + c A)^(-1) for any c.
         """
+        import scipy.linalg  # on first use: importing operator loads no scipy
+
         try:
             lam, vecs = scipy.linalg.eigh(self.matrix, driver="evd", check_finite=False)
         except scipy.linalg.LinAlgError as exc:

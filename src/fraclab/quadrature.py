@@ -14,8 +14,9 @@ weighted sum of lattice values of phi:
 
 Near-cell weights integrate z^(1-2s) exactly; the shifted exponent keeps
 every formula regular for all s in (0,1), including s = 1/2.  Far tails
-beyond the grid box are evaluated in closed form (incomplete-beta in 2D),
-so the exterior-zero extension contributes no truncation error.
+beyond the grid box are evaluated in closed form (in 2D, quadrant
+integrals as short power series in the corner angle), so the
+exterior-zero extension contributes no truncation error.
 
 On the grid, the weight that the value at node x + kappa h receives in
 the sum for node x depends on the offset kappa alone whenever that node
@@ -52,12 +53,13 @@ axis.  Both tables therefore hold these symmetries exactly.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betainc, gammaln
+from numpy.polynomial.polynomial import polyval
 
 Kernel = namedtuple("Kernel", "far near diag")
 
@@ -132,7 +134,7 @@ def near_square_moment(s):
 
 def _beta_full(s):
     # B(s + 1/2, 1/2)
-    return float(np.exp(gammaln(s + 0.5) + gammaln(0.5) - gammaln(s + 1.0)))
+    return math.exp(math.lgamma(s + 0.5) + math.lgamma(0.5) - math.lgamma(s + 1.0))
 
 
 def halfplane_integral(d, s):
@@ -140,25 +142,71 @@ def halfplane_integral(d, s):
     return _beta_full(s) * d ** (-2 * s) / (2 * s)
 
 
+# Series terms in theta^2 <= (pi/4)^2.  (sin t / t)^(2s) is analytic for
+# |t| < pi and cos^(2s) t for |t| < pi/2, so the terms shrink by 1/16 and
+# 1/4 each, and these counts end them below 1e-18 of the first.
+_SIN_TERMS, _COS_TERMS = 16, 30
+
+
+def _power_series(coef, alpha):
+    """Coefficients of f(x)^alpha for f(x) = sum_k coef[k] x^k with coef[0] = 1.
+
+    J.C.P. Miller's recurrence: k b_k = sum_{j=1..k} ((alpha + 1) j - k) coef[j] b_{k-j}.
+    """
+    b = [1.0]
+    for k in range(1, len(coef)):
+        b.append(sum(((alpha + 1) * j - k) * coef[j] * b[k - j] for j in range(1, k + 1)) / k)
+    return b
+
+
+@lru_cache(maxsize=32)
+def _angular_series(s):
+    """Power series in x = theta^2 of the two angular integrals of corner_integral.
+
+    The coefficients of int_0^theta sin^(2s) / theta^(2s+1) and of
+    int_0^theta cos^(2s) / theta, lowest power first.  sin^(2s) t =
+    t^(2s) (sin t / t)^(2s); both powers are even series in t, integrated
+    term by term.
+    """
+    sinc = _power_series([(-1) ** k / math.factorial(2 * k + 1) for k in range(_SIN_TERMS)], 2 * s)
+    cos = _power_series([(-1) ** k / math.factorial(2 * k) for k in range(_COS_TERMS)], 2 * s)
+    return ([b / (2 * s + 2 * k + 1) for k, b in enumerate(sinc)],
+            [b / (2 * k + 1) for k, b in enumerate(cos)])
+
+
 def corner_integral(p, q, s):
-    """int over the quadrant {z1 > p, z2 > q} of |z|^(-2-2s) dz, p,q > 0."""
-    bf = _beta_full(s)
-    sin2 = q * q / (p * p + q * q)
-    part1 = q ** (-2 * s) * betainc(s + 0.5, 0.5, sin2)
-    part2 = p ** (-2 * s) * betainc(s + 0.5, 0.5, 1.0 - sin2)
-    return bf / (4 * s) * (part1 + part2)
+    """int over the quadrant {z1 > p, z2 > q} of |z|^(-2-2s) dz, p,q > 0.
+
+    The integral is symmetric in p and q.  With lo = min(p, q) and
+    hi = max(p, q), take the edges z1 = hi and z2 = lo: the corner (hi, lo)
+    sits at the polar angle theta = atan(lo/hi) <= pi/4.  A ray at angle
+    t < theta enters the quadrant at radius lo/sin t, one at t > theta at
+    radius hi/cos t, and the radial integral from there is radius^(-2s)/(2s):
+
+      (lo^(-2s) int_0^theta sin^(2s) + hi^(-2s) (B(s+1/2, 1/2)/2 - int_0^theta cos^(2s))) / (2s),
+
+    with both integrals power series in theta^2.  Array arguments broadcast.
+    """
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    theta = np.arctan2(lo, hi)
+    x = theta * theta
+    sin_coef, cos_coef = _angular_series(s)
+    part_sin = (theta / lo) ** (2 * s) * theta * polyval(x, sin_coef)
+    part_cos = hi ** (-2 * s) * (0.5 * _beta_full(s) - theta * polyval(x, cos_coef))
+    return (part_sin + part_cos) / (2 * s)
 
 
-def rect_complement_integral(p1, q1, p2, q2, s):
+def rect_complement_integral(p1, q1, p2, q2, s, corner=corner_integral):
     """int over R^2 minus the rectangle [-p1,q1]x[-p2,q2] of |z|^(-2-2s) dz.
 
     The origin must be interior (all distances positive).  Array
-    arguments broadcast.
+    arguments broadcast.  corner(p, q, s) supplies the four quadrant
+    integrals, corner_integral unless a table of them is at hand.
     """
     total = sum(halfplane_integral(d, s) for d in (p1, q1, p2, q2))
     for dx in (p1, q1):
         for dy in (p2, q2):
-            total -= corner_integral(dx, dy, s)
+            total -= corner(dx, dy, s)
     return total
 
 
@@ -254,14 +302,23 @@ def tail_integral_2d(n, s):
     the kernel is even, so both complements carry the same integral.
     Zero on the box edge, where the tail always meets a vanishing factor.
     Evaluated at the nodes i <= j <= (n-1)/2, where p = i and q = n-1-i
-    has min(p, q) = p, and mirrored to the rest.
+    has min(p, q) = p, and mirrored to the rest.  Every corner of both
+    rectangles sits at an integer pair in [1, n-2]^2, so corner_integral
+    runs once per pair 1 <= p <= q <= n-2 into one symmetric table.
     """
+    p, q = np.triu_indices(n - 2)
+    p, q = p + 1, q + 1
+    table = np.zeros((n - 1, n - 1))
+    table[p, q] = table[q, p] = corner_integral(p.astype(float), q.astype(float), s)
     half = (n - 1) // 2
     i, j = np.triu_indices(half)
     i, j = i + 1, j + 1
-    pi, pj = i.astype(float), j.astype(float)
-    r_plus = rect_complement_integral(pi, (n - 1) - pi, pj, (n - 1) - pj, s)
-    r_cap = rect_complement_integral(pi, pi, pj, pj, s)
+
+    def rect(p1, q1, p2, q2):
+        return rect_complement_integral(p1, q1, p2, q2, s, corner=lambda a, b, _: table[a, b])
+
+    r_plus = rect(i, (n - 1) - i, j, (n - 1) - j)
+    r_cap = rect(i, i, j, j)
     quarter = np.zeros((half + 1, half + 1))
     quarter[i, j] = quarter[j, i] = 2.0 * r_plus - r_cap
     fold = np.minimum(np.arange(n), np.arange(n - 1, -1, -1))

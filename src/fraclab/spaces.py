@@ -288,7 +288,7 @@ def _gradient_components(u):
 
 
 def sobolev_seminorm(u, sigma, p, region=None):
-    """Order-sigma seminorm for sigma in (0, 2), one exponent or a sweep.
+    """Order-sigma seminorm for sigma in (0, 2) and p in (1, inf), one exponent or a sweep.
 
     (0,1): Gagliardo double sum.  sigma = 1: L^p norm of the gradient.
     (1,2): first differences composed with the fractional seminorm of
@@ -298,6 +298,8 @@ def sobolev_seminorm(u, sigma, p, region=None):
     sig, scalar = _sweep_of(sigma)
     if not np.all((sig > 0) & (sig < 2)):
         raise ValueError(f"sigma must lie in (0, 2), got {sigma}")
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p}")
     out = np.empty(sig.size)
     lo, one, hi = sig < 1.0, sig == 1.0, sig > 1.0
     comps = _gradient_components(u) if (one | hi).any() else []

@@ -2,6 +2,8 @@ import ast
 import filecmp
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,15 +168,45 @@ nt = 2
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_determinism_across_threads(tmp_path, capsys):
+def _child_env(**extra):
+    src = str(SRC_DIR.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def test_cli_runs_agree_across_hash_seeds(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL_RUN)
-    out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["run", "--config", str(cfg_path), "--out", str(out8), "--threads", "8"]) == 0
-    for name in sorted(os.listdir(out1)):
-        assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "fraclab.cli", "run", "--config", str(cfg_path),
+             "--out", str(out)],
+            env=_child_env(PYTHONHASHSEED=seed, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "solution.csv" in names
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+@pytest.mark.parametrize("command", [["run", "--config", "exp.cfg"], ["check"]])
+def test_cli_threads_option_is_gone(command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", "1"])
+    assert exc.value.code == 2
+
+
+def test_import_path_loads_no_scipy():
+    probe = ("import sys, fraclab, fraclab.cli, fraclab.acceptance, fraclab.reference; "
+             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_check_subset(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 from fraclab import operator
@@ -29,6 +30,11 @@ def test_normalization_2d_value():
     # evaluated independently from the closed form with a Gamma routine
     assert normalization_constant(2, 0.75) == pytest.approx(0.1711671296905524, rel=1e-12)
     assert abs(normalization_constant(2, 0.75) - 0.1712) < 5e-5
+
+
+def test_next_fast_len_matches_scipy():
+    want = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 5000)]
+    assert [operator.next_fast_len(n) for n in range(1, 5000)] == want
 
 
 def test_normalization_scipy_cross_check():

@@ -19,7 +19,8 @@ and on an interval two cells from the box edge, whose window is nearly
 the whole box.
 The 2D corner-weight and tail tables, evaluated on one lattice octant
 and mirrored, match a full-lattice evaluation and hold the eight
-symmetries of the square exactly.
+symmetries of the square exactly.  The quadrant integral's power series
+in the corner angle matches the incomplete-beta closed form.
 The eigenvectors of the operator's spectrum are orthonormal, and the
 spectral (I + c A)^(-1) b agrees with a Cholesky solve.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
@@ -30,6 +31,7 @@ gives each datum its one-datum image, in order.
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import betainc, betaincc, gammaln
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
@@ -49,6 +51,7 @@ from fraclab.quadrature import (
     _GAUSS_FAR,
     _GAUSS_SCHEDULE,
     cell_corner_weights,
+    corner_integral,
     first_cell_moment,
     interior_weights_1d,
     near_square_moment,
@@ -228,6 +231,32 @@ def _full_lattice_tail(n, s):
     tail = np.zeros((n, n))
     tail[1:-1, 1:-1] = 2.0 * r_plus - r_cap
     return tail
+
+
+def _corner_integral_betainc(p, q, s):
+    """corner_integral by the incomplete-beta closed form.
+
+    B(s+1/2, 1/2)/(4s) (lo^(-2s) I_x(s+1/2, 1/2) + hi^(-2s) I_(1-x)(s+1/2, 1/2)),
+    x = lo^2/(lo^2 + hi^2) <= 1/2.  The second term goes through betaincc at x,
+    not betainc at 1 - x: the rounding of 1 - x near 1 costs up to 1e-13
+    relative at lo/hi ~ 1/4000.
+    """
+    lo, hi = min(p, q), max(p, q)
+    x = lo * lo / (lo * lo + hi * hi)
+    beta = np.exp(gammaln(s + 0.5) + gammaln(0.5) - gammaln(s + 1.0))
+    return beta / (4 * s) * (lo ** (-2 * s) * betainc(s + 0.5, 0.5, x)
+                             + hi ** (-2 * s) * betaincc(0.5, s + 0.5, x))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.floats(1.0, 4096.0), st.floats(1.0, 4096.0), st.floats(0.01, 0.99))
+@example(1.0, 4096.0, 0.01)
+@example(4096.0, 1.0, 0.99)
+@example(7.0, 7.0, 0.5)
+def test_corner_integral_matches_incomplete_beta(p, q, s):
+    exact = _corner_integral_betainc(p, q, s)
+    assert abs(corner_integral(p, q, s) / exact - 1.0) <= 1e-14
+    assert corner_integral(p, q, s) == corner_integral(q, p, s)
 
 
 @PROPERTY

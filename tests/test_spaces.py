@@ -161,6 +161,17 @@ def test_sobolev_seminorm_composed_range(grid65, bump65):
         sobolev_seminorm(bump65, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+def test_sobolev_seminorm_rejects_p_outside_open_range(bump65, sigma):
+    # (...) ** (1/p) at p = inf was x ** 0: u and 7u both read 1.0 at sigma >= 1
+    for u in (bump65, GridFunction(bump65.grid, 7.0 * bump65.values)):
+        for p in (1.0, math.inf):
+            with pytest.raises(ValueError, match="p must lie in"):
+                sobolev_seminorm(u, sigma, p)
+    seven = sobolev_seminorm(GridFunction(bump65.grid, 7.0 * bump65.values), sigma, 2.0)
+    assert seven == pytest.approx(7.0 * sobolev_seminorm(bump65, sigma, 2.0), rel=1e-12)
+
+
 def test_potential_norm_zero_and_getoor():
     errs = []
     for n in (129, 257):
