@@ -1,13 +1,15 @@
 """Command-line driver: run named experiments, list them, run the check suite.
 
-Exit codes: 0 success, 2 usage/config parse error, 3 numerical failure,
-4 acceptance-threshold failure of `check`.
+Exit codes: 0 success, 2 usage/config parse error or an --out directory
+that cannot be created, 3 numerical failure, 4 acceptance-threshold
+failure of `check`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -43,6 +45,16 @@ def build_parser():
     return parser
 
 
+def make_out_dir(path):
+    """Create the output directory; False, after an error line naming it, if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args):
     try:
         cfg = parse_config(args.config)
@@ -55,6 +67,8 @@ def cmd_run(args):
     name = cfg.get_str("experiment", "name", default=None)
     if name is None:
         print("error: config needs [experiment] name = <recipe>", file=sys.stderr)
+        return EXIT_USAGE
+    if not make_out_dir(args.out):
         return EXIT_USAGE
     try:
         summary = run_experiment(name, cfg, args.out)
@@ -91,6 +105,8 @@ def cmd_check(args):
         if not numbers.issubset(set(range(1, 11))):
             print("error: criterion numbers must lie in 1..10", file=sys.stderr)
             return EXIT_USAGE
+    if not make_out_dir(args.out):
+        return EXIT_USAGE
     try:
         results = run_criteria(args.out, numbers=None if numbers is None else sorted(numbers))
     except FracLabError as exc:

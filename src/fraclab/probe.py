@@ -140,7 +140,8 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     method is one of METHODS: the cut-off target's order-sigma Sobolev
     seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm; region
     mode has only the first.  A sweep entry is divergent when its
-    growth_rate meets rate_threshold.
+    growth_rate meets rate_threshold.  A level whose seminorms are all 0
+    carries no data on the region and raises InconclusiveVerdictError.
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
@@ -172,7 +173,12 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         if mode == "cutoff":
             outer = inner.expand(margin / 2.0)
             eta = build_cutoff(grid, CutoffSpec(inner, outer))
-        values.append(_level_seminorms(u, sweep, p, method, mode, inner, eta).tolist())
+        level = _level_seminorms(u, sweep, p, method, mode, inner, eta)
+        # all zero: the region holds no grid node, or u vanishes on it (outside Omega)
+        if not level.any():
+            raise InconclusiveVerdictError(
+                f"no data in region {inner.describe()} at n = {grid.n}: every seminorm is 0")
+        values.append(level.tolist())
 
     arr = np.asarray(values)
     rates = [growth_rate(arr[:, j]) for j in range(len(sweep))]

@@ -41,14 +41,17 @@ operator at node x is C h^(-2s) ((diag + 2N near) u(x)
 the unit offsets.
 
 The 2D kernel |z|^(-2s), the Gauss-order schedule and the square box are
-invariant under z1 -> -z1, z2 -> -z2 and z1 <-> z2, so both 2D tables
-are evaluated on one octant and mirrored to the other seven:
-cell_corner_weights runs its Gauss sums only on the cells
-[ka,ka+1]x[kb,kb+1] with 0 <= kb <= ka, one (cells, g^2) by (g^2, 4)
-product per Gauss order g; a reflection ka -> -1-ka swaps the corners
-da = 0 and 1, a transposition swaps (ka, kb) and (da, db).
-tail_integral_2d evaluates the nodes i <= j in the first half of each
-axis.  Both tables therefore hold these symmetries exactly.
+invariant under z1 -> -z1, z2 -> -z2 and z1 <-> z2, so every 2D table
+lives on the first quadrant, and the reflections are applied once where
+a table is read.  cell_corner_weights runs its Gauss sums on the octant
+cells [ka,ka+1]x[kb,kb+1] with 0 <= kb <= ka, one (cells, g^2) by
+(g^2, 4) product per Gauss order g, and transposes them into the
+quadrant; a transposition swaps (ka, kb) and (da, db).  far(kappa) is
+formed on the quadrant and reflected into the offset window.  Per axis,
+both box images B+ and B- seen from node i fold onto [0, lo) and [0, hi)
+of the quadrant, lo = min(i, n-1-i) and hi = n-1-lo, so one fold of a
+quadrant table sums over B+ union B- (_fold): the far part of the
+diagonal and the corner integrals of the tail are both read that way.
 """
 
 from __future__ import annotations
@@ -196,17 +199,16 @@ def corner_integral(p, q, s):
     return (part_sin + part_cos) / (2 * s)
 
 
-def rect_complement_integral(p1, q1, p2, q2, s, corner=corner_integral):
+def rect_complement_integral(p1, q1, p2, q2, s):
     """int over R^2 minus the rectangle [-p1,q1]x[-p2,q2] of |z|^(-2-2s) dz.
 
     The origin must be interior (all distances positive).  Array
-    arguments broadcast.  corner(p, q, s) supplies the four quadrant
-    integrals, corner_integral unless a table of them is at hand.
+    arguments broadcast.
     """
     total = sum(halfplane_integral(d, s) for d in (p1, q1, p2, q2))
     for dx in (p1, q1):
         for dy in (p2, q2):
-            total -= corner(dx, dy, s)
+            total -= corner_integral(dx, dy, s)
     return total
 
 
@@ -226,13 +228,14 @@ def _gauss_order(dist_cells):
 
 @lru_cache(maxsize=8)
 def cell_corner_weights(n, s):
-    """Corner weights int_cell N_corner(z) |z|^(-2s) dz for every unit lattice cell.
+    """Corner weights int_cell N_corner(z) |z|^(-2s) dz on the first-quadrant unit cells.
 
-    Returns cw with shape (2, 2, 2n-2, 2n-2): cw[da, db, a, b] is the weight
-    of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1],
-    ka = a - (n-1), kb = b - (n-1).  Tensor Gauss order grows toward the
-    singularity; the four cells around the origin are near-field cells and
-    get zero weight here.  The cached table is read-only.
+    Returns cw with shape (2, 2, n-1, n-1): cw[da, db, ka, kb] is the weight
+    of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1], 0 <= ka, kb <= n-2.
+    The reflection ka -> -1-ka, which swaps da = 0 and 1, gives the cells
+    of the other quadrants.  Tensor Gauss order grows toward the
+    singularity; the near cell (0, 0) gets zero weight here.  The cached
+    table is read-only.
     """
     # Octant cells 0 <= kb <= ka <= n-2; a cell's Gauss order depends on ka alone there
     ka, kb = np.tril_indices(n - 1)
@@ -255,44 +258,51 @@ def cell_corner_weights(n, s):
     # The transposition fixes the cells ka = kb: their corners (0, 1) and (1, 0)
     # agree up to the summation order, and are made equal
     vals[ka == kb, 2] = vals[ka == kb, 1]
-    # Quadrant ka, kb >= 0: a transposition swaps (ka, kb) and (da, db)
+    # A transposition swaps (ka, kb) and (da, db)
     vals = vals.T.reshape(2, 2, -1)
-    quad = np.empty((2, 2, n - 1, n - 1))
-    quad[:, :, ka, kb] = vals
-    quad.transpose(1, 0, 3, 2)[:, :, ka, kb] = vals
-    # Other quadrants: the reflection ka -> -1-ka maps a -> 2n-3-a and flips da
-    ncell = 2 * n - 2
-    cw = np.empty((2, 2, ncell, ncell))
-    cw[:, :, n - 1:, n - 1:] = quad
-    cw[:, :, :n - 1, n - 1:] = quad[::-1, :, ::-1, :]
-    cw[:, :, n - 1:, :n - 1] = quad[:, ::-1, :, ::-1]
-    cw[:, :, :n - 1, :n - 1] = quad[::-1, ::-1, ::-1, ::-1]
+    cw = np.empty((2, 2, n - 1, n - 1))
+    cw[:, :, ka, kb] = vals
+    cw.transpose(1, 0, 3, 2)[:, :, ka, kb] = vals
     cw.setflags(write=False)
     return cw
 
 
 def far_weight_field(n, s):
-    """Corner weights of every far cell summed per lattice offset, shape (2n-1, 2n-1).
+    """Corner weights of every far cell summed per lattice offset (a, b) >= 0, shape (n, n).
 
-    Index (a + n-1, b + n-1) holds the weight of offset (a, b) when all
-    four cells around it take part in the sum, as they do for every node
-    at least one cell inside the box.
+    Index (a, b) holds the weight of offset (a, b) when all four cells
+    around it take part in the sum, as they do for every node at least one
+    cell inside the box.  The two cells across an axis are the reflections
+    of the two on it and carry the same weights, so the axis row and
+    column are doubled.
     """
     cw = cell_corner_weights(n, s)
-    ncell = 2 * n - 2
-    W = np.zeros((2 * n - 1, 2 * n - 1))
+    W = np.zeros((n, n))
     for da in (0, 1):
         for db in (0, 1):
-            W[da: da + ncell, db: db + ncell] += cw[da, db]
+            W[da: da + n - 1, db: db + n - 1] += cw[da, db]
+    W[0] *= 2.0
+    W[:, 0] *= 2.0
     return W
 
 
-def offset_distance_sq(n):
-    """|kappa|^2 over the offset window, with the center entry set to 1."""
-    base = np.arange(2 * n - 1, dtype=float) - (n - 1)
-    d2 = base[:, None] ** 2 + base[None, :] ** 2
-    d2[n - 1, n - 1] = 1.0
-    return d2
+def _fold(table, lo, hi):
+    """Sum over B+ union B- of an even function, read from its first-quadrant table.
+
+    table[a, b] is the sum over [0, a) x [0, b), and lo, hi the near and far
+    extent of the box images per axis, one entry per node.  Per axis, B+
+    and B- each fold onto [0, lo) and [0, hi), and they overlap in
+    [-lo, lo), which folds onto [0, lo) twice.  So B+ + B- - (B+ cap B-)
+    counts 2 (H x H + L x H + H x L) - 2 L x L, with L = [0, lo), H = [0, hi).
+    """
+    return 2.0 * ((table[np.ix_(hi, hi)] - table[np.ix_(lo, lo)])
+                  + (table[np.ix_(lo, hi)] + table[np.ix_(hi, lo)]))
+
+
+def _extents(n):
+    """lo = min(i, n-1-i) and hi = n-1-lo at the nodes i of one axis."""
+    lo = np.minimum(np.arange(n), np.arange(n - 1, -1, -1))
+    return lo, n - 1 - lo
 
 
 def tail_integral_2d(n, s):
@@ -301,55 +311,40 @@ def tail_integral_2d(n, s):
     B+ = box - x and B- = x - box are the two box images seen from node x;
     the kernel is even, so both complements carry the same integral.
     Zero on the box edge, where the tail always meets a vanishing factor.
-    Evaluated at the nodes i <= j <= (n-1)/2, where p = i and q = n-1-i
-    has min(p, q) = p, and mirrored to the rest.  Every corner of both
-    rectangles sits at an integer pair in [1, n-2]^2, so corner_integral
-    runs once per pair 1 <= p <= q <= n-2 into one symmetric table.
+    With R the integral over a rectangle's complement, the tail is
+    2 R(B+) - R(B+ cap B-); the half-plane terms at the near extents lo
+    cancel, which leaves 2 (hp(hi_i) + hp(hi_j)) less the fold of the
+    corner integrals.  Every corner sits at an integer pair in [1, n-2]^2,
+    so corner_integral runs once per pair 1 <= p <= q <= n-2 into one
+    symmetric table.
     """
     p, q = np.triu_indices(n - 2)
     p, q = p + 1, q + 1
     table = np.zeros((n - 1, n - 1))
     table[p, q] = table[q, p] = corner_integral(p.astype(float), q.astype(float), s)
-    half = (n - 1) // 2
-    i, j = np.triu_indices(half)
-    i, j = i + 1, j + 1
-
-    def rect(p1, q1, p2, q2):
-        return rect_complement_integral(p1, q1, p2, q2, s, corner=lambda a, b, _: table[a, b])
-
-    r_plus = rect(i, (n - 1) - i, j, (n - 1) - j)
-    r_cap = rect(i, i, j, j)
-    quarter = np.zeros((half + 1, half + 1))
-    quarter[i, j] = quarter[j, i] = 2.0 * r_plus - r_cap
-    fold = np.minimum(np.arange(n), np.arange(n - 1, -1, -1))
-    return quarter[np.ix_(fold, fold)]
+    lo, hi = (e[1:-1] for e in _extents(n))
+    hp = halfplane_integral(hi.astype(float), s)
+    return np.pad(2.0 * (hp[:, None] + hp[None, :]) - _fold(table, lo, hi), 1)
 
 
 def sweep_2d(n, s):
     """Kernel of the 2D operator on an n x n grid of unit spacing.
 
-    far(kappa) = (W(kappa) + W(-kappa)) / (2 |kappa|^2) with W the far
-    weight field.  The far part of the diagonal at node x sums, over the
-    far cells in B+ union B-, each cell's corner weights over
-    |corner|^2: two rectangle sums less their intersection, read from a
+    far(kappa) = W(kappa) / |kappa|^2 with W the far weight field, on the
+    first quadrant, reflected once into the offset window, so that
+    far(kappa) = far(-kappa) holds by construction.  The far part of the
+    diagonal at node x sums, over the far cells in B+ union B-, each
+    cell's corner weights over |corner|^2: the fold of a first-quadrant
     summed-area table of those per-cell totals.
     """
-    d2 = offset_distance_sq(n)
-    W = far_weight_field(n, s)
-    far = 0.5 * (W + W[::-1, ::-1]) / d2
+    k = np.arange(n, dtype=float) ** 2
+    d2 = k[:, None] + k[None, :]
+    d2[0, 0] = 1.0
+    far = np.pad(far_weight_field(n, s) / d2, ((n - 1, 0), (n - 1, 0)), mode="reflect")
     cw = cell_corner_weights(n, s)
-    ncell = 2 * n - 2
-    per_cell = sum(cw[da, db] / d2[da: da + ncell, db: db + ncell]
+    per_cell = sum(cw[da, db] / d2[da: da + n - 1, db: db + n - 1]
                    for da in (0, 1) for db in (0, 1))
-    sat = np.zeros((ncell + 1, ncell + 1))
+    sat = np.zeros((n, n))
     sat[1:, 1:] = per_cell.cumsum(axis=0).cumsum(axis=1)
-
-    def cells(lo, hi):
-        # sum over cell rows [lo, hi) x columns [lo, hi), one value per node
-        return sat[hi[:, None], hi] - sat[lo[:, None], hi] - sat[hi[:, None], lo] + sat[lo[:, None], lo]
-
-    i = np.arange(n)
-    m = np.minimum(i, n - 1 - i)
-    far_sum = cells(n - 1 - i, 2 * n - 2 - i) + cells(i, n - 1 + i) - cells(n - 1 - m, n - 1 + m)
-    diag = far_sum + tail_integral_2d(n, s)
+    diag = _fold(sat, *_extents(n)) + tail_integral_2d(n, s)
     return Kernel(far, 0.5 * near_square_moment(s), diag)

@@ -221,6 +221,29 @@ def test_cli_check_rejects_bad_criteria(tmp_path):
     assert main(["check", "--criteria", "0,11"]) == 2
 
 
+def _blocked_out_dirs(tmp_path):
+    """An existing file, and a path below it that no directory can take."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    return taken, taken / "sub"
+
+
+def test_cli_run_out_that_names_a_file_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_RUN)
+    for out in _blocked_out_dirs(tmp_path):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+
+
+def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
+    for out in _blocked_out_dirs(tmp_path):
+        assert main(["check", "--out", str(out), "--criteria", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+
+
 @pytest.mark.parametrize("text, where", [
     ("[experiment]\nname = getoor\n[params]\ns = 0.5, 1.5\n", ":4:5:"),
     ("[experiment]\nname = getoor\n[params]\nndim = 3\n", ":4:8:"),

@@ -1,12 +1,19 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from fraclab.gridfn import GridFunction, build_grid, extend_by_zero
-from fraclab.operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
-from fraclab.quadrature import rect_complement_integral
+from fraclab.operator import (
+    FractionalParams,
+    apply_fractional_laplacian,
+    assemble_operator_matrix,
+    toeplitz_operator,
+)
+from fraclab.quadrature import cell_corner_weights, rect_complement_integral, tail_integral_2d
 from fraclab.reference import naive_apply_omega
 from fraclab.regions import Ball
 
@@ -97,3 +104,54 @@ def test_rect_complement_integral_against_polar_quadrature():
         exact = rect_complement_integral(p1, q1, p2, q2, s)
         approx = oracle(p1, q1, p2, q2, s)
         assert exact == pytest.approx(approx, rel=1e-6)
+
+
+def _tail_mpmath(n, i, j, s):
+    """tail_integral_2d at node (i, j) to 30 digits.
+
+    The cancelling rectangle formula 2 R(B+) - R(B+ cap B-), each R the
+    four half-planes less the four quadrants, with the quadrant integrals
+    in incomplete-beta form:
+    B(s+1/2, 1/2)/(4s) (lo^(-2s) I_x(s+1/2, 1/2) + hi^(-2s) I_(1-x)(s+1/2, 1/2)),
+    x = lo^2/(lo^2 + hi^2).
+    """
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        beta = mp.beta(s + 0.5, 0.5)
+
+        def corner(p, q):
+            lo, hi = mp.mpf(min(p, q)), mp.mpf(max(p, q))
+            x = lo * lo / (lo * lo + hi * hi)
+            return beta / (4 * s) * (lo ** (-2 * s) * mp.betainc(s + 0.5, 0.5, 0, x, regularized=True)
+                                     + hi ** (-2 * s) * mp.betainc(s + 0.5, 0.5, 0, 1 - x, regularized=True))
+
+        def rect(p1, q1, p2, q2):
+            halfplanes = sum(beta * mp.mpf(d) ** (-2 * s) / (2 * s) for d in (p1, q1, p2, q2))
+            return halfplanes - sum(corner(a, b) for a in (p1, q1) for b in (p2, q2))
+
+        pi, qi, pj, qj = i, n - 1 - i, j, n - 1 - j
+        mi, mj = min(pi, qi), min(pj, qj)
+        return 2 * rect(pi, qi, pj, qj) - rect(mi, mi, mj, mj)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_tail_integral_2d_against_mpmath(s):
+    # edge, near-edge and centre nodes, where the tail is small against its O(1) terms
+    n = 257
+    tail = tail_integral_2d(n, s)
+    for i, j in ((1, 1), (1, 25), (1, 128), (2, 7), (128, 1), (64, 3), (128, 128)):
+        exact = _tail_mpmath(n, i, j, s)
+        assert abs(tail[i, j] / float(exact) - 1.0) <= 1e-14, (i, j)
+
+
+def test_2d_kernel_build_memory():
+    # the build holds the first-quadrant tables and one (2n-1)^2 offset window
+    toeplitz_operator.cache_clear()
+    cell_corner_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        toeplitz_operator(2, 257, 0.75)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

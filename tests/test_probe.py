@@ -187,3 +187,15 @@ def test_probe_rejects_p_outside_estimator_range_before_solving(method, p, inner
     with pytest.raises(ValueError, match="p must"):
         estimate_local_exponent(resolve, base, p, inner, method=method)
     assert calls == []
+
+
+@pytest.mark.parametrize("inner", [Box((2.5,), (3.0,)), Box((1.2,), (1.8,))],
+                         ids=["no-node", "outside-omega"])
+def test_probe_of_region_without_data_is_inconclusive(inner):
+    # past the box no node lies in the region; outside Omega u vanishes on it
+    base = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_cusp_resolver(0.5))
+    with pytest.raises(InconclusiveVerdictError, match="no data in region") as exc:
+        estimate_local_exponent(resolve, base, 2.0, inner)
+    assert str(inner.describe()) in str(exc.value)
+    assert len(calls) == 1

@@ -17,10 +17,13 @@ circulant preconditioner has a positive symbol, and the restricted apply
 and the solve hold on an off-centre rectangle, whose window axes differ,
 and on an interval two cells from the box edge, whose window is nearly
 the whole box.
-The 2D corner-weight and tail tables, evaluated on one lattice octant
-and mirrored, match a full-lattice evaluation and hold the eight
-symmetries of the square exactly.  The quadrant integral's power series
-in the corner angle matches the incomplete-beta closed form.
+The 2D corner-weight table, evaluated on one lattice octant and
+transposed into the first quadrant, matches a full-lattice evaluation
+and holds the transposition exactly; the tail table matches a
+full-lattice evaluation and holds the eight symmetries of the square
+exactly, and the kernel is exactly even, t(kappa) = t(-kappa).  The
+quadrant integral's power series in the corner angle matches the
+incomplete-beta closed form.
 The eigenvectors of the operator's spectrum are orthonormal, and the
 spectral (I + c A)^(-1) b agrees with a Cholesky solve.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
@@ -55,8 +58,8 @@ from fraclab.quadrature import (
     first_cell_moment,
     interior_weights_1d,
     near_square_moment,
-    offset_distance_sq,
     rect_complement_integral,
+    sweep_2d,
     tail_coefficient_1d,
     tail_integral_2d,
 )
@@ -265,14 +268,15 @@ def test_corner_integral_matches_incomplete_beta(p, q, s):
 @example(32, 0.5)
 def test_octant_tables_match_full_lattice(n, s):
     cw, tail = cell_corner_weights(n, s), tail_integral_2d(n, s)
-    assert cw.shape == (2, 2, 2 * n - 2, 2 * n - 2) and not cw.flags.writeable
-    assert _rel_gap(cw, _full_lattice_corner_weights(n, s)) <= 1e-14
+    assert cw.shape == (2, 2, n - 1, n - 1) and not cw.flags.writeable
+    assert _rel_gap(cw, _full_lattice_corner_weights(n, s)[:, :, n - 1:, n - 1:]) <= 1e-14
     assert _rel_gap(tail, _full_lattice_tail(n, s)) <= 1e-13
-    # the eight symmetries of the square hold exactly: both reflections and the transposition
-    assert np.array_equal(cw, cw[::-1, :, ::-1, :])  # cw[da, db, a, b] == cw[1-da, db, 2n-3-a, b]
-    assert np.array_equal(cw, cw[:, ::-1, :, ::-1])
+    # the quadrant holds the transposition exactly; the tail both reflections too
     assert np.array_equal(cw, cw.transpose(1, 0, 3, 2))
     assert np.array_equal(tail, tail[::-1]) and np.array_equal(tail, tail.T)
+    # the kernel is even by construction, in each axis alone as well
+    far = sweep_2d(n, s).far
+    assert np.array_equal(far, far[::-1, ::-1]) and np.array_equal(far, far[::-1])
 
 
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
@@ -366,6 +370,11 @@ def _pairwise_remainder(u, eta, c, params):
     up = np.pad(u.values, n - 1)
     ep = np.pad(eta.values, n - 1, constant_values=c)
     out = np.zeros(grid.shape)
+    if ndim == 2:
+        cw = _full_lattice_corner_weights(n, s)
+        kappa = np.arange(2 * n - 1) - (n - 1)
+        d2 = kappa[:, None] ** 2 + kappa[None, :] ** 2
+        d2[n - 1, n - 1] = 1
     for i in np.ndindex(grid.shape):
         window = tuple(slice(k, k + 2 * n - 1) for k in i)
         P = (u.values[i] - up[window]) * (eta.values[i] - ep[window])
@@ -392,12 +401,11 @@ def _pairwise_remainder(u, eta, c, params):
         cells[off - ix: off + n - 1 - ix, off - iy: off + n - 1 - iy] = True
         cells[ix: n - 1 + ix, iy: n - 1 + iy] = True
         cells[off - 1: off + 1, off - 1: off + 1] = False
-        cw = cell_corner_weights(n, s)
         W = np.zeros((2 * n - 1, 2 * n - 1))
         for da in (0, 1):
             for db in (0, 1):
                 W[da: da + 2 * n - 2, db: db + 2 * n - 2] += cw[da, db] * cells
-        V = W / offset_distance_sq(n)
+        V = W / d2
         tail = 0.0
         if 0 < min(ix, iy) and max(ix, iy) < n - 1:
             px, qx, py, qy = ix, n - 1 - ix, iy, n - 1 - iy
