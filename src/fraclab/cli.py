@@ -58,8 +58,8 @@ def make_out_dir(path):
 def cmd_run(args):
     try:
         cfg = parse_config(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -96,14 +96,14 @@ def cmd_list(args):
 
 def cmd_check(args):
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = {int(tok) for tok in args.criteria.replace(",", " ").split()}
         except ValueError:
-            print(f"error: bad --criteria value {args.criteria!r}", file=sys.stderr)
-            return EXIT_USAGE
-        if not numbers.issubset(set(range(1, 11))):
-            print("error: criterion numbers must lie in 1..10", file=sys.stderr)
+            numbers = set()
+        if not numbers or not numbers <= set(range(1, 11)):
+            print(f"error: --criteria needs numbers in 1..10, got {args.criteria!r}",
+                  file=sys.stderr)
             return EXIT_USAGE
     if not make_out_dir(args.out):
         return EXIT_USAGE

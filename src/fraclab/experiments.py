@@ -27,7 +27,8 @@ from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_b
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
-from .probe import DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP, estimate_local_exponent, p_error
+from .probe import (DEFAULT_METHOD, DEFAULT_P, DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP,
+                    estimate_local_exponent, estimator_problem)
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norm
 
@@ -63,16 +64,30 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def write_manifest(out_dir, experiment, cfg, **fields):
+def write_manifest(out_dir, experiment, cfg, grid, regions=None, **fields):
+    """manifest.json: the config echo and `fields`, with ndim and Omega read from `grid`."""
     payload = {"experiment": experiment, "version": __version__,
-               "config": cfg.echo() if cfg is not None else {}}
+               "config": cfg.echo(), "ndim": grid.ndim,
+               "regions": {"omega": grid.omega.describe(), **(regions or {})}}
     payload.update(fields)
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
+def _source_kind(cfg, default="constant"):
+    """[source] profile or `default`, checked to name a profile, and a path if it is csv."""
+    profile = cfg.get_str("source", "profile", default=default)
+    known = ("constant", "jump", "power", "bump", "csv")
+    if profile not in known:
+        raise cfg.error("source", "profile", f"unknown source profile {profile!r} "
+                        f"(known: {', '.join(known)})")
+    if profile == "csv" and not cfg.has("source", "path"):
+        raise cfg.error("source", "profile", "missing key 'path' in section [source]")
+    return profile
+
+
 def source_profile(cfg, grid, default="constant"):
     """Source on Omega nodes from the [source] section, of profile `default` if it sets none."""
-    profile = cfg.get_str("source", "profile", default=default)
+    profile = _source_kind(cfg, default)
     pts = grid.omega_nodes()
     if profile == "constant":
         return np.full(grid.n_omega, cfg.get_float("source", "value", default=1.0))
@@ -94,59 +109,45 @@ def source_profile(cfg, grid, default="constant"):
         center = tuple(0.5 * (lo + hi) for lo, hi in bb)
         spec = CutoffSpec(Ball(center, frac_in * rad), Ball(center, frac_out * rad))
         return build_cutoff(grid, spec).values[grid.mask]
-    if profile == "csv":
-        path = cfg.get_str("source", "path")
-        if path is None:
-            raise ConfigError("missing key 'path' in section [source]", path=cfg.path)
-        try:
-            vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
-        except (OSError, ValueError) as exc:
-            raise cfg.error("source", "path", f"cannot read CSV source {path}: {exc}") from None
-        if vals.size != grid.n_omega:
-            raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
-                            f"values for {grid.n_omega} Omega nodes")
-        return vals
-    raise ConfigError(f"unknown source profile {profile!r}", path=cfg.path)
+    path = cfg.get_str("source", "path")  # profile = csv
+    try:
+        vals = np.asarray(np.loadtxt(path, delimiter=",", ndmin=1), float).ravel()
+    except (OSError, ValueError) as exc:
+        raise cfg.error("source", "path", f"cannot read CSV source {path}: {exc}") from None
+    if vals.size != grid.n_omega:
+        raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
+                        f"values for {grid.n_omega} Omega nodes")
+    return vals
 
 
-def _require_gagliardo(cfg, p, runner):
-    """[probe] p and method, when set, must suit the Gagliardo estimator `runner` runs.
-
-    The load-time check allows method = besov, and with it p = 1 and
-    p = inf; it cannot see which recipes and probe regions run the
-    Gagliardo estimator whatever the method.
-    """
-    problem = p_error("gagliardo", p)
-    if problem:
-        raise cfg.error("probe", "p", f"{problem}: {runner} runs the Gagliardo estimator "
-                        "whatever the method")
-    method = cfg.get_str("probe", "method", default="gagliardo")
-    if method != "gagliardo":
-        raise cfg.error("probe", "method", f"method must be gagliardo, got {method!r}: "
-                        f"{runner} runs the Gagliardo estimator only")
+def _reject_csv_source(cfg, runner):
+    """Reject a CSV source, which holds values for one grid, where `runner` solves on several."""
+    if cfg.get_str("source", "profile") == "csv":
+        raise cfg.error("source", "profile", f"{runner} solves on more than one grid, but a "
+                        "CSV source holds values for one grid")
 
 
 def _probe(cfg, s, grid, regions, paths, default="constant"):
     """Estimate the maximal exponent of the [source] solution on each region, written to its path.
 
-    Every [probe] key is read here.  Each level is solved once, and its
-    solution serves every region.  A region that meets the Omega
-    boundary is probed in region mode, by the Gagliardo estimator only,
-    so p and method are checked against it for every region before
-    anything is solved.  `default` is the source profile when [source]
-    sets none.
+    Every [probe] key is read here, and checked against every region
+    before anything is solved.  Each level is solved once, and its
+    solution serves every region.  `default` is the source profile when
+    [source] sets none.
     """
-    p = cfg.get_float("probe", "p", default=2.0)
+    _reject_csv_source(cfg, "the probe")
+    p = cfg.get_float("probe", "p", default=DEFAULT_P)
     opts = {"sweep": cfg.get_floats("probe", "sweep", default=DEFAULT_SWEEP),
             "levels": cfg.get_int("probe", "levels", default=3),
             "rate_threshold": cfg.get_float("probe", "rate_threshold",
                                             default=DEFAULT_RATE_THRESHOLD),
-            "method": cfg.get_str("probe", "method", default="gagliardo")}
+            "method": cfg.get_str("probe", "method", default=DEFAULT_METHOD)}
     for region in regions:
-        if nesting_margin(region, grid.omega) <= 0:
-            _require_gagliardo(cfg, p, f"region mode ({region.describe()} meets the "
-                               "Omega boundary)")
-    params = FractionalParams(1, s)
+        problem = estimator_problem(opts["method"], p, opts["sweep"],
+                                    nesting_margin(region, grid.omega) <= 0)
+        if problem:
+            raise cfg.error("probe", problem[0], f"{problem[1]} (region {region.describe()})")
+    params = FractionalParams(grid.ndim, s)
     solved = {}  # every region refines the same base grid: one solve per level
 
     def resolve(g):
@@ -163,8 +164,9 @@ def _probe(cfg, s, grid, regions, paths, default="constant"):
     return estimates
 
 
-def _default_grid(cfg, ndim, n):
-    """Grid from [grid] box and omega, by default the unit ball in [-2, 2]^ndim."""
+def _default_grid(cfg, n):
+    """Grid from [params] ndim, [grid] box and [omega]; by default the unit ball in [-2, 2]^N."""
+    ndim = cfg.get_int("params", "ndim", default=1)
     box_vals = cfg.get_floats("grid", "box", default=None)
     if box_vals is None:
         box = ((-2.0, 2.0),) * ndim
@@ -179,31 +181,27 @@ def _default_grid(cfg, ndim, n):
 
 def run_getoor(cfg, out_dir):
     """Closed-form benchmark: f = lambda on the unit ball gives (1-|x|^2)^s_+."""
-    ndim = cfg.get_int("params", "ndim", default=1)
     s = cfg.get_float("params", "s", default=0.5)
     levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
-    params = FractionalParams(ndim, s)
-    lam = getoor_constant(ndim, s)
     err_rows = []
     for n in levels:
-        grid = _default_grid(cfg, ndim, n)
-        u = solve_dirichlet(np.ones(grid.n_omega), params, grid)
+        grid = _default_grid(cfg, n)
+        u = solve_dirichlet(np.ones(grid.n_omega), FractionalParams(grid.ndim, s), grid)
         pts = grid.nodes()
         r2 = (pts ** 2).sum(axis=1).reshape(grid.shape)
-        exact = np.clip(1.0 - r2, 0.0, None) ** s / lam
+        exact = np.clip(1.0 - r2, 0.0, None) ** s / getoor_constant(grid.ndim, s)
         inner = r2 <= 0.25
         rel = np.abs(u.values[inner] - exact[inner]) / np.abs(exact[inner])
         err_rows.append((n, grid.h, float(rel.max()),
                          float(np.abs(u.values - exact).max())))
     # the last level's solution
     _write_csv(os.path.join(out_dir, "solution.csv"),
-               tuple(f"x{a}" for a in range(ndim)) + ("u", "exact"),
+               tuple(f"x{a}" for a in range(grid.ndim)) + ("u", "exact"),
                np.column_stack([pts, u.values.ravel(), exact.ravel()]))
     _write_csv(os.path.join(out_dir, "error_vs_h.csv"),
                ("n", "h", "rel_err_inner_half", "linf_err"), err_rows)
-    write_manifest(out_dir, "getoor", cfg, ndim=ndim, s=s, n=levels,
-                   regions={"omega": grid.omega.describe()})
-    return {"errors": err_rows, "s": s, "ndim": ndim}
+    write_manifest(out_dir, "getoor", cfg, grid, s=s, n=levels)
+    return {"errors": err_rows, "s": s, "ndim": grid.ndim}
 
 
 def _windowed_sine(kf, center, r1, r2, order):
@@ -250,13 +248,20 @@ def run_symbol(cfg, out_dir):
     r1 = cfg.get_float("symbol", "window_inner", default=7.0)
     r2 = cfg.get_float("symbol", "window_outer", default=16.0)
     order = cfg.get_int("symbol", "window_order", default=5)
-    omega = Ball((0.0,), r2 + 2.0)
+    if len(levels) < 2:
+        raise cfg.error("grid", "n", "symbol fits its order through at least 2 [grid] n levels")
+    h0 = 2 * half_width / (levels[0] - 1)
+    kmax = max(abs(kf) for kf in k_list)
+    if kmax * h0 >= math.pi:  # x = 0 is then the node nearest pi / (2k), where sin(kx) = 0
+        at = next(sk for sk in (("symbol", "k"), ("grid", "n"), ("grid", "half_width"))
+                  if cfg.has(*sk))
+        raise cfg.error(*at, f"k h must be below pi on the first grid, got k = {kmax:g}, "
+                        f"h = {h0:g}")
     rows = []
     summary = []
     for s in s_list:
         params = FractionalParams(1, s)
         for kf in k_list:
-            h0 = 2 * half_width / (levels[0] - 1)
             center = round((math.pi / (2 * kf)) / h0) * h0
             ufun = _windowed_sine(kf, center, r1, r2, order)
             oracle = _symbol_oracle(ufun, center, s, params.cns,
@@ -264,7 +269,7 @@ def run_symbol(cfg, out_dir):
             symbol_ref = abs(kf) ** (2 * s) * math.sin(kf * center)
             errs = []
             for n in levels:
-                grid = build_grid(1, ((-half_width, half_width),), n, omega)
+                grid = build_grid(1, ((-half_width, half_width),), n, Ball((0.0,), r2 + 2.0))
                 x = grid.axes[0]
                 uv = np.array([ufun(xx) for xx in x])
                 u = GridFunction(grid, np.where(grid.mask, uv, 0.0), dirichlet=True)
@@ -282,9 +287,8 @@ def run_symbol(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "symbol.csv"),
                ("s", "k", "n", "h", "value", "symbol", "oracle",
                 "rel_err_vs_symbol", "abs_err_vs_oracle"), rows)
-    write_manifest(out_dir, "symbol", cfg, ndim=1, s=s_list, k=k_list, n=levels,
-                   regions={"omega": omega.describe(),
-                            "window": {"inner": r1, "outer": r2, "order": order}})
+    write_manifest(out_dir, "symbol", cfg, grid, s=s_list, k=k_list, n=levels,
+                   regions={"window": {"inner": r1, "outer": r2, "order": order}})
     return {"table": summary}
 
 
@@ -294,18 +298,16 @@ def run_elliptic_regularity(cfg, out_dir):
     base_n = cfg.get_int("grid", "n", default=129)
     interior = cfg.region("inner") or Box((-0.4,), (0.4,))
     boundary = cfg.region("boundary") or Box((0.5,), (1.5,))
-    grid = _default_grid(cfg, 1, base_n)
+    grid = _default_grid(cfg, base_n)
     out = {}
     for s in s_list:
         est_int, est_bdy = _probe(cfg, s, grid, [interior, boundary],
                                   [os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json")
                                    for tag in ("interior", "boundary")], default="jump")
         out[s] = {"interior": est_int.sigma_star, "boundary": est_bdy.sigma_star}
-    write_manifest(out_dir, "elliptic-regularity", cfg, ndim=1, s=s_list, p=est_int.p,
+    write_manifest(out_dir, "elliptic-regularity", cfg, grid, s=s_list, p=est_int.p,
                    n=base_n, levels=est_int.levels,
-                   regions={"omega": grid.omega.describe(),
-                            "interior": interior.describe(),
-                            "boundary": boundary.describe()})
+                   regions={"interior": interior.describe(), "boundary": boundary.describe()})
     return {"sigma_star": out, "p": est_int.p}
 
 
@@ -317,8 +319,8 @@ def run_parabolic_energy(cfg, out_dir):
     nt_list = cfg.get_ints("time", "nt", default=[64, 128])
     slack = cfg.get_float("time", "slack", default=0.05)
     n = cfg.get_int("grid", "n", default=257)
-    params = FractionalParams(1, s)
-    grid = _default_grid(cfg, 1, n)
+    grid = _default_grid(cfg, n)
+    params = FractionalParams(grid.ndim, s)
     matrix = assemble_operator_matrix(grid, params)
     f = source_profile(cfg, grid)
     worst = {}
@@ -331,9 +333,8 @@ def run_parabolic_energy(cfg, out_dir):
                        ledger.source))
         worst[nt] = {"worst_ratio": ledger.worst_ratio(),
                      "violation": ledger.violation}
-    write_manifest(out_dir, "parabolic-energy", cfg, ndim=1, s=s, theta=theta, T=T,
-                   nt=nt_list, n=n, tau=[T / nt for nt in nt_list],
-                   regions={"omega": grid.omega.describe()})
+    write_manifest(out_dir, "parabolic-energy", cfg, grid, s=s, theta=theta, T=T,
+                   nt=nt_list, n=n, tau=[T / nt for nt in nt_list])
     return {"ledgers": worst, "slack": slack}
 
 
@@ -345,8 +346,8 @@ def run_semigroup_contraction(cfg, out_dir):
     times = cfg.get_floats("semigroup", "t", default=[0.1, 1.0])
     nt = cfg.get_int("semigroup", "nt", default=32)
     seed = cfg.get_int("experiment", "seed", default=0)
-    params = FractionalParams(1, s)
-    grid = _default_grid(cfg, 1, n)
+    grid = _default_grid(cfg, n)
+    params = FractionalParams(grid.ndim, s)
     matrix = assemble_operator_matrix(grid, params)
     rng = np.random.default_rng(seed)
     p_values = (1.0, 1.5, 2.0, 4.0, math.inf)
@@ -376,9 +377,8 @@ def run_semigroup_contraction(cfg, out_dir):
                                      float(image.values[grid.mask].min()))
     _write_csv(os.path.join(out_dir, "contraction.csv"),
                ("trial", "t", "p", "norm_before", "norm_after", "growth"), rows)
-    write_manifest(out_dir, "semigroup-contraction", cfg, ndim=1, s=s, n=n,
-                   t=times, nt=nt, count=count, seed=seed,
-                   regions={"omega": grid.omega.describe()})
+    write_manifest(out_dir, "semigroup-contraction", cfg, grid, s=s, n=n,
+                   t=times, nt=nt, count=count, seed=seed)
     return {"worst_growth": worst_growth, "worst_negative": worst_negative}
 
 
@@ -389,41 +389,40 @@ def run_product_rule(cfg, out_dir):
     rows = []
     factors = {}
     for s in s_list:
-        params = FractionalParams(1, s)
         res = []
         for n in levels:
-            grid = _default_grid(cfg, 1, n)
+            grid = _default_grid(cfg, n)
             u = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.25),
                                               Ball((0.0,), 0.75), order=5))
             eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.45),
                                                 Ball((0.0,), 0.9), order=3))
-            r = product_rule_residual(u, eta, params)
+            r = product_rule_residual(u, eta, FractionalParams(grid.ndim, s))
             res.append(r)
             rows.append((s, n, grid.h, r))
         factors[s] = [res[i] / res[i + 1] for i in range(len(res) - 1)]
     _write_csv(os.path.join(out_dir, "product_rule.csv"),
                ("s", "n", "h", "residual"), rows)
-    write_manifest(out_dir, "product-rule", cfg, ndim=1, s=s_list, n=levels,
-                   regions={"omega": grid.omega.describe()})
+    write_manifest(out_dir, "product-rule", cfg, grid, s=s_list, n=levels)
     return {"factors": factors}
-
-
-G_BOUND_LEVELS = [129, 257, 513]
 
 
 def run_g_bound(cfg, out_dir):
     """Refinement stability of the localization-bound constant."""
     s = cfg.get_float("params", "s", default=0.5)
-    p = cfg.get_float("probe", "p", default=2.0)
-    _require_gagliardo(cfg, p, "g-bound")
-    levels = cfg.get_ints("grid", "n", default=G_BOUND_LEVELS)
-    params = FractionalParams(1, s)
+    levels = cfg.get_ints("grid", "n", default=[129, 257, 513])
+    if len(levels) > 1:
+        _reject_csv_source(cfg, "g-bound")
+    p = cfg.get_float("probe", "p", default=DEFAULT_P)
+    problem = estimator_problem(cfg.get_str("probe", "method", default=DEFAULT_METHOD), p,
+                                region_mode=True)
+    if problem:
+        raise cfg.error("probe", problem[0], f"{problem[1]} (the g-bound monitor)")
     ratios = []
     rows = []
     for n in levels:
-        grid = _default_grid(cfg, 1, n)
-        f = source_profile(cfg, grid)
-        u = solve_dirichlet(f, params, grid)
+        grid = _default_grid(cfg, n)
+        params = FractionalParams(grid.ndim, s)
+        u = solve_dirichlet(source_profile(cfg, grid), params, grid)
         spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6),
                           omega2=Ball((0.0,), 0.8))
         report = g_bound_monitor(u, spec, params, spec.omega2, p)
@@ -432,9 +431,8 @@ def run_g_bound(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "g_bound.csv"),
                [f.name for f in dataclasses.fields(rows[0])] + ["ratio"],
                [dataclasses.astuple(r) + (r.ratio,) for r in rows])
-    write_manifest(out_dir, "g-bound", cfg, ndim=1, s=s, p=p, n=levels,
-                   regions={"omega": grid.omega.describe(),
-                            "eta_outer": spec.outer.describe(),
+    write_manifest(out_dir, "g-bound", cfg, grid, s=s, p=p, n=levels,
+                   regions={"eta_outer": spec.outer.describe(),
                             "omega2": spec.omega2.describe()})
     return {"ratios": ratios}
 
@@ -444,12 +442,10 @@ def run_regularity_sweep(cfg, out_dir):
     s = cfg.get_float("params", "s", default=0.5)
     base_n = cfg.get_int("grid", "n", default=129)
     inner = cfg.region("inner") or Box((-0.4,), (0.4,))
-    grid = _default_grid(cfg, 1, base_n)
+    grid = _default_grid(cfg, base_n)
     est, = _probe(cfg, s, grid, [inner], [os.path.join(out_dir, "estimate.json")])
-    write_manifest(out_dir, "regularity-sweep", cfg, ndim=1, s=s, p=est.p, n=base_n,
-                   levels=est.levels,
-                   regions={"omega": grid.omega.describe(),
-                            "inner": inner.describe()})
+    write_manifest(out_dir, "regularity-sweep", cfg, grid, s=s, p=est.p, n=base_n,
+                   levels=est.levels, regions={"inner": inner.describe()})
     return {"sigma_star": est.sigma_star, "mode": est.mode}
 
 
@@ -459,9 +455,8 @@ def run_boundary_profile(cfg, out_dir):
     n = cfg.get_int("grid", "n", default=257)
     spread = {}
     for s in s_list:
-        params = FractionalParams(1, s)
-        grid = _default_grid(cfg, 1, n)
-        u = solve_dirichlet(np.ones(grid.n_omega), params, grid)
+        grid = _default_grid(cfg, n)
+        u = solve_dirichlet(np.ones(grid.n_omega), FractionalParams(grid.ndim, s), grid)
         rho = grid.rho[grid.mask]
         vals = u.values[grid.mask]
         ratio = vals / rho ** s
@@ -476,8 +471,7 @@ def run_boundary_profile(cfg, out_dir):
         q = ratio[inner_half]
         med = float(np.median(q))
         spread[s] = {"lo": float(q.min() / med), "hi": float(q.max() / med)}
-    write_manifest(out_dir, "boundary-profile", cfg, ndim=1, s=s_list, n=n,
-                   regions={"omega": grid.omega.describe()})
+    write_manifest(out_dir, "boundary-profile", cfg, grid, s=s_list, n=n)
     return {"spread": spread}
 
 
@@ -493,10 +487,8 @@ RECIPES = {
     "boundary-profile": run_boundary_profile,
 }
 
-# the recipes that read [params] ndim; every other one runs in 1D only
+# the recipes that accept [params] ndim = 2; every other one runs in 1D only
 READS_NDIM = {"getoor"}
-# the recipes that solve for the [source] on refined grids, whatever [grid] n lists
-PROBE_RECIPES = {"elliptic-regularity", "regularity-sweep"}
 
 
 def run_experiment(name, cfg, out_dir):
@@ -505,11 +497,6 @@ def run_experiment(name, cfg, out_dir):
                           path=cfg.path if cfg else None)
     if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
         raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
-    # a CSV source fits one grid: reject it before any solve where the recipe solves on several
-    if cfg.get_str("source", "profile") == "csv" and (
-            name in PROBE_RECIPES or (
-                name == "g-bound" and len(cfg.get_ints("grid", "n", default=G_BOUND_LEVELS)) > 1)):
-        raise cfg.error("source", "profile", f"{name} solves on more than one grid, but a CSV "
-                        "source holds values for one grid")
+    _source_kind(cfg)  # before any grid is built
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[name](cfg, out_dir)

@@ -22,6 +22,8 @@ from .regions import nesting_margin
 from .spaces import besov_seminorm, sobolev_seminorm
 
 METHODS = ("gagliardo", "besov")
+DEFAULT_METHOD = "gagliardo"
+DEFAULT_P = 2.0
 DEFAULT_SWEEP = tuple(round(0.1 * k, 1) for k in range(1, 20))
 # Declared divergent when every per-halving log2 growth rate of the
 # seminorm meets this threshold.  Calibrated so that a rho^s boundary
@@ -39,11 +41,26 @@ def growth_rate(values):
     return float(np.log2(v[1:] / v[:-1]).min())
 
 
-def p_error(method, p):
-    """Why p is outside the range of the estimator `method`, or None if it is inside."""
-    if method == "besov":
-        return None if p >= 1.0 else f"p must be >= 1 (inf allowed) for besov, got {p:g}"
-    return None if 1.0 < p < math.inf else f"p must be in (1, inf) for {method}, got {p:g}"
+def estimator_problem(method, p, sweep=DEFAULT_SWEEP, region_mode=False):
+    """The [probe] key an estimate cannot run with, and why; None if it can run.
+
+    Region mode runs gagliardo whatever the method; gagliardo takes p in
+    (1, inf), besov takes p >= 1 (inf allowed) and skips sigma = 1.
+    """
+    if method not in METHODS:
+        return "method", f"method must be {' or '.join(METHODS)}, got {method!r}"
+    runs = "gagliardo" if region_mode else method
+    where = " in region mode, which runs gagliardo whatever the method" if region_mode else ""
+    if runs == "besov":
+        if not p >= 1.0:
+            return "p", f"p must be >= 1 (inf allowed) for besov, got {p:g}"
+        if all(sg == 1.0 for sg in sweep):
+            return "sweep", "besov skips sigma = 1, so the sweep needs another exponent"
+    elif not 1.0 < p < math.inf:
+        return "p", f"p must be in (1, inf) for gagliardo{where}, got {p:g}"
+    if method != runs:
+        return "method", f"method must be gagliardo{where}, got {method!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -79,29 +96,23 @@ class RegularityEstimate:
 def _clean_verdicts(verdicts, sweep):
     """Enforce monotone divergence, tolerating one out-of-place entry.
 
-    The estimate records the exponent whose verdict was flipped.
+    One convergent entry after the first divergent one becomes divergent.
+    With several, the first divergent entry becomes convergent, and a
+    result that is still not monotone is inconclusive.  The estimate
+    records the exponents whose verdict was flipped.
     """
     v = list(verdicts)
     first_div = next((i for i, d in enumerate(v) if d), len(v))
     offenders = [i for i in range(first_div, len(v)) if not v[i]]
-    if not offenders:
-        return v
-    # try flipping the single offender either way
-    for cand in (None, first_div):
-        w = list(verdicts)
-        if cand is None:
-            if len(offenders) == 1:
-                w[offenders[0]] = True
-            else:
-                continue
-        else:
-            w[cand] = False
-        fd = next((i for i, d in enumerate(w) if d), len(w))
-        if all(w[i] for i in range(fd, len(w))):
-            return w
-    raise InconclusiveVerdictError(
-        f"non-monotone divergence verdicts across the sweep: "
-        f"{[f'{sg}:{int(d)}' for sg, d in zip(sweep, verdicts)]}")
+    if len(offenders) == 1:
+        v[offenders[0]] = True
+    elif offenders:
+        v[first_div] = False
+        if any(a and not b for a, b in zip(v, v[1:])):
+            raise InconclusiveVerdictError(
+                f"non-monotone divergence verdicts across the sweep: "
+                f"{[f'{sg}:{int(d)}' for sg, d in zip(sweep, verdicts)]}")
+    return v
 
 
 def _sigma_star(sweep, verdicts):
@@ -127,7 +138,7 @@ def _level_seminorms(u, sweep, p, method, mode, region, eta):
 
 def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
                             levels=3, rate_threshold=DEFAULT_RATE_THRESHOLD,
-                            method="gagliardo"):
+                            method=DEFAULT_METHOD):
     """Estimate the maximal smoothness exponent of a re-solvable solution.
 
     resolve(grid) must return the solution GridFunction on that grid; the
@@ -138,26 +149,22 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     (localized membership); a region touching or crossing the Omega
     boundary is probed by the seminorm of u over the region itself.
     method is one of METHODS: the cut-off target's order-sigma Sobolev
-    seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm; region
-    mode has only the first.  A sweep entry is divergent when its
-    growth_rate meets rate_threshold.  A level whose seminorms are all 0
-    carries no data on the region and raises InconclusiveVerdictError.
+    seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm, and
+    estimator_problem rejects what cannot run.  A sweep entry is
+    divergent when its growth_rate meets rate_threshold.  A level whose
+    seminorms are all 0 carries no data on the region and raises
+    InconclusiveVerdictError.
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
     sweep = tuple(float(sg) for sg in sweep)
     if any(not 0.0 < sg < 2.0 for sg in sweep):
         raise ValueError("sweep exponents must lie in (0, 2)")
     margin = nesting_margin(inner, base_grid.omega)
     mode = "cutoff" if margin > 0 else "region"
-    if mode == "region" and method != "gagliardo":
-        raise ValueError(f"method must be gagliardo in region mode, got {method!r}: "
-                         "the region meets the Omega boundary")
-    problem = p_error(method, p)
+    problem = estimator_problem(method, p, sweep, mode == "region")
     if problem:
-        raise ValueError(problem)
+        raise ValueError(problem[1])
     if method == "besov":
         sweep = tuple(sg for sg in sweep if sg != 1.0)
     grids = [base_grid]

@@ -3,13 +3,9 @@
 The format is line-oriented and diff-friendly: comments start with '#',
 sections group keys per module, values are scalars or comma/space
 separated lists.  _SCHEMA lists every section and key a recipe reads.
-Parse errors carry 1-based line and column numbers, and so do the checks
-made at load time: an unknown section or key, a value outside its
-_SCHEMA range, a [probe] p the method does not accept, the [grid] box
-(2 ndim numbers, a positive and equal extent on every axis), each
-region section ([omega], [inner], [boundary]), which must be a ball or a
-box of dimension ndim, and the [source] geometry: a center of ndim
-numbers and a bump inner_fraction below its outer_fraction.
+Parse errors, an unknown section or key among them, carry 1-based line
+and column numbers, and so do the checks made at load time:
+_check_ranges (each _SCHEMA range), _check_probe and _check_geometry.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .gridfn import MIN_NODES
-from .probe import METHODS, p_error
+from .probe import DEFAULT_METHOD, DEFAULT_P, DEFAULT_SWEEP, estimator_problem
 from .regions import Ball, Box
 
 _REGION = {"kind": None, "center": None, "radius": None, "bounds": None}
@@ -37,7 +33,8 @@ _SCHEMA = {
     "inner": _REGION,
     "boundary": _REGION,
     "symbol": {"k": (False, lambda v: v != 0.0, "nonzero"),
-               "window_inner": None, "window_outer": None,
+               "window_inner": (False, lambda v: v > 0.0, "> 0"),
+               "window_outer": (False, lambda v: v > 0.0, "> 0"),
                "window_order": (True, lambda v: v >= 0, ">= 0")},
     "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
                "center": None, "path": None,
@@ -220,23 +217,20 @@ def _check_ranges(cfg):
 
 
 def _check_probe(cfg):
-    """[probe] method names an estimator, and p is one it accepts."""
-    method = cfg.get_str("probe", "method", default="gagliardo")
-    if method not in METHODS:
-        raise cfg.error("probe", "method",
-                        f"method must be {' or '.join(METHODS)}, got {method!r}")
-    if not cfg.has("probe", "p"):
-        return
-    problem = p_error(method, cfg.get_float("probe", "p"))
+    """[probe] method names an estimator that runs, outside region mode, with p and sweep."""
+    problem = estimator_problem(cfg.get_str("probe", "method", default=DEFAULT_METHOD),
+                                cfg.get_float("probe", "p", default=DEFAULT_P),
+                                cfg.get_floats("probe", "sweep", default=DEFAULT_SWEEP))
     if problem:
-        raise cfg.error("probe", "p", problem)
+        raise cfg.error("probe", *problem)
 
 
 def _check_geometry(cfg):
     """The [grid] box, every region section and the [source] center against [params] ndim.
 
-    Also the bump's radii: inner_fraction below outer_fraction, each
-    taken at its default (0.3 and 0.8) when unset.
+    Also the bump's radii, inner_fraction below outer_fraction (by
+    default 0.3 and 0.8), and the symbol window's, window_inner below
+    window_outer (by default 7 and 16).
     """
     ndim = cfg.get_int("params", "ndim", default=1)
     box = cfg.get_floats("grid", "box")
@@ -259,9 +253,15 @@ def _check_geometry(cfg):
     if center is not None and len(center) != ndim:
         raise cfg.error("source", "center", f"[source] center needs {ndim} numbers for "
                         f"ndim={ndim}, got {len(center)}")
-    inner = cfg.get_float("source", "inner_fraction", default=0.3)
-    outer = cfg.get_float("source", "outer_fraction", default=0.8)
-    if inner >= outer:
-        key = "inner_fraction" if cfg.has("source", "inner_fraction") else "outer_fraction"
-        raise cfg.error("source", key, f"[source] inner_fraction must be below "
-                        f"outer_fraction, got {inner:g} >= {outer:g}")
+    _check_below(cfg, "source", "inner_fraction", "outer_fraction", 0.3, 0.8)
+    _check_below(cfg, "symbol", "window_inner", "window_outer", 7.0, 16.0)
+
+
+def _check_below(cfg, section, lower, upper, lower_default, upper_default):
+    """[section] lower below upper, an unset one taken at its default."""
+    lo = cfg.get_float(section, lower, default=lower_default)
+    hi = cfg.get_float(section, upper, default=upper_default)
+    if lo >= hi:
+        key = lower if cfg.has(section, lower) else upper
+        raise cfg.error(section, key, f"[{section}] {lower} must be below {upper}, "
+                        f"got {lo:g} >= {hi:g}")

@@ -322,6 +322,12 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
      "outer_fraction = 0.2\n", ":7:18:"),
     ("[experiment]\nname = getoor\n[grid]\nn = ,\n", ":4:5:"),
     ("[experiment]\nname = elliptic-regularity\n[params]\ns = , ,\n", ":4:5:"),
+    ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[probe]\nmethod = besov\n"
+     "sweep = 1.0\n", ":7:9:"),
+    ("[experiment]\nname = parabolic-energy\n[grid]\nn = 17\n[omega]\nkind = ball\n"
+     "center = 0\nradius = 3\n[source]\nprofile = jmup\n", ":10:11:"),
+    ("[experiment]\nname = parabolic-energy\n[grid]\nn = 17\n[source]\nprofile = csv\n",
+     ":6:11:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -336,12 +342,52 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
         "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
         "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
         "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner",
-        "grid-n-empty-list", "params-s-empty-list"])
+        "grid-n-empty-list", "params-s-empty-list", "besov-sweep-sigma-1",
+        "source-profile-unknown", "source-csv-without-path"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert f"{cfg_path}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[symbol]\nwindow_outer = -5\n", ":4:16:"),
+    ("[symbol]\nwindow_inner = 9\nwindow_outer = 5\n", ":4:16:"),
+    ("[grid]\nn = 65, 129\n", ":4:5:"),
+    ("[symbol]\nk = 4\n[grid]\nn = 65, 129\n", ":4:5:"),
+    ("[grid]\nn = 129\n", ":4:5:"),
+], ids=["window-outer-negative", "window-inner-above-outer", "kh-above-pi-default-k",
+        "kh-above-pi", "one-level"])
+def test_cli_run_symbol_fault_exits_2_before_any_apply(tmp_path, capsys, monkeypatch,
+                                                       text, where):
+    # at h0 = 0.875 and k = 4 the node nearest pi/8 is x = 0, where sin(kx) = 0
+    def no_apply(*args, **kwargs):
+        raise AssertionError("applied the operator before the config was rejected")
+
+    monkeypatch.setattr(experiments, "apply_fractional_laplacian", no_apply)
+    monkeypatch.setattr(experiments, "_symbol_oracle", no_apply)
+    cfg_path = tmp_path / "symbol.cfg"
+    cfg_path.write_text("[experiment]\nname = symbol\n" + text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}{where}" in capsys.readouterr().err
+
+
+def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"[experiment]\nname = getoor\n\xff\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and str(cfg_path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [",", "", " , "], ids=["comma", "empty", "blank"])
+def test_cli_check_rejects_criteria_without_numbers(tmp_path, capsys, value):
+    out = tmp_path / "acc"
+    assert main(["check", "--out", str(out), "--criteria", value]) == 2
+    assert capsys.readouterr().err.startswith("error: --criteria needs numbers")
+    assert not out.exists()  # nothing ran
 
 
 def test_cli_run_csv_source_of_wrong_length_exits_2(tmp_path, capsys):

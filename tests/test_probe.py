@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid
 from fraclab.operator import FractionalParams
 from fraclab.probe import (
     DEFAULT_RATE_THRESHOLD,
+    DEFAULT_SWEEP,
     _clean_verdicts,
     estimate_local_exponent,
+    estimator_problem,
     growth_rate,
 )
 from fraclab.regions import Ball, Box
@@ -38,6 +41,68 @@ def test_clean_verdicts_tolerates_one_flip():
         False, False, False, False, False]
     with pytest.raises(InconclusiveVerdictError):
         _clean_verdicts([True, False, True, False, True], sweep)
+
+
+def _two_cases(verdicts):
+    """The clean-up by its two cases, with sorted() as the monotone test; None if inconclusive."""
+    v = list(verdicts)
+    if v == sorted(v):
+        return v
+    first = v.index(True)
+    late = [i for i in range(first, len(v)) if not v[i]]
+    if len(late) == 1:
+        v[late[0]] = True
+        return v
+    v[first] = False
+    return v if v == sorted(v) else None
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_clean_verdicts_is_its_two_cases(length):
+    # every verdict vector of this length, against the two cases stated above
+    sweep = tuple(0.1 * (k + 1) for k in range(length))
+    for bits in itertools.product((False, True), repeat=length):
+        verdicts = list(bits)
+        expected = _two_cases(verdicts)
+        if expected is None:
+            with pytest.raises(InconclusiveVerdictError):
+                _clean_verdicts(verdicts, sweep)
+        else:
+            assert _clean_verdicts(verdicts, sweep) == expected, bits
+        assert verdicts == list(bits)
+
+
+@pytest.mark.parametrize("method, p, sweep, region_mode, key", [
+    ("besvo", 2.0, DEFAULT_SWEEP, False, "method"),
+    ("gagliardo", 2.0, DEFAULT_SWEEP, False, None),
+    ("gagliardo", 1.0, DEFAULT_SWEEP, False, "p"),
+    ("gagliardo", math.inf, DEFAULT_SWEEP, False, "p"),
+    ("gagliardo", 2.0, (1.0,), False, None),
+    ("besov", 1.0, DEFAULT_SWEEP, False, None),
+    ("besov", math.inf, DEFAULT_SWEEP, False, None),
+    ("besov", 0.5, DEFAULT_SWEEP, False, "p"),
+    ("besov", 2.0, (1.0,), False, "sweep"),
+    ("besov", 2.0, (1.0, 1.0), False, "sweep"),
+    ("gagliardo", 2.0, DEFAULT_SWEEP, True, None),
+    ("gagliardo", math.inf, DEFAULT_SWEEP, True, "p"),
+    ("besov", 2.0, DEFAULT_SWEEP, True, "method"),
+    ("besov", 2.0, (1.0,), True, "method"),
+    ("besov", math.inf, DEFAULT_SWEEP, True, "p"),
+    ("besov", 1.0, DEFAULT_SWEEP, True, "p"),
+])
+def test_estimator_problem_names_the_key(method, p, sweep, region_mode, key):
+    # region mode runs gagliardo whatever the method; besov skips sigma = 1
+    problem = estimator_problem(method, p, sweep, region_mode)
+    assert (problem and problem[0]) == key
+
+
+def test_probe_rejects_besov_sweep_of_sigma_1_only_before_solving():
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_bump_resolver())
+    with pytest.raises(ValueError, match="sigma = 1"):
+        estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), method="besov",
+                                sweep=(1.0,))
+    assert calls == []
 
 
 def _bump_resolver():
