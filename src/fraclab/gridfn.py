@@ -162,15 +162,8 @@ class CutoffSpec:
 
 
 def smoothstep(t, order):
-    """Polynomial ramp of smoothness C^order: 0 at t<=0, 1 at t>=1.
-
-    A float t gives a float, computed without building arrays (a per-point
-    caller pays no array overhead); any other t gives an array.
-    """
-    if isinstance(t, float):
-        t = min(max(float(t), 0.0), 1.0)
-    else:
-        t = np.clip(np.asarray(t, float), 0.0, 1.0)
+    """Polynomial ramp of smoothness C^order: 0 at t<=0, 1 at t>=1."""
+    t = np.clip(np.asarray(t, float), 0.0, 1.0)
     acc = 0.0
     for k in range(order + 1):
         acc += math.comb(order + k, k) * math.comb(2 * order + 1, order - k) * (-t) ** k

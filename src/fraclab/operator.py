@@ -26,8 +26,7 @@ all-ones vector.  That structure carries the discrete maximum principle
 used by the solvers and semigroup tests.
 
 The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
-lengths (next_fast_len).  scipy.linalg is imported by `spectrum` alone,
-on first use, so importing this module loads no scipy.
+lengths (next_fast_len).
 """
 
 from __future__ import annotations
@@ -259,12 +258,11 @@ class OperatorMatrix:
         Read-only, computed on first access and shared by every function of A
         the time steppers take, such as (I + c A)^(-1) for any c.
         """
-        import scipy.linalg  # on first use: importing operator loads no scipy
-
         try:
-            lam, vecs = scipy.linalg.eigh(self.matrix, driver="evd", check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            lam, vecs = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
             raise SingularOperatorError(f"operator eigendecomposition failed: {exc}") from exc
+        vecs = np.asfortranarray(vecs)  # column-major, as LAPACK writes it: BLAS rounds by layout
         lam.setflags(write=False)
         vecs.setflags(write=False)
         return lam, vecs

@@ -2,6 +2,7 @@ import ast
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,12 +202,36 @@ def test_cli_threads_option_is_gone(command):
 
 
 def test_import_path_loads_no_scipy():
+    # the two former scipy call sites run too: an eigendecomposition and the symbol oracle
     probe = ("import sys, fraclab, fraclab.cli, fraclab.acceptance, fraclab.reference; "
+             "from fraclab.experiments import _symbol_oracle; "
+             "from fraclab.operator import FractionalParams, assemble_operator_matrix; "
+             "from fraclab.gridfn import build_grid; from fraclab.regions import Ball; "
+             "grid = build_grid(1, ((-2.0, 2.0),), 17, Ball((0.0,), 1.0)); "
+             "assemble_operator_matrix(grid, FractionalParams(1, 0.5)).spectrum; "
+             "_symbol_oracle(1.0, 1.5, 0.5, 1.0, (7.0, 16.0, 5), 0.1); "
              "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_runtime_dependency_is_numpy_alone():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = [name for name in names if name.split(".")[0] not in allowed]
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC_DIR.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_cli_check_subset(tmp_path, capsys):
@@ -328,6 +353,8 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
      "center = 0\nradius = 3\n[source]\nprofile = jmup\n", ":10:11:"),
     ("[experiment]\nname = parabolic-energy\n[grid]\nn = 17\n[source]\nprofile = csv\n",
      ":6:11:"),
+    ("[experiment]\nname = getoor\n[grid]\nn = 17\n[omega]\nkind = box\nbounds = -1, 1\n",
+     ":6:8:"),
 ], ids=["s", "ndim", "nt", "theta", "semigroup-nt-0", "semigroup-nt-negative",
         "semigroup-count", "semigroup-t", "grid-n", "box-extent", "box-length", "box-square",
         "omega-ball-dim", "omega-box-dim", "boundary-ball-dim", "probe-method", "probe-p-inf",
@@ -343,7 +370,7 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
         "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
         "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner",
         "grid-n-empty-list", "params-s-empty-list", "besov-sweep-sigma-1",
-        "source-profile-unknown", "source-csv-without-path"])
+        "source-profile-unknown", "source-csv-without-path", "getoor-omega-box"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     cfg_path = tmp_path / "range.cfg"
     cfg_path.write_text(text)
@@ -357,8 +384,10 @@ def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):
     ("[grid]\nn = 65, 129\n", ":4:5:"),
     ("[symbol]\nk = 4\n[grid]\nn = 65, 129\n", ":4:5:"),
     ("[grid]\nn = 129\n", ":4:5:"),
+    ("[symbol]\nk = 0.05\n", ":4:5:"),
+    ("[symbol]\nk = 1, 0.5\n", ":4:5:"),
 ], ids=["window-outer-negative", "window-inner-above-outer", "kh-above-pi-default-k",
-        "kh-above-pi", "one-level"])
+        "kh-above-pi", "one-level", "window-center-outside-box", "window-leaves-omega"])
 def test_cli_run_symbol_fault_exits_2_before_any_apply(tmp_path, capsys, monkeypatch,
                                                        text, where):
     # at h0 = 0.875 and k = 4 the node nearest pi/8 is x = 0, where sin(kx) = 0

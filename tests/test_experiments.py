@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -82,6 +83,55 @@ n = 17, 33
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["ndim"] == 2
     assert manifest["regions"]["omega"]["kind"] == "ball"
+
+
+def test_getoor_compares_with_the_closed_form_on_its_own_ball(tmp_path):
+    cfg = _cfg("""
+[experiment]
+name = getoor
+[params]
+s = 0.5
+[grid]
+n = 65, 129
+[omega]
+kind = ball
+center = 0.5
+radius = 0.5
+""")
+    errs = [row[2] for row in run_experiment("getoor", cfg, str(tmp_path))["errors"]]
+    assert errs[0] < 0.06 and errs[1] < 0.6 * errs[0]
+
+
+def _windowed_sine_operator_mp(kf, center, s, r1, r2, order):
+    """The operator on sin(kf y) W(|y - center|) at y = center, by mpmath at 30 digits."""
+    kf, c, s, r1, r2 = (mp.mpf(v) for v in (kf, center, s, r1, r2))
+
+    def u(y):
+        t = min(max((r2 - abs(y - c)) / (r2 - r1), 0), 1)
+        return mp.sin(kf * y) * t ** (order + 1) * sum(
+            math.comb(order + k, k) * math.comb(2 * order + 1, order - k) * (-t) ** k
+            for k in range(order + 1))
+
+    u0, p = u(c), 2 - 2 * s
+    # up to r1, u(c + z) + u(c - z) = 2 u0 cos(kf z); z = t^(1/p) there takes up z^(1-2s)
+    inner = mp.quad(lambda t: 4 * u0 * mp.sin(kf * t ** (1 / p) / 2) ** 2 * t ** (-2 / p) / p,
+                    [0, r1 ** p])
+    ramp = mp.quad(lambda z: (2 * u0 - u(c + z) - u(c - z)) * z ** (-1 - 2 * s), [r1, r2])
+    cns = s * 4 ** s * mp.gamma(s + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(1 - s))
+    return cns * (inner + ramp + u0 * r2 ** (-2 * s) / s)
+
+
+@pytest.mark.parametrize("s, kf", [(0.7, 1.0), (0.3, 4.0), (0.5, 2.0), (0.1, 8.0), (0.9, 1.0),
+                                   (0.95, 28.0)])
+def test_symbol_oracle_matches_mpmath(s, kf):
+    # the symbol recipe's default first spacing; k h0 < pi up to k = 28
+    h0 = 56 / 512
+    center = round((math.pi / (2 * kf)) / h0) * h0
+    with mp.workdps(30):
+        exact = _windowed_sine_operator_mp(kf, center, s, 7.0, 16.0, 5)
+        got = experiments._symbol_oracle(kf, center, s, FractionalParams(1, s).cns,
+                                         (7.0, 16.0, 5), h0)
+        assert abs(got - exact) <= 1e-9 * abs(exact)
 
 
 def test_g_bound_experiment(tmp_path):

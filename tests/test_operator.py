@@ -221,3 +221,17 @@ def test_nonpositive_preconditioner_symbol_raises(grid65, params_half):
     object.__setattr__(A, "kernel", A.kernel._replace(d=0.5 * A.kernel.d))
     with pytest.raises(SingularOperatorError, match="symbol has minimum -"):
         A.solve(np.ones(grid65.n_omega))
+
+
+def test_spectrum_is_column_major_and_reports_a_failed_eigendecomposition(
+        grid65, params_half, monkeypatch):
+    # the time steppers' BLAS products were fixed on column-major eigenvectors
+    lam, vecs = assemble_operator_matrix(grid65, params_half).spectrum
+    assert vecs.flags.f_contiguous and np.all(np.diff(lam) >= 0)
+
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(SingularOperatorError, match="eigendecomposition failed"):
+        assemble_operator_matrix(grid65, params_half).spectrum
