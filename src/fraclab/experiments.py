@@ -257,6 +257,13 @@ def run_symbol(cfg, out_dir):
     order = cfg.get_int("symbol", "window_order", default=5)
     if len(levels) < 2:
         raise cfg.error("grid", "n", "symbol fits its order through at least 2 [grid] n levels")
+    omega = Ball((0.0,), r2 + 2.0)
+    if half_width - omega.radius < 0.25 * (2 * omega.radius):  # build_grid's collar rule
+        raise cfg.error(*(("grid", "half_width") if cfg.has("grid", "half_width")
+                          else ("symbol", "window_outer")),
+                        f"half_width must be at least 1.5 (window_outer + 2) = "
+                        f"{1.5 * omega.radius:g} for the collar around Omega "
+                        f"(-{omega.radius:g}, {omega.radius:g}), got {half_width:g}")
     h0 = 2 * half_width / (levels[0] - 1)
     # the checks below read k and h0 alone, and pass at their defaults
     at = next((sk for sk in (("symbol", "k"), ("grid", "n"), ("grid", "half_width"))
@@ -265,7 +272,6 @@ def run_symbol(cfg, out_dir):
     if kmax * h0 >= math.pi:  # x = 0 is then the node nearest pi / (2k), where sin(kx) = 0
         raise cfg.error(*at, f"k h must be below pi on the first grid, got k = {kmax:g}, "
                         f"h = {h0:g}")
-    omega = Ball((0.0,), r2 + 2.0)
     centers = [round((math.pi / (2 * kf)) / h0) * h0 for kf in k_list]
     for kf, center in zip(k_list, centers):
         if abs(center) + r2 >= omega.radius:

@@ -25,6 +25,16 @@ nonpositive off-diagonal, and a strictly positive action on the
 all-ones vector.  That structure carries the discrete maximum principle
 used by the solvers and semigroup tests.
 
+`spectrum` uses Omega's mirror symmetry.  A reflection of the grid box
+about its centre along an axis whose mask, d and t equal their flips bit
+for bit commutes with A.  A centred interval has one such axis, a
+centred disc or box has both (four products of reflections), a 2D box
+centred in x alone has one.  In the basis of signed sums over each
+node's orbit under these reflections A is block diagonal, with one block
+per character of the group G they generate, and each block, of about
+m/|G| rows, takes its own eigh.  An Omega with no mirror axis, such as an
+off-centre interval, takes one eigh of the whole matrix.
+
 The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
 lengths (next_fast_len).
 """
@@ -44,7 +54,7 @@ from .quadrature import sweep_1d, sweep_2d
 
 DEFAULT_DENSE_CAP = 4500  # max Omega nodes for a dense matrix
 RESIDUAL_REL_TOL = 1e-10  # solve(): max-norm residual relative to the rhs
-_GATHER_ROWS = 64  # dense rows gathered per block
+_GATHER_ROWS = 64  # rows gathered per step: of the dense matrix, of Q
 
 
 def normalization_constant(ndim, s):
@@ -256,13 +266,22 @@ class OperatorMatrix:
         """Ascending eigenvalues lam and orthonormal eigenvectors Q: A = Q diag(lam) Q^T.
 
         Read-only, computed on first access and shared by every function of A
-        the time steppers take, such as (I + c A)^(-1) for any c.
+        the time steppers take, such as (I + c A)^(-1) for any c.  Q is
+        column-major.  When Omega has mirror axes (_mirror_axes), A is
+        decomposed in parity blocks (_parity_eigh), one eigh each, and the
+        eigenvalues merged in ascending order; otherwise by one eigh of the
+        whole matrix.  A failed eigh of any block raises
+        SingularOperatorError.
         """
+        axes = _mirror_axes(self.grid, self.kernel)
         try:
-            lam, vecs = np.linalg.eigh(self.matrix)
+            if axes:
+                lam, vecs = _parity_eigh(self.matrix, self.grid.mask, axes)
+            else:
+                lam, vecs = np.linalg.eigh(self.matrix)
+                vecs = np.asfortranarray(vecs)  # as LAPACK writes it: BLAS rounds by layout
         except np.linalg.LinAlgError as exc:
             raise SingularOperatorError(f"operator eigendecomposition failed: {exc}") from exc
-        vecs = np.asfortranarray(vecs)  # column-major, as LAPACK writes it: BLAS rounds by layout
         lam.setflags(write=False)
         vecs.setflags(write=False)
         return lam, vecs
@@ -309,6 +328,94 @@ class OperatorMatrix:
         raise SingularOperatorError(
             f"relative residual {reached:.3e} after {m} conjugate-gradient iterations "
             f"exceeds {RESIDUAL_REL_TOL:g}")
+
+
+def _mirror_axes(grid, op):
+    """Axes whose reflection about the box centre maps A to itself exactly.
+
+    Reflecting axis a sends node x to R x, with x_a -> n - 1 - x_a, and
+    A[R x, R y] = A[x, y] for all Omega nodes when the mask, d and t (the
+    last as a function of the offset y - x) equal their flips in axis a.
+    """
+    return tuple(axis for axis in range(grid.ndim)
+                 if all(np.array_equal(part, np.flip(part, axis))
+                        for part in (grid.mask, op.d, op.t)))
+
+
+def _parity_eigh(mat, mask, axes):
+    """eigh of A in parity blocks: one block per character of the group of the axes' reflections.
+
+    The group G holds the 2^len(axes) products of the reflections
+    (bitmask g), its characters are chi_c(g) = (-1)^popcount(c & g), and
+    A commutes with G.  For the node orbits O (representative: the
+    orbit's first node in mask order) on which chi_c is 1 on the
+    stabiliser, the vectors sum_{y in O} chi_c(y) e_y / sqrt|O| are
+    orthonormal and span the chi_c-block, where A reads
+    B[a, b] = sum_g chi_c(g) A[rep_a, g rep_b] / sqrt(|Stab_a| |Stab_b|)
+    (Fassler & Stiefel 1992; for one reflection the even/odd split of
+    Cantoni & Butler 1976).  The blocks' sizes add up to m.  Each eigh
+    of a block gives the columns Q[x, j] = chi_c(x) W[orbit(x), j] / sqrt|O_x|,
+    and a stable sort merges the eigenvalues.  Returns (lam, Q) with Q
+    column-major.
+    """
+    n, order = mask.shape[0], 1 << len(axes)
+    nodes = np.argwhere(mask)
+    m = len(nodes)
+    index = np.zeros(mask.shape, np.intp)
+    index[mask] = np.arange(m)
+    images = np.empty((order, m), np.intp)  # images[g, x]: node x reflected by g
+    for g in range(order):
+        image = nodes.copy()
+        for bit, axis in enumerate(axes):
+            if g >> bit & 1:
+                image[:, axis] = n - 1 - image[:, axis]
+        images[g] = index[tuple(image.T)]
+    first = images.min(axis=0)
+    reps = np.flatnonzero(first == np.arange(m))
+    orbit = np.searchsorted(reps, first)
+    coords, bits = nodes[:, list(axes)], 1 << np.arange(len(axes))
+    fixed = (2 * coords[reps] == n - 1) @ bits  # per orbit: the reflections that fix it
+    moved = (coords != coords[reps][orbit]) @ bits  # per node: the reflections from its rep
+    popcount = np.array([bin(g).count("1") for g in range(order)])
+    odd, stab = popcount & 1, 2.0 ** popcount[fixed]  # stab: the stabiliser's size per orbit
+    blocks = [mat[np.ix_(reps, images[g, reps])] for g in range(order)]
+    span = 1
+    while span < order:  # Walsh-Hadamard butterflies: blocks[c] = sum_g chi_c(g) A[reps, g reps]
+        for lo in range(order):
+            if not lo & span:
+                blocks[lo], blocks[lo | span] = (blocks[lo] + blocks[lo | span],
+                                                 blocks[lo] - blocks[lo | span])
+        span *= 2
+    lams, columns = [], []
+    for c in range(order):
+        keep = (fixed & c) == 0
+        block = blocks[c] if keep.all() else blocks[c][np.ix_(keep, keep)]
+        blocks[c] = None
+        scale = 1.0 / np.sqrt(stab[keep])
+        on_mirror = scale != 1.0
+        block[on_mirror] *= scale[on_mirror, None]
+        block[:, on_mirror] *= scale[on_mirror]
+        lam, vecs = np.linalg.eigh(block)
+        # a node of an orbit outside this block takes coefficient 0 (its row is clipped below)
+        coef = np.where(keep[orbit], 1.0 - 2.0 * odd[c & moved], 0.0) * np.sqrt(stab[orbit] / order)
+        lams.append(lam)
+        columns.append((np.ascontiguousarray(vecs.T), coef, (np.cumsum(keep) - 1)[orbit]))
+    del block, vecs  # the last block and its eigenvectors, before Q is allocated
+    lam = np.concatenate(lams)
+    ascending = np.argsort(lam, kind="stable")
+    place = np.empty(m, np.intp)
+    place[ascending] = np.arange(m)
+    Q = np.empty((m, m), order="F")
+    buffer = np.empty((_GATHER_ROWS, m))
+    start = 0
+    for vectors, coef, row in columns:  # one eigenvector of the block per row
+        for lo in range(0, len(vectors), _GATHER_ROWS):
+            chunk = vectors[lo: lo + _GATHER_ROWS]
+            part = np.take(chunk, row, axis=1, out=buffer[:len(chunk)], mode="clip")
+            part *= coef
+            Q.T[place[start: start + len(part)]] = part  # rows of Q.T are Q's columns
+            start += len(part)
+    return lam[ascending], Q
 
 
 def assemble_operator_matrix(grid, params):

@@ -5,7 +5,9 @@ Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 the nonlocal stiffness grows like h^(-2s).  A Trajectory is the one record of
 a run: read-only rows u_k, f_k and B[u_k, u_k] per step.  The stepper and the
 semigroup work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam)
-Q^T, computed once per operator: the theta scheme transforms its source once,
+Q^T, computed once per operator (in parity blocks when Omega is
+mirror-symmetric about the box centre, otherwise by one eigendecomposition of
+the whole matrix): the theta scheme transforms its source once,
 steps the mode values c_k, records B[u_k, u_k] = sum(lam c_k^2) and returns
 with one product by Q; a batch of semigroup images is Q (1 + tau lam)^(-nt)
 Q^T phi.  The energy ledger reads the trajectory alone.  The spectrum needs

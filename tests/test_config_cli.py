@@ -402,6 +402,27 @@ def test_cli_run_symbol_fault_exits_2_before_any_apply(tmp_path, capsys, monkeyp
     assert f"{cfg_path}{where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("[symbol]\nwindow_outer = 20\n", ":4:16:"),
+    ("[grid]\nhalf_width = 26\n", ":4:14:"),
+    ("[symbol]\nwindow_outer = 20\n[grid]\nhalf_width = 30\n", ":6:14:"),
+], ids=["window-outer", "half-width", "both-set"])
+def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeypatch,
+                                                       text, where):
+    # Omega is (-(window_outer + 2), window_outer + 2); its collar needs
+    # half_width >= 1.5 (window_outer + 2), which the config alone decides
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built a grid before the config was rejected")
+
+    monkeypatch.setattr(experiments, "build_grid", no_grid)
+    cfg_path = tmp_path / "symbol.cfg"
+    cfg_path.write_text("[experiment]\nname = symbol\n" + text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}{where}" in err
+    assert "half_width must be at least 1.5 (window_outer + 2)" in err
+
+
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "latin1.cfg"
     cfg_path.write_bytes(b"[experiment]\nname = getoor\n\xff\n")

@@ -25,7 +25,11 @@ exactly, and the kernel is exactly even, t(kappa) = t(-kappa).  The
 quadrant integral's power series in the corner angle matches the
 incomplete-beta closed form.
 The eigenvectors of the operator's spectrum are orthonormal, and the
-spectral (I + c A)^(-1) b agrees with a Cholesky solve.
+spectral (I + c A)^(-1) b agrees with a Cholesky solve.  The spectrum,
+taken in parity blocks when Omega is mirror-symmetric about the box
+centre, matches a plain eigh of the dense matrix and rebuilds it, for
+reflection groups of 1, 2 and 4 elements; with no mirror axis it is that
+plain eigh, bit for bit.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
 contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
 gives each datum its one-datum image, in order.
@@ -44,6 +48,7 @@ from fraclab.gridfn import Grid, GridFunction, build_grid, extend_by_zero
 from fraclab.localization import remainder_Is
 from fraclab.operator import (
     FractionalParams,
+    _mirror_axes,
     apply_fractional_laplacian,
     assemble_operator_matrix,
     kernel_transform,
@@ -353,6 +358,49 @@ def test_spectral_solve_matches_cholesky(ndim, n_max):
         assert _rel_gap(spectral, scipy.linalg.cho_solve(cho, b)) <= 1e-12
 
     check()
+
+
+def _check_spectrum(matrix):
+    """spectrum against a plain eigh of the dense matrix: the same one when Omega has no mirror."""
+    lam, vecs = matrix.spectrum
+    A = matrix.matrix
+    plain_lam, plain_vecs = np.linalg.eigh(A)
+    assert not lam.flags.writeable and not vecs.flags.writeable and vecs.flags.f_contiguous
+    assert np.all(np.diff(lam) >= 0)
+    assert np.abs(lam - plain_lam).max() <= 1e-12 * np.abs(plain_lam).max()
+    assert np.abs((vecs * lam) @ vecs.T - A).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(vecs.T @ vecs - np.eye(len(lam))).max() <= 1e-12
+    if not _mirror_axes(matrix.grid, matrix.kernel):
+        assert np.array_equal(lam, plain_lam) and np.array_equal(vecs, plain_vecs)
+
+
+@pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
+def test_parity_spectrum_matches_plain_eigh(ndim, n_max):
+    @PROPERTY
+    @given(problems(ndim, n_max))
+    def check(problem):
+        grid, params, _ = problem
+        _check_spectrum(assemble_operator_matrix(grid, params))
+
+    check()
+
+
+@pytest.mark.parametrize("ndim, n, omega, group", [
+    (1, 33, Ball((0.0,), 1.0), 2),
+    (1, 32, Ball((0.0,), 1.0), 2),  # even n: no node on the mirror
+    (2, 25, Ball((0.0, 0.0), 1.0), 4),
+    (2, 24, Ball((0.0, 0.0), 1.0), 4),
+    (2, 25, Box((-1.0, -0.5), (1.0, 1.0)), 2),  # mirror-symmetric in x only
+    (2, 25, Box((-0.5, -1.0), (1.0, 1.0)), 2),  # in y only
+    (1, 33, Box((-0.5,), (1.0,)), 1),
+    (2, 25, Box((-0.5, -0.5), (1.0, 1.0)), 1),
+], ids=["1d-ball", "1d-ball-even-n", "2d-ball", "2d-ball-even-n", "2d-box-x", "2d-box-y",
+        "1d-off-centre", "2d-off-centre"])
+def test_parity_spectrum_per_group_size(ndim, n, omega, group):
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, omega)
+    matrix = assemble_operator_matrix(grid, FractionalParams(ndim, 0.4))
+    assert 2 ** len(_mirror_axes(grid, matrix.kernel)) == group
+    _check_spectrum(matrix)
 
 
 def _pairwise_remainder(u, eta, c, params):
