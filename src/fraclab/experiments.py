@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .elliptic import solve_dirichlet
-from .errors import ConfigError
-from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero, smoothstep
+from .errors import CollarError, ConfigError
+from .gridfn import (CutoffSpec, GridFunction, build_cutoff, build_grid, check_collar,
+                     extend_by_zero, smoothstep)
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
@@ -258,12 +259,15 @@ def run_symbol(cfg, out_dir):
     if len(levels) < 2:
         raise cfg.error("grid", "n", "symbol fits its order through at least 2 [grid] n levels")
     omega = Ball((0.0,), r2 + 2.0)
-    if half_width - omega.radius < 0.25 * (2 * omega.radius):  # build_grid's collar rule
+    box = ((-half_width, half_width),)
+    try:
+        check_collar(box, omega)
+    except CollarError as exc:
         raise cfg.error(*(("grid", "half_width") if cfg.has("grid", "half_width")
                           else ("symbol", "window_outer")),
-                        f"half_width must be at least 1.5 (window_outer + 2) = "
-                        f"{1.5 * omega.radius:g} for the collar around Omega "
-                        f"(-{omega.radius:g}, {omega.radius:g}), got {half_width:g}")
+                        f"{exc}; Omega is (-(window_outer + 2), window_outer + 2) = "
+                        f"(-{omega.radius:g}, {omega.radius:g}) in the box "
+                        f"(-half_width, half_width) = (-{half_width:g}, {half_width:g})") from exc
     h0 = 2 * half_width / (levels[0] - 1)
     # the checks below read k and h0 alone, and pass at their defaults
     at = next((sk for sk in (("symbol", "k"), ("grid", "n"), ("grid", "half_width"))
@@ -278,7 +282,7 @@ def run_symbol(cfg, out_dir):
             raise cfg.error(*at, f"the window around x = {center:g} for k = {kf:g} leaves "
                             f"Omega (-{omega.radius:g}, {omega.radius:g})")
     window = (r1, r2, order)
-    grids = [build_grid(1, ((-half_width, half_width),), n, omega) for n in levels]
+    grids = [build_grid(1, box, n, omega) for n in levels]
     rows = []
     summary = []
     for s in s_list:

@@ -170,6 +170,21 @@ def smoothstep(t, order):
     return t ** (order + 1) * acc
 
 
+def check_collar(box, omega):
+    """Raise CollarError unless the box leaves omega a collar of 25% of its diameter per side.
+
+    box: ((lo, hi), ...) per axis of omega.
+    """
+    bb = omega.bounding_box()
+    diam = max(hi - lo for lo, hi in bb)
+    for a, ((lo, hi), (box_lo, box_hi)) in enumerate(zip(bb, box)):
+        gap = min(lo - box_lo, box_hi - hi)
+        if gap < 0.25 * diam:
+            raise CollarError(
+                f"axis {a}: collar {gap:.4g} is below 25% of omega's "
+                f"diameter {diam:.4g}; enlarge the box or shrink omega")
+
+
 def build_grid(ndim, box, n, omega):
     """Construct a grid whose box strictly contains omega with a collar.
 
@@ -194,15 +209,7 @@ def build_grid(ndim, box, n, omega):
     if getattr(omega, "dim", ndim) != ndim:
         raise ValueError("omega dimension does not match the grid")
 
-    bb = omega.bounding_box()
-    diam = max(hi - lo for lo, hi in bb)
-    for a in range(ndim):
-        lo_gap = bb[a][0] - box[a][0]
-        hi_gap = box[a][1] - bb[a][1]
-        if min(lo_gap, hi_gap) < 0.25 * diam:
-            raise CollarError(
-                f"axis {a}: collar {min(lo_gap, hi_gap):.4g} is below 25% of omega's "
-                f"diameter {diam:.4g}; enlarge the box or shrink omega")
+    check_collar(box, omega)
 
     grid = Grid(ndim, tuple(b[0] for b in box), tuple(b[1] for b in box), n, omega)
     if grid.n_omega == 0:

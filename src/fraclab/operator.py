@@ -33,7 +33,8 @@ centred in x alone has one.  In the basis of signed sums over each
 node's orbit under these reflections A is block diagonal, with one block
 per character of the group G they generate, and each block, of about
 m/|G| rows, takes its own eigh.  An Omega with no mirror axis, such as an
-off-centre interval, takes one eigh of the whole matrix.
+off-centre interval, has G trivial: one block, the whole matrix, and one
+eigh of it.
 
 The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
 lengths (next_fast_len).
@@ -267,19 +268,16 @@ class OperatorMatrix:
 
         Read-only, computed on first access and shared by every function of A
         the time steppers take, such as (I + c A)^(-1) for any c.  Q is
-        column-major.  When Omega has mirror axes (_mirror_axes), A is
-        decomposed in parity blocks (_parity_eigh), one eigh each, and the
-        eigenvalues merged in ascending order; otherwise by one eigh of the
-        whole matrix.  A failed eigh of any block raises
-        SingularOperatorError.
+        column-major.  A is decomposed in parity blocks under the
+        reflections of Omega's mirror axes (_mirror_axes, _parity_eigh), one
+        eigh each, and the eigenvalues merged in ascending order.  With no
+        mirror axis the one block is a copy of the whole matrix, so lam and Q
+        equal a plain eigh of it bit for bit.  A failed eigh of any block
+        raises SingularOperatorError.
         """
-        axes = _mirror_axes(self.grid, self.kernel)
         try:
-            if axes:
-                lam, vecs = _parity_eigh(self.matrix, self.grid.mask, axes)
-            else:
-                lam, vecs = np.linalg.eigh(self.matrix)
-                vecs = np.asfortranarray(vecs)  # as LAPACK writes it: BLAS rounds by layout
+            lam, vecs = _parity_eigh(self.matrix, self.grid.mask,
+                                     _mirror_axes(self.grid, self.kernel))
         except np.linalg.LinAlgError as exc:
             raise SingularOperatorError(f"operator eigendecomposition failed: {exc}") from exc
         lam.setflags(write=False)

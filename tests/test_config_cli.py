@@ -420,7 +420,8 @@ def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeyp
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{cfg_path}{where}" in err
-    assert "half_width must be at least 1.5 (window_outer + 2)" in err
+    assert "below 25% of omega's diameter" in err
+    assert "Omega is (-(window_outer + 2), window_outer + 2)" in err
 
 
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):
