@@ -23,7 +23,7 @@ from . import __version__
 from .elliptic import solve_dirichlet
 from .errors import CollarError, ConfigError
 from .gridfn import (CutoffSpec, GridFunction, build_cutoff, build_grid, check_collar,
-                     extend_by_zero, smoothstep)
+                     extend_by_zero, ramp)
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
@@ -33,6 +33,8 @@ from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norm
 
 F17 = "{:.17g}".format
+BUMP_FRACTIONS = (0.3, 0.8)  # [source] inner_fraction and outer_fraction when unset
+SYMBOL_WINDOW = (7.0, 16.0)  # [symbol] window_inner and window_outer when unset
 
 
 def getoor_constant(ndim, s):
@@ -102,11 +104,9 @@ def source_profile(cfg, grid, default="constant"):
         with np.errstate(divide="ignore"):  # a node at the center: the solve rejects the inf
             return r ** expo
     if profile == "bump":
-        frac_in = cfg.get_float("source", "inner_fraction", default=0.3)
-        frac_out = cfg.get_float("source", "outer_fraction", default=0.8)
-        bb = grid.omega.bounding_box()
-        rad = 0.5 * min(hi - lo for lo, hi in bb)
-        center = tuple(0.5 * (lo + hi) for lo, hi in bb)
+        frac_in = cfg.get_float("source", "inner_fraction", default=BUMP_FRACTIONS[0])
+        frac_out = cfg.get_float("source", "outer_fraction", default=BUMP_FRACTIONS[1])
+        center, rad = _omega_disc(grid)
         spec = CutoffSpec(Ball(center, frac_in * rad), Ball(center, frac_out * rad))
         return build_cutoff(grid, spec).values[grid.mask]
     path = cfg.get_str("source", "path")  # profile = csv
@@ -118,6 +118,12 @@ def source_profile(cfg, grid, default="constant"):
         raise cfg.error("source", "path", f"CSV source {path} holds {vals.size} "
                         f"values for {grid.n_omega} Omega nodes")
     return vals
+
+
+def _omega_disc(grid):
+    """Centre of Omega's bounding box and half its smallest width: Omega's centred disc."""
+    bb = grid.omega.bounding_box()
+    return tuple(0.5 * (lo + hi) for lo, hi in bb), 0.5 * min(hi - lo for lo, hi in bb)
 
 
 def _reject_csv_source(cfg, runner):
@@ -164,15 +170,25 @@ def _probe(cfg, s, grid, regions, paths, default="constant"):
     return estimates
 
 
-def _default_grid(cfg, n):
-    """Grid from [params] ndim, [grid] box and [omega]; by default the unit ball in [-2, 2]^N."""
+def _default_grid(cfg, n, box=(-2.0, 2.0), omega=None, omega_from=None):
+    """Grid of n nodes per axis from [params] ndim, [grid] box and [omega].
+
+    The recipe's defaults are `box` on each axis and `omega` (None: the unit
+    ball at 0).  Before any grid is built, a box and Omega that break the
+    collar rule are a config error at [grid] box, else at [omega], else at
+    `omega_from`, the (section, key) that the recipe's default Omega reads.
+    """
     ndim = cfg.get_int("params", "ndim", default=1)
-    box_vals = cfg.get_floats("grid", "box", default=None)
-    if box_vals is None:
-        box = ((-2.0, 2.0),) * ndim
-    else:  # 2 ndim numbers, checked at load time
-        box = tuple((box_vals[a], box_vals[ndim + a]) for a in range(ndim))
-    omega = cfg.region("omega") or Ball((0.0,) * ndim, 1.0)
+    lo_hi = cfg.get_floats("grid", "box", default=[box[0]] * ndim + [box[1]] * ndim)
+    box = tuple((lo_hi[a], lo_hi[ndim + a]) for a in range(ndim))  # checked at load time
+    omega = cfg.region("omega") or omega or Ball((0.0,) * ndim, 1.0)
+    try:
+        check_collar(box, omega)
+    except CollarError as exc:
+        at = next((sk for sk in (("grid", "box"), ("omega", "kind")) if cfg.has(*sk)),
+                  omega_from)
+        raise cfg.error(*at, f"{exc}; Omega is {omega.describe()} in the box "
+                        + " x ".join(f"({lo:g}, {hi:g})" for lo, hi in box)) from exc
     return build_grid(ndim, box, n, omega)
 
 
@@ -210,9 +226,7 @@ def run_getoor(cfg, out_dir):
 
 def _window(d, r1, r2, order):
     """C^order cut-off of a distance d: 1 up to r1, 0 from r2 on; takes arrays."""
-    a = np.maximum(d - r1, 0.0)
-    b = np.maximum(r2 - d, 0.0)
-    return smoothstep(b / (a + b), order)
+    return ramp(np.maximum(d - r1, 0.0), np.maximum(r2 - d, 0.0), order)
 
 
 def _symbol_oracle(kf, center, s, cns, window, width):
@@ -252,37 +266,27 @@ def run_symbol(cfg, out_dir):
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5, 0.7])
     k_list = cfg.get_floats("symbol", "k", default=[1.0, 2.0, 4.0])
     levels = cfg.get_ints("grid", "n", default=[513, 1025, 2049])
-    half_width = cfg.get_float("grid", "half_width", default=28.0)
-    r1 = cfg.get_float("symbol", "window_inner", default=7.0)
-    r2 = cfg.get_float("symbol", "window_outer", default=16.0)
+    r1 = cfg.get_float("symbol", "window_inner", default=SYMBOL_WINDOW[0])
+    r2 = cfg.get_float("symbol", "window_outer", default=SYMBOL_WINDOW[1])
     order = cfg.get_int("symbol", "window_order", default=5)
     if len(levels) < 2:
         raise cfg.error("grid", "n", "symbol fits its order through at least 2 [grid] n levels")
-    omega = Ball((0.0,), r2 + 2.0)
-    box = ((-half_width, half_width),)
-    try:
-        check_collar(box, omega)
-    except CollarError as exc:
-        raise cfg.error(*(("grid", "half_width") if cfg.has("grid", "half_width")
-                          else ("symbol", "window_outer")),
-                        f"{exc}; Omega is (-(window_outer + 2), window_outer + 2) = "
-                        f"(-{omega.radius:g}, {omega.radius:g}) in the box "
-                        f"(-half_width, half_width) = (-{half_width:g}, {half_width:g})") from exc
-    h0 = 2 * half_width / (levels[0] - 1)
-    # the checks below read k and h0 alone, and pass at their defaults
-    at = next((sk for sk in (("symbol", "k"), ("grid", "n"), ("grid", "half_width"))
-               if cfg.has(*sk)), None)
+    grids = [_default_grid(cfg, n, box=(-28.0, 28.0), omega=Ball((0.0,), r2 + 2.0),
+                           omega_from=("symbol", "window_outer")) for n in levels]
+    x0, h0, omega = grids[0].axes[0], grids[0].h, grids[0].omega
+    # the checks below read k, h0 and Omega alone, and pass at their defaults
+    at = next((sk for sk in (("symbol", "k"), ("grid", "n"), ("grid", "box"),
+                             ("omega", "kind")) if cfg.has(*sk)), None)
     kmax = max(abs(kf) for kf in k_list)
-    if kmax * h0 >= math.pi:  # x = 0 is then the node nearest pi / (2k), where sin(kx) = 0
+    if kmax * h0 >= math.pi:  # the node nearest pi / (2k) may then be a zero of sin(kx)
         raise cfg.error(*at, f"k h must be below pi on the first grid, got k = {kmax:g}, "
                         f"h = {h0:g}")
-    centers = [round((math.pi / (2 * kf)) / h0) * h0 for kf in k_list]
+    centers = [float(x0[np.abs(x0 - math.pi / (2 * kf)).argmin()]) for kf in k_list]
     for kf, center in zip(k_list, centers):
-        if abs(center) + r2 >= omega.radius:
+        if nesting_margin(Ball((center,), r2), omega) <= 0:
             raise cfg.error(*at, f"the window around x = {center:g} for k = {kf:g} leaves "
-                            f"Omega (-{omega.radius:g}, {omega.radius:g})")
+                            f"Omega {omega.describe()}")
     window = (r1, r2, order)
-    grids = [build_grid(1, box, n, omega) for n in levels]
     rows = []
     summary = []
     for s in s_list:
@@ -304,7 +308,7 @@ def run_symbol(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "symbol.csv"),
                ("s", "k", "n", "h", "value", "symbol", "oracle",
                 "rel_err_vs_symbol", "abs_err_vs_oracle"), rows)
-    write_manifest(out_dir, "symbol", cfg, grid, s=s_list, k=k_list, n=levels,
+    write_manifest(out_dir, "symbol", cfg, grids[-1], s=s_list, k=k_list, n=levels,
                    regions={"window": {"inner": r1, "outer": r2, "order": order}})
     return {"table": summary}
 
@@ -442,7 +446,7 @@ def run_g_bound(cfg, out_dir):
         u = solve_dirichlet(source_profile(cfg, grid), params, grid)
         spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6),
                           omega2=Ball((0.0,), 0.8))
-        report = g_bound_monitor(u, spec, params, spec.omega2, p)
+        report = g_bound_monitor(u, spec, params, p)
         ratios.append(report.ratio)
         rows.append(report)
     _write_csv(os.path.join(out_dir, "g_bound.csv"),
@@ -481,9 +485,7 @@ def run_boundary_profile(cfg, out_dir):
         _write_csv(os.path.join(out_dir, f"profile_s{s:g}.csv"),
                    tuple(f"x{a}" for a in range(grid.ndim)) + ("rho", "u", "ratio"),
                    np.column_stack([pts, rho, vals, ratio]))
-        bb = grid.omega.bounding_box()
-        center = np.asarray([0.5 * (lo + hi) for lo, hi in bb])
-        rad = 0.5 * min(hi - lo for lo, hi in bb)
+        center, rad = _omega_disc(grid)
         inner_half = np.linalg.norm(pts - center, axis=1) <= 0.5 * rad
         q = ratio[inner_half]
         med = float(np.median(q))
@@ -507,13 +509,34 @@ RECIPES = {
 # the recipes that accept [params] ndim = 2; every other one runs in 1D only
 READS_NDIM = {"getoor"}
 
+# the sections each recipe reads beside [experiment], [params] and [grid]; no other is allowed
+READS_SECTIONS = {
+    "getoor": ("omega",),
+    "symbol": ("omega", "symbol"),
+    "elliptic-regularity": ("omega", "inner", "boundary", "source", "probe"),
+    "parabolic-energy": ("omega", "source", "time"),
+    "semigroup-contraction": ("omega", "semigroup"),
+    "product-rule": ("omega",),
+    "g-bound": ("omega", "source", "probe"),
+    "regularity-sweep": ("omega", "inner", "source", "probe"),
+    "boundary-profile": ("omega",),
+}
+
 
 def run_experiment(name, cfg, out_dir):
     if name not in RECIPES:
-        raise ConfigError(f"unknown experiment {name!r}; see 'fraclab list'",
-                          path=cfg.path if cfg else None)
+        message = f"unknown experiment {name!r}; see 'fraclab list'"
+        if cfg.get_str("experiment", "name") == name:
+            raise cfg.error("experiment", "name", message)
+        raise ConfigError(message, path=cfg.path)
     if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
         raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
-    _source_kind(cfg)  # before any grid is built
+    reads = ("experiment", "params", "grid") + READS_SECTIONS[name]
+    for section, keys in cfg.sections.items():
+        if keys and section not in reads:
+            raise cfg.error(section, next(iter(keys)), f"{name} does not read [{section}]; "
+                            f"it reads {', '.join(f'[{sec}]' for sec in reads)}")
+    if "source" in reads:
+        _source_kind(cfg)  # before any grid is built
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[name](cfg, out_dir)

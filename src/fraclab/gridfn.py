@@ -41,41 +41,28 @@ class Grid:
     rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        axes = tuple(np.linspace(self.box_lo[a], self.box_hi[a], self.n) for a in range(self.ndim))
-        h = (self.box_hi[0] - self.box_lo[0]) / (self.n - 1)
-        pts = self.nodes_from_axes(axes)
-        mask = self.omega.contains(pts).reshape(self.shape_from(self.n, self.ndim))
-        rho = self.omega.boundary_distance(pts).reshape(mask.shape)
-        rho = np.where(mask, rho, 0.0)
+        object.__setattr__(self, "axes", tuple(np.linspace(self.box_lo[a], self.box_hi[a], self.n)
+                                               for a in range(self.ndim)))
+        object.__setattr__(self, "h", (self.box_hi[0] - self.box_lo[0]) / (self.n - 1))
+        pts = self.nodes()
+        mask = self.omega.contains(pts).reshape(self.shape)
+        rho = np.where(mask, self.omega.boundary_distance(pts).reshape(self.shape), 0.0)
         for arr in (mask, rho):
             arr.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "rho", rho)
 
-    @staticmethod
-    def shape_from(n, ndim):
-        return (n,) * ndim
-
-    @staticmethod
-    def nodes_from_axes(axes):
-        if len(axes) == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
-
     @property
     def shape(self):
-        return self.shape_from(self.n, self.ndim)
+        return (self.n,) * self.ndim
 
     @property
     def n_omega(self):
         return int(self.mask.sum())
 
     def nodes(self):
-        """All node coordinates, shape (n^ndim, ndim)."""
-        return self.nodes_from_axes(self.axes)
+        """All node coordinates, shape (n^ndim, ndim), the last axis varying fastest."""
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1).reshape(-1, self.ndim)
 
     def omega_nodes(self):
         return self.nodes()[self.mask.ravel()]
@@ -155,11 +142,6 @@ class CutoffSpec:
         if self.omega2 is not None:
             require_nested(self.outer, self.omega2, "cut-off outer/omega2")
 
-    def validate_against(self, grid):
-        require_nested(self.outer, grid.omega, "cut-off outer/Omega")
-        if self.omega2 is not None:
-            require_nested(self.omega2, grid.omega, "cut-off omega2/Omega")
-
 
 def smoothstep(t, order):
     """Polynomial ramp of smoothness C^order: 0 at t<=0, 1 at t>=1."""
@@ -168,6 +150,13 @@ def smoothstep(t, order):
     for k in range(order + 1):
         acc += math.comb(order + k, k) * math.comb(2 * order + 1, order - k) * (-t) ** k
     return t ** (order + 1) * acc
+
+
+def ramp(a, b, order):
+    """C^order cut-off ramp smoothstep(b / (a + b)) of arrays: a the distance to the region
+    where it is 1, b the depth inside the one outside which it is 0 (it is 0 where b = 0)."""
+    denom = a + b
+    return smoothstep(np.where(denom > 0, b / np.where(denom > 0, denom, 1.0), 0.0), order)
 
 
 def check_collar(box, omega):
@@ -235,19 +224,13 @@ def extend_by_zero(values_on_omega, grid):
 
 
 def build_cutoff(grid, spec):
-    """Smooth bump: 1 on spec.inner, 0 outside spec.outer, C^order ramp.
+    """Smooth bump: 1 on spec.inner, 0 outside spec.outer, the C^order `ramp` between.
 
-    The ramp argument is b/(a+b) where a is the distance to the inner
-    region and b the depth inside the outer one, evaluated exactly from
-    the region descriptors.
+    The ramp reads the distance to the inner region and the depth inside
+    the outer one, evaluated exactly from the region descriptors.  The
+    widest region of the spec, which CutoffSpec has nested, must nest in Omega.
     """
-    spec.validate_against(grid)
+    require_nested(spec.outer if spec.omega2 is None else spec.omega2, grid.omega, "cut-off/Omega")
     pts = grid.nodes()
-    a = spec.inner.exterior_distance(pts)
-    b = spec.outer.boundary_distance(pts)
-    denom = a + b
-    t = np.where(denom > 0, b / np.where(denom > 0, denom, 1.0), 0.0)
-    eta = smoothstep(t, spec.order)
-    eta[spec.inner.contains(pts)] = 1.0
-    eta[b == 0.0] = 0.0
+    eta = ramp(spec.inner.exterior_distance(pts), spec.outer.boundary_distance(pts), spec.order)
     return GridFunction(grid, eta.reshape(grid.shape), dirichlet=True)

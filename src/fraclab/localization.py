@@ -15,7 +15,6 @@ import numpy as np
 from .errors import LocalizationError
 from .gridfn import GridFunction, build_cutoff
 from .operator import apply_fractional_laplacian, convolve, toeplitz_operator
-from .regions import require_nested
 from .spaces import gagliardo_seminorm, lp_norm
 
 
@@ -126,17 +125,19 @@ class GBoundReport:
         return 0.0 if denom == 0 else self.g_norm / denom
 
 
-def g_bound_monitor(u, eta_spec, params, omega2, p):
+def g_bound_monitor(u, eta_spec, params, p):
     """Empirical constant of the localization bound.
 
-    g = u (-Delta)^s eta - I_s(u, eta); the report records
-    ||g||_p / (||u||_{W^{s,p}(omega2)} + ||u||_{L^p(Omega)}).  Only
+    g = u (-Delta)^s eta - I_s(u, eta) for the cut-off eta of eta_spec; the report
+    records ||g||_p / (||u||_{W^{s,p}(omega2)} + ||u||_{L^p(Omega)}) on eta_spec.omega2,
+    which CutoffSpec and build_cutoff nest between the outer region and Omega.  Only
     finiteness and refinement stability are meaningful, not the value.
     """
     grid = u.grid
+    omega2 = eta_spec.omega2
+    if omega2 is None:
+        raise ValueError("the g-bound monitor needs a cut-off with omega2")
     eta = build_cutoff(grid, eta_spec)
-    require_nested(eta_spec.outer, omega2, "g-bound outer/omega2")
-    require_nested(omega2, grid.omega, "g-bound omega2/Omega")
     g_norm = lp_norm(GridFunction(grid, _cutoff_remainder(u, eta, params)), p)
     semi = gagliardo_seminorm(u, params.s, p, omega2)
     lp_o2 = lp_norm(u, p, omega2)

@@ -193,22 +193,14 @@ def nesting_margin(inner, outer):
         c = np.asarray(outer.center)
         if isinstance(inner, Ball):
             return float(outer.radius - (np.linalg.norm(np.asarray(inner.center) - c) + inner.radius))
-        corners = _box_corners(inner)
-        return float(outer.radius - max(np.linalg.norm(k - c) for k in corners))
+        far = np.maximum(np.abs(np.asarray(inner.lo) - c), np.abs(np.asarray(inner.hi) - c))
+        return float(outer.radius - np.linalg.norm(far))  # the farthest corner
     # outer is a box: containment is separable per axis
     bb = inner.bounding_box()
     m = math.inf
     for ax in range(outer.dim):
         m = min(m, bb[ax][0] - outer.lo[ax], outer.hi[ax] - bb[ax][1])
     return float(m)
-
-
-def _box_corners(box):
-    axes = list(zip(box.lo, box.hi))
-    corners = [[]]
-    for lo, hi in axes:
-        corners = [c + [v] for c in corners for v in (lo, hi)]
-    return [np.asarray(c, float) for c in corners]
 
 
 def require_nested(inner, outer, what="regions"):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .experiments import BUMP_FRACTIONS, SYMBOL_WINDOW
 from .gridfn import MIN_NODES
 from .probe import DEFAULT_METHOD, DEFAULT_P, DEFAULT_SWEEP, estimator_problem
 from .regions import Ball, Box
@@ -27,8 +28,7 @@ _SCHEMA = {
     "params": {"s": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
                "ndim": (True, lambda v: v in (1, 2), "1 or 2")},
     "grid": {"n": (True, lambda v: v >= MIN_NODES, f">= {MIN_NODES}"),
-             "box": None,
-             "half_width": (False, lambda v: v > 0.0, "> 0")},
+             "box": None},
     "omega": _REGION,
     "inner": _REGION,
     "boundary": _REGION,
@@ -228,9 +228,9 @@ def _check_probe(cfg):
 def _check_geometry(cfg):
     """The [grid] box, every region section and the [source] center against [params] ndim.
 
-    Also the bump's radii, inner_fraction below outer_fraction (by
-    default 0.3 and 0.8), and the symbol window's, window_inner below
-    window_outer (by default 7 and 16).
+    Also the bump's radii, inner_fraction below outer_fraction, and the
+    symbol window's, window_inner below window_outer, an unset one taken
+    at the recipe's default.
     """
     ndim = cfg.get_int("params", "ndim", default=1)
     box = cfg.get_floats("grid", "box")
@@ -253,14 +253,14 @@ def _check_geometry(cfg):
     if center is not None and len(center) != ndim:
         raise cfg.error("source", "center", f"[source] center needs {ndim} numbers for "
                         f"ndim={ndim}, got {len(center)}")
-    _check_below(cfg, "source", "inner_fraction", "outer_fraction", 0.3, 0.8)
-    _check_below(cfg, "symbol", "window_inner", "window_outer", 7.0, 16.0)
+    _check_below(cfg, "source", "inner_fraction", "outer_fraction", BUMP_FRACTIONS)
+    _check_below(cfg, "symbol", "window_inner", "window_outer", SYMBOL_WINDOW)
 
 
-def _check_below(cfg, section, lower, upper, lower_default, upper_default):
-    """[section] lower below upper, an unset one taken at its default."""
-    lo = cfg.get_float(section, lower, default=lower_default)
-    hi = cfg.get_float(section, upper, default=upper_default)
+def _check_below(cfg, section, lower, upper, defaults):
+    """[section] lower below upper, an unset one taken at its default in `defaults`."""
+    lo = cfg.get_float(section, lower, default=defaults[0])
+    hi = cfg.get_float(section, upper, default=defaults[1])
     if lo >= hi:
         key = lower if cfg.has(section, lower) else upper
         raise cfg.error(section, key, f"[{section}] {lower} must be below {upper}, "

@@ -1,4 +1,5 @@
 import ast
+import csv
 import filecmp
 import json
 import os
@@ -149,10 +150,11 @@ def test_cli_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_cli_run_unknown_experiment_exits_2(tmp_path):
+def test_cli_run_unknown_experiment_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "u.cfg"
     cfg_path.write_text("[experiment]\nname = not-a-recipe\n")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}:2:8: unknown experiment 'not-a-recipe'" in capsys.readouterr().err
 
 
 def test_cli_run_numerical_failure_exits_3(tmp_path, capsys):
@@ -322,7 +324,6 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
     ("[experiment]\nname = getoor\n[omgea]\nkind = ball\n", ":3:1:"),
     ("[experiment]\nname = regularity-sweep\n[probe]\nrate_treshold = 0.2\n", ":4:1:"),
     ("[experiment]\nname = symbol\n[symbol]\nk = 0\n", ":4:5:"),
-    ("[experiment]\nname = symbol\n[grid]\nhalf_width = -5\n", ":4:14:"),
     ("[experiment]\nname = parabolic-energy\n[time]\nT = -1\n", ":4:5:"),
     ("[experiment]\nname = parabolic-energy\n[params]\ns = 0.3, 0.5\n", ":4:5:"),
     ("[experiment]\nname = parabolic-energy\n[grid]\nn = 17\n[time]\nT = inf\nnt = 4\n",
@@ -365,7 +366,7 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
         "besov-method-region-mode", "omega-radius-text", "omega-radius-negative",
         "omega-box-extent", "omega-box-odd-bounds", "omega-kind", "grid-n-inf", "grid-n-nan",
         "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
-        "grid-half-width", "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
+        "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
         "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
         "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
         "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner",
@@ -404,13 +405,13 @@ def test_cli_run_symbol_fault_exits_2_before_any_apply(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("text, where", [
     ("[symbol]\nwindow_outer = 20\n", ":4:16:"),
-    ("[grid]\nhalf_width = 26\n", ":4:14:"),
-    ("[symbol]\nwindow_outer = 20\n[grid]\nhalf_width = 30\n", ":6:14:"),
-], ids=["window-outer", "half-width", "both-set"])
+    ("[grid]\nbox = -26, 26\n", ":4:7:"),
+    ("[symbol]\nwindow_outer = 20\n[grid]\nbox = -30, 30\n", ":6:7:"),
+], ids=["window-outer", "box", "both-set"])
 def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeypatch,
                                                        text, where):
-    # Omega is (-(window_outer + 2), window_outer + 2); its collar needs
-    # half_width >= 1.5 (window_outer + 2), which the config alone decides
+    # Omega is (-(window_outer + 2), window_outer + 2); its collar needs a
+    # box of at least 1.5 (window_outer + 2) each way, which the config alone decides
     def no_grid(*args, **kwargs):
         raise AssertionError("built a grid before the config was rejected")
 
@@ -421,7 +422,68 @@ def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert f"{cfg_path}{where}" in err
     assert "below 25% of omega's diameter" in err
-    assert "Omega is (-(window_outer + 2), window_outer + 2)" in err
+    assert "Omega is {'kind': 'ball', 'center': [0.0], 'radius': " in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[experiment]\nname = getoor\n[grid]\nbox = -1.2, 1.2\n", ":4:7:"),
+    ("[experiment]\nname = boundary-profile\n[omega]\nkind = box\nbounds = -1.9, 1.9\n",
+     ":4:8:"),
+], ids=["grid-box", "omega"])
+def test_cli_run_collar_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, text, where):
+    # the collar rule reads only the box and Omega, which the config alone decides
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built a grid before the config was rejected")
+
+    monkeypatch.setattr(experiments, "build_grid", no_grid)
+    cfg_path = tmp_path / "collar.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}{where}" in err and "below 25% of omega's diameter" in err
+
+
+def test_cli_run_symbol_reads_grid_box_and_omega(tmp_path):
+    cfg_path = tmp_path / "symbol.cfg"
+    cfg_path.write_text("[experiment]\nname = symbol\n[params]\ns = 0.5\n[symbol]\nk = 1\n"
+                        "[grid]\nn = 65, 129\nbox = -30, 30\n"
+                        "[omega]\nkind = ball\ncenter = 0\nradius = 19\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "symbol.csv") as fh:
+        h = [float(row["h"]) for row in csv.DictReader(fh)]
+    assert h == [60 / 64, 60 / 128]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["regions"]["omega"] == {"kind": "ball", "center": [0.0], "radius": 19.0}
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[experiment]\nname = getoor\n[source]\nprofile = jump\n", ":4:11:"),
+    ("[experiment]\nname = boundary-profile\n[source]\nvalue = 2\n", ":4:9:"),
+    ("[experiment]\nname = semigroup-contraction\n[source]\nprofile = jump\n", ":4:11:"),
+    ("[experiment]\nname = semigroup-contraction\n[time]\nT = 2\n", ":4:5:"),
+    ("[experiment]\nname = product-rule\n[grid]\nn = 65\n[inner]\nkind = ball\n"
+     "center = 0\nradius = 0.2\n", ":6:8:"),
+], ids=["getoor-source", "boundary-profile-source", "semigroup-source", "semigroup-time",
+        "product-rule-inner"])
+def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
+                                                          text, where):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built a grid before the config was rejected")
+
+    monkeypatch.setattr(experiments, "build_grid", no_grid)
+    cfg_path = tmp_path / "unread.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}{where}" in capsys.readouterr().err
+
+
+def test_front_end_tables_agree():
+    # every recipe has one row in each table, and every section is read by some recipe
+    front = {"experiment", "params", "grid"}
+    assert set(experiments.READS_SECTIONS) == set(experiments.RECIPES)
+    assert experiments.READS_NDIM <= set(experiments.RECIPES)
+    assert set().union(*experiments.READS_SECTIONS.values()) == set(_SCHEMA) - front
 
 
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):

@@ -135,9 +135,9 @@ def test_g_bound_ratio_stable_and_scale_invariant(params_half):
         grid = build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
         u = solve_dirichlet(np.ones(grid.n_omega), params_half, grid)
         spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6), omega2=Ball((0.0,), 0.8))
-        report = g_bound_monitor(u, spec, params_half, spec.omega2, 2.0)
+        report = g_bound_monitor(u, spec, params_half, 2.0)
         ratios.append(report.ratio)
-        doubled = g_bound_monitor(u * 2.0, spec, params_half, spec.omega2, 2.0)
+        doubled = g_bound_monitor(u * 2.0, spec, params_half, 2.0)
         assert doubled.ratio == pytest.approx(report.ratio, rel=1e-12)
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.25
 
@@ -145,7 +145,7 @@ def test_g_bound_ratio_stable_and_scale_invariant(params_half):
 def test_g_bound_zero_solution(grid65, params_half):
     zero = extend_by_zero(np.zeros(grid65.n_omega), grid65)
     spec = CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.5), omega2=Ball((0.0,), 0.8))
-    report = g_bound_monitor(zero, spec, params_half, spec.omega2, 2.0)
+    report = g_bound_monitor(zero, spec, params_half, 2.0)
     assert report.ratio == 0.0
 
 

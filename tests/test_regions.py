@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ def test_nesting_margin_cases():
         1.0 - np.sqrt(0.5))
     with pytest.raises(NestingError):
         require_nested(Ball((0.0,), 1.0), Ball((0.0,), 1.0))
+
+
+@pytest.mark.parametrize("lo, hi, center", [
+    ((-0.5,), (0.25,), (0.1,)),
+    ((-0.5, 0.1), (0.25, 0.3), (0.0, 0.2)),
+    ((-0.3, -0.2), (0.4, 0.1), (0.05, -0.05)),
+    ((-0.1, -0.2, 0.0), (0.3, 0.1, 0.2), (0.1, -0.1, 0.3)),
+], ids=["1d", "2d-center-inside", "2d-offset", "3d"])
+def test_nesting_margin_box_in_ball_is_the_farthest_of_its_corners(lo, hi, center):
+    ball = Ball(center, 1.0)
+    corners = [np.array(corner) for corner in itertools.product(*zip(lo, hi))]
+    assert len(corners) == 2 ** len(lo)
+    farthest = max(np.linalg.norm(corner - np.array(center)) for corner in corners)
+    assert nesting_margin(Box(lo, hi), ball) == 1.0 - farthest
 
 
 def test_union_requires_disjoint_members():
