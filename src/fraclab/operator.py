@@ -19,11 +19,15 @@ box's transform as preconditioner, so it never builds the grid-box
 transform.  Its dense matrix is gathered from d and t onto Omega pairs
 only when first read, by `spectrum`, the one symmetric eigendecomposition
 of A that the time steppers use for every step size, and by the dense
-cross-checks.  Since t(kappa) = t(-kappa) exactly, the restricted matrix
-is exactly symmetric with the M-matrix sign pattern: positive diagonal,
-nonpositive off-diagonal, and a strictly positive action on the
-all-ones vector.  That structure carries the discrete maximum principle
-used by the solvers and semigroup tests.
+cross-checks.  A spectrum is computed once per (kernel, Omega mask, h) in
+a process and kept with the kernel, as transforms are, so a second
+operator on an equal grid with equal s reads it without gathering its
+matrix; at worst that keeps one m x m Q plus lam per key for as long as
+the toeplitz_operator entry lives.  Since t(kappa) = t(-kappa) exactly,
+the restricted matrix is exactly symmetric with the M-matrix sign
+pattern: positive diagonal, nonpositive off-diagonal, and a strictly
+positive action on the all-ones vector.  That structure carries the
+discrete maximum principle used by the solvers and semigroup tests.
 
 `spectrum` uses Omega's mirror symmetry.  A reflection of the grid box
 about its centre along an axis whose mask, d and t equal their flips bit
@@ -87,7 +91,7 @@ class FractionalParams:
         return self.cns * h ** (-2 * self.s)
 
 
-Toeplitz = namedtuple("Toeplitz", "t d near transforms")
+Toeplitz = namedtuple("Toeplitz", "t d near transforms spectra")
 Window = namedtuple("Window", "mask t_hat shape d inverse_symbol")
 
 
@@ -98,8 +102,9 @@ def toeplitz_operator(ndim, n, s):
     The one kernel cache: every grid with this (ndim, n, s) shares the
     entry, whatever its box, and FractionalParams.scale(h) supplies the
     normalization and the spacing.  t and d include the near-field
-    stencil, whose weight per unit offset is `near`.  No transform is
-    built here: kernel_transform fills `transforms` on first use.
+    stencil, whose weight per unit offset is `near`.  No transform or
+    spectrum is built here: kernel_transform fills `transforms` and
+    OperatorMatrix.spectrum fills `spectra` on first use.
     """
     kernel = (sweep_1d if ndim == 1 else sweep_2d)(n, s)
     t, d = kernel.far, kernel.diag + 2 * ndim * kernel.near
@@ -110,7 +115,7 @@ def toeplitz_operator(ndim, n, s):
             t[tuple(unit)] += kernel.near
     for part in (t, d):
         part.setflags(write=False)
-    return Toeplitz(t, d, kernel.near, {})
+    return Toeplitz(t, d, kernel.near, {}, {})
 
 
 def next_fast_len(n):
@@ -186,8 +191,9 @@ class OperatorMatrix:
     The kernel comes from toeplitz_operator when the operator is made.
     apply() and solve() work from its transform on Omega's bounding box
     alone (`window`); the dense matrix is gathered from the kernel only on
-    first access to `matrix` or `spectrum`, which raise MemoryBudgetError
-    above DEFAULT_DENSE_CAP Omega nodes.
+    first access to `matrix`, or to a `spectrum` that the kernel does not
+    keep yet, which raise MemoryBudgetError above DEFAULT_DENSE_CAP Omega
+    nodes.
     """
 
     grid: Grid
@@ -266,23 +272,34 @@ class OperatorMatrix:
     def spectrum(self):
         """Ascending eigenvalues lam and orthonormal eigenvectors Q: A = Q diag(lam) Q^T.
 
-        Read-only, computed on first access and shared by every function of A
-        the time steppers take, such as (I + c A)^(-1) for any c.  Q is
-        column-major.  A is decomposed in parity blocks under the
-        reflections of Omega's mirror axes (_mirror_axes, _parity_eigh), one
-        eigh each, and the eigenvalues merged in ascending order.  With no
-        mirror axis the one block is a copy of the whole matrix, so lam and Q
-        equal a plain eigh of it bit for bit.  A failed eigh of any block
-        raises SingularOperatorError.
+        Read-only, and shared by every function of A the time steppers
+        take, such as (I + c A)^(-1) for any c.  Q is column-major.  A is a
+        function of the kernel, the Omega mask and the scale C h^(-2s)
+        alone, so the pair is computed once per (class, mask, scale) and
+        kept with the kernel in kernel.spectra, as kernel_transform keeps
+        transforms: every operator of an equal grid and s reads it without
+        gathering `matrix`, and a subclass that defines its own `matrix`
+        keeps its own.  Each key holds one m x m Q and lam for as long as
+        the toeplitz_operator entry lives.  A is decomposed in parity blocks
+        under the reflections of Omega's mirror axes (_mirror_axes,
+        _parity_eigh), one eigh each, and the eigenvalues merged in
+        ascending order.  With no mirror axis the one block is a copy of
+        the whole matrix, so lam and Q equal a plain eigh of it bit for
+        bit.  A failed eigh of any block raises SingularOperatorError and
+        keeps nothing.
         """
-        try:
-            lam, vecs = _parity_eigh(self.matrix, self.grid.mask,
-                                     _mirror_axes(self.grid, self.kernel))
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError(f"operator eigendecomposition failed: {exc}") from exc
-        lam.setflags(write=False)
-        vecs.setflags(write=False)
-        return lam, vecs
+        grid, spectra = self.grid, self.kernel.spectra
+        key = (type(self), grid.mask.tobytes(), self.params.scale(grid.h))
+        if key not in spectra:
+            try:
+                lam, vecs = _parity_eigh(self.matrix, grid.mask, _mirror_axes(grid, self.kernel))
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperatorError(
+                    f"operator eigendecomposition failed: {exc}") from exc
+            lam.setflags(write=False)
+            vecs.setflags(write=False)
+            spectra[key] = (lam, vecs)
+        return spectra[key]
 
     def solve(self, rhs):
         """Solution x of A x = rhs by preconditioned conjugate gradients.

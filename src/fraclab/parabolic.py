@@ -5,16 +5,20 @@ Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 the nonlocal stiffness grows like h^(-2s).  A Trajectory is the one record of
 a run: read-only rows u_k, f_k and B[u_k, u_k] per step.  The stepper and the
 semigroup work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam)
-Q^T, computed once per operator (in parity blocks when Omega is
-mirror-symmetric about the box centre, otherwise by one eigendecomposition of
-the whole matrix): the theta scheme transforms its source once,
-steps the mode values c_k, records B[u_k, u_k] = sum(lam c_k^2) and returns
-with one product by Q; a batch of semigroup images is Q (1 + tau lam)^(-nt)
-Q^T phi.  The energy ledger reads the trajectory alone.  The spectrum needs
-the dense matrix, so both stay within the dense cap (MemoryBudgetError above
-it), unlike the matrix-free elliptic solve.  A failed eigendecomposition, or
-a step matrix I + c A that is not positive definite, raises
-SingularOperatorError.
+Q^T (in parity blocks when Omega is mirror-symmetric about the box centre,
+otherwise by one eigendecomposition of the whole matrix).  It is computed
+once per (kernel, Omega mask, h) in a process and kept with the
+toeplitz_operator entry, so every run on an equal grid with equal s, say
+parabolic-energy then semigroup-contraction, decomposes A once; at worst
+that keeps one m x m Q plus lam per key for as long as the entry lives.
+The theta scheme transforms its source once, steps the mode values c_k,
+records B[u_k, u_k] = sum(lam c_k^2) and returns with one product by Q; a
+batch of semigroup images is Q (1 + tau lam)^(-nt) Q^T phi.  The energy
+ledger reads the trajectory alone, _LEDGER_ROWS rows at a time.  The
+spectrum needs the dense matrix, so both stay within the dense cap
+(MemoryBudgetError above it), unlike the matrix-free elliptic solve.  A
+failed eigendecomposition, or a step matrix I + c A that is not positive
+definite, raises SingularOperatorError.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 from .elliptic import _operator, _rhs_on_omega
 from .errors import SingularOperatorError
 from .gridfn import extend_by_zero
+
+_LEDGER_ROWS = 64  # trajectory rows per block of energy_report's sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,23 +107,35 @@ class EnergyLedger:
 def energy_report(traj, slack=None):
     """Discrete energy ledger, read from the trajectory's values, source rows and form alone.
 
-    The energy is hN (e^(-2t) B[u_k, u_k] + |v_k|^2).  Flags a violation when
-    dissipation-so-far plus current energy exceeds (1 + slack) times the
-    source term at any step; the default slack is proportional to tau,
+    The energy is hN (e^(-2t) B[u_k, u_k] + |v_k|^2).  Flags a violation
+    when dissipation-so-far plus current energy exceeds (1 + slack) times
+    the source term at any step; the default slack is proportional to tau,
     reflecting the O(tau) perturbation the damping transform introduces in
-    the discrete identity.
+    the discrete identity.  The per-step sums of squares are formed
+    _LEDGER_ROWS rows at a time, each row by the same operations as on the
+    whole (nt+1, m) array, so no temporary grows with nt.
     """
     grid, tau = traj.grid, traj.tau
     hN = grid.h ** grid.ndim
     if slack is None:
         slack = max(0.05, 2.0 * tau)
     damping = np.exp(-traj.times)
-    v = traj.values * damping[:, None]
-    g = traj.source[1:] * damping[1:, None]
-    dv = np.diff(v, axis=0) / tau
-    diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
-    energy = hN * (damping ** 2 * traj.form + (v * v).sum(axis=1))
-    source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
+    rows = len(damping)
+    # per row: |dv_k|^2 with dv_k = (v_{k+1} - v_k) / tau, |v_k|^2, and |g_{k+1}|^2
+    steps, held, fed = np.empty(rows - 1), np.empty(rows), np.empty(rows - 1)
+    for lo in range(0, rows, _LEDGER_ROWS):
+        hi = min(lo + _LEDGER_ROWS, rows)
+        start = max(lo - 1, 0)  # one row back: the step into the block's first row
+        v = traj.values[start:hi] * damping[start:hi, None]
+        dv = np.diff(v, axis=0) / tau
+        steps[start:hi - 1] = (dv * dv).sum(axis=1)
+        v = v[lo - start:]
+        held[lo:hi] = (v * v).sum(axis=1)
+        g = traj.source[max(lo, 1):hi] * damping[max(lo, 1):hi, None]
+        fed[max(lo, 1) - 1:hi - 1] = (g * g).sum(axis=1)
+    diss = np.concatenate(([0.0], np.cumsum(tau * hN * steps)))
+    energy = hN * (damping ** 2 * traj.form + held)
+    source = np.concatenate(([0.0], np.cumsum(tau * hN * fed)))
     ok = source[1:] > 0
     violation = bool(np.any((diss[1:] + energy[1:])[ok] > (1.0 + slack) * source[1:][ok]))
     return EnergyLedger(traj.times.copy(), diss, energy, source, slack, violation)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .experiments import BUMP_FRACTIONS, SYMBOL_WINDOW
-from .gridfn import MIN_NODES
+from .gridfn import MAX_RAMP_ORDER, MIN_NODES
 from .probe import DEFAULT_METHOD, DEFAULT_P, DEFAULT_SWEEP, estimator_problem
 from .regions import Ball, Box
 
@@ -35,7 +35,8 @@ _SCHEMA = {
     "symbol": {"k": (False, lambda v: v != 0.0, "nonzero"),
                "window_inner": (False, lambda v: v > 0.0, "> 0"),
                "window_outer": (False, lambda v: v > 0.0, "> 0"),
-               "window_order": (True, lambda v: v >= 0, ">= 0")},
+               "window_order": (True, lambda v: 0 <= v <= MAX_RAMP_ORDER,
+                                f"in [0, {MAX_RAMP_ORDER}]")},
     "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
                "center": None, "path": None,
                "inner_fraction": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),

@@ -48,17 +48,26 @@ def _region_selector(u, region):
 
 
 def lp_norm(u, p, region=None):
-    """Riemann-sum L^p norm over the region's nodes (max for p = inf)."""
+    """Riemann-sum L^p norm over the region's nodes (max for p = inf): lp_norms of one row."""
+    grid = u.grid
+    vals = u.values[_region_selector(u, region)]
+    return float(lp_norms(vals[None], p, grid.h ** grid.ndim)[0])
+
+
+def lp_norms(rows, p, cell):
+    """Riemann-sum L^p norm of each row of a (k, m) array of node values (max for p = inf).
+
+    cell is the volume per node, h^N.  This is the one L^p formula: each
+    row's sum of |values|^p times cell is taken to the power 1/p by
+    Python's float power, entry by entry, because numpy's array power
+    rounds some of those roots differently.  An empty row has norm 0.
+    """
     if not p >= 1:  # also rejects nan
         raise ValueError(f"p must be >= 1 (inf allowed), got {p}")
-    grid = u.grid
-    sel = _region_selector(u, region)
-    vals = np.abs(u.values[sel])
-    if vals.size == 0:
-        return 0.0
+    vals = np.abs(rows)
     if np.isinf(p):
-        return float(vals.max())
-    return float((vals ** p).sum() * grid.h ** grid.ndim) ** (1.0 / p)
+        return vals.max(axis=1, initial=0.0)
+    return np.array([total ** (1.0 / p) for total in ((vals ** p).sum(axis=1) * cell).tolist()])
 
 
 # Elements of one shifted-window block: bounds the temporaries of a shift sum.

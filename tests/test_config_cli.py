@@ -336,6 +336,7 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
     ("[experiment]\nname = regularity-sweep\n[probe]\nmethod = besov\np = -inf\n", ":5:5:"),
     ("[experiment]\nname = parabolic-energy\n[time]\nslack = -2\n", ":4:9:"),
     ("[experiment]\nname = symbol\n[symbol]\nwindow_order = -1\n", ":4:16:"),
+    ("[experiment]\nname = symbol\n[symbol]\nwindow_order = 6\n", ":4:16:"),
     ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = power\n"
      "center = 0.3, 0.3\n", ":7:10:"),
     ("[experiment]\nname = regularity-sweep\n[grid]\nn = 33\n[source]\nprofile = bump\n"
@@ -368,8 +369,9 @@ def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
         "grid-n-overflow", "unknown-section", "unknown-key", "symbol-k-zero",
         "time-T", "one-value-list", "time-T-inf", "omega-radius-nan",
         "omega-center-nan", "probe-p-nan", "probe-p-minus-inf", "time-slack-negative",
-        "symbol-window-order-negative", "source-center-length", "bump-inner-negative",
-        "bump-inner-above-outer", "bump-outer-above-1", "bump-outer-below-default-inner",
+        "symbol-window-order-negative", "symbol-window-order-above-5", "source-center-length",
+        "bump-inner-negative", "bump-inner-above-outer", "bump-outer-above-1",
+        "bump-outer-below-default-inner",
         "grid-n-empty-list", "params-s-empty-list", "besov-sweep-sigma-1",
         "source-profile-unknown", "source-csv-without-path", "getoor-omega-box"])
 def test_cli_run_out_of_range_value_exits_2(tmp_path, capsys, text, where):

@@ -6,10 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraclab import experiments
+from fraclab import experiments, operator
 from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import ConfigError
 from fraclab.experiments import (
+    F17,
     _write_csv,
     getoor_constant,
     run_experiment,
@@ -214,6 +215,39 @@ nt = 8
     assert summary["worst_growth"] < 0.0 and summary["worst_negative"] >= -1e-12
 
 
+def test_contraction_norms_equal_per_datum_lp_norm_bit_for_bit(tmp_path):
+    # the oracle: one lp_norm per datum and image, on the images of one batch
+    cfg = _cfg("""
+[experiment]
+name = semigroup-contraction
+seed = 3
+[grid]
+n = 129
+[semigroup]
+count = 20
+""")
+    summary = run_experiment("semigroup-contraction", cfg, str(tmp_path))
+    with open(tmp_path / "contraction.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    grid = build_grid(1, ((-2.0, 2.0),), 129, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    rng = np.random.default_rng(3)
+    data = [rng.standard_normal(grid.n_omega) for _ in range(20)]
+    data = [np.abs(phi) if trial % 2 == 0 else phi for trial, phi in enumerate(data)]
+    images = {t: semigroup_apply(data, t, 32, params, grid) for t in (0.1, 1.0)}
+    expected, growths = [], []
+    for trial, phi in enumerate(data):
+        for t in (0.1, 1.0):
+            for p in (1.0, 1.5, 2.0, 4.0, math.inf):
+                before = lp_norm(extend_by_zero(phi, grid), p, "omega")
+                after = lp_norm(images[t][trial], p, "omega")
+                growths.append(after - before)
+                expected.append([str(trial), F17(t), "inf" if math.isinf(p) else F17(p),
+                                 F17(before), F17(after), F17(after - before)])
+    assert rows == expected
+    assert summary["worst_growth"] == max(growths)
+
+
 def test_regularity_sweep_experiment(tmp_path):
     cfg = _cfg("""
 [experiment]
@@ -323,6 +357,42 @@ n = 129
     spread = summary["spread"][0.5]
     assert 0.5 <= spread["lo"] <= 1.0 <= spread["hi"] <= 2.0
     assert (tmp_path / "profile_s0.5.csv").exists()
+
+
+@pytest.mark.parametrize("name, grid_n, builds", [
+    ("boundary-profile", "65", 1),  # its default three s
+    ("product-rule", "33, 65", 2),
+])
+def test_recipe_builds_each_grid_once(tmp_path, monkeypatch, name, grid_n, builds):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_grid(*args)
+
+    monkeypatch.setattr(experiments, "build_grid", counted)
+    run_experiment(name, _cfg(f"[experiment]\nname = {name}\n[grid]\nn = {grid_n}\n"),
+                   str(tmp_path))
+    assert len(calls) == builds
+
+
+def test_time_recipes_on_one_grid_decompose_the_operator_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = operator._parity_eigh
+    monkeypatch.setattr(operator, "_parity_eigh", counted)
+    shared = "[params]\ns = 0.4567\n[grid]\nn = 41\n"  # a kernel no other test builds
+    run_experiment("parabolic-energy", _cfg(
+        "[experiment]\nname = parabolic-energy\n" + shared + "[time]\nnt = 8, 16\n"),
+        str(tmp_path / "energy"))
+    run_experiment("semigroup-contraction", _cfg(
+        "[experiment]\nname = semigroup-contraction\n" + shared + "[semigroup]\ncount = 3\n"),
+        str(tmp_path / "contraction"))
+    assert len(calls) == 1
 
 
 def test_experiment_product_rule_and_unknown(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from fraclab.errors import CollarError, GridSizeError, LengthMismatchError, NestingError
 from fraclab.gridfn import (
+    MAX_RAMP_ORDER,
     CutoffSpec,
     GridFunction,
     build_cutoff,
@@ -91,6 +92,17 @@ def test_smoothstep_clamps_and_increases():
         # a float gives the array's value; numpy's vector power may round the last bit differently
         per_point = [smoothstep(float(x), order) for x in t]
         assert np.abs(np.array(per_point) - v).max() <= 4.5e-16
+
+
+def test_max_ramp_order_is_the_last_within_1e_12_of_the_unit_interval():
+    # the bound behind the config's [symbol] window_order range
+    t = np.linspace(0.0, 1.0, 10001)
+
+    def excess(order):
+        v = smoothstep(t, order)
+        return max(-v.min(), v.max() - 1.0)
+
+    assert excess(MAX_RAMP_ORDER) <= 1e-12 < excess(MAX_RAMP_ORDER + 1)
 
 
 def test_cutoff_clauses_hold_nodewise(grid129):

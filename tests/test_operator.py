@@ -233,5 +233,39 @@ def test_spectrum_is_column_major_and_reports_a_failed_eigendecomposition(
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    fresh = assemble_operator_matrix(grid65, params_half)
+    fresh.kernel.spectra.clear()  # else the kept spectrum is read and eigh never runs
     with pytest.raises(SingularOperatorError, match="eigendecomposition failed"):
-        assemble_operator_matrix(grid65, params_half).spectrum
+        fresh.spectrum
+    assert fresh.kernel.spectra == {}  # a failure keeps nothing
+
+
+def test_spectrum_is_kept_with_the_kernel_per_mask_and_spacing(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = operator._parity_eigh
+    monkeypatch.setattr(operator, "_parity_eigh", counted)
+    s = 0.4123  # a kernel no other test builds, so its spectra start empty
+
+    def made(n=33, half=2.0, omega=Ball((0.0,), 1.0), s=s):
+        return assemble_operator_matrix(build_grid(1, ((-half, half),), n, omega),
+                                        FractionalParams(1, s))
+
+    first, second = made(), made()
+    assert first.grid is not second.grid
+    lam, vecs = first.spectrum
+    assert second.spectrum[0] is lam and second.spectrum[1] is vecs
+    assert "matrix" not in vars(second)  # read without gathering its dense matrix
+    assert len(calls) == 1
+    wider = made(half=2.2)  # the same mask at another spacing
+    assert np.array_equal(wider.grid.mask, first.grid.mask) and wider.grid.h != first.grid.h
+    others = [made(s=0.4124), made(n=35), wider, made(omega=Ball((0.1,), 1.0))]
+    for k, other in enumerate(others, start=2):
+        assert other.spectrum[1] is not vecs
+        assert len(calls) == k
+        assert np.abs(other.matrix @ other.spectrum[1] - other.spectrum[1] * other.spectrum[0]
+                      ).max() <= 1e-12 * other.spectrum[0].max()

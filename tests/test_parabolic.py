@@ -10,6 +10,7 @@ from fraclab.experiments import run_experiment
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
 from fraclab.parabolic import (
+    _LEDGER_ROWS,
     energy_report,
     semigroup_apply,
     solve_parabolic,
@@ -180,6 +181,37 @@ def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
                          _ledger_by_steps(traj, f, matrix.matrix)):
         want = np.array(want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _unblocked_ledger(traj):
+    """energy_report's sums over the whole (nt+1, m) trajectory at once: its blocks' oracle."""
+    tau, hN = traj.tau, traj.grid.h ** traj.grid.ndim
+    damping = np.exp(-traj.times)
+    v = traj.values * damping[:, None]
+    g = traj.source[1:] * damping[1:, None]
+    dv = np.diff(v, axis=0) / tau
+    diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
+    energy = hN * (damping ** 2 * traj.form + (v * v).sum(axis=1))
+    source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
+    return diss, energy, source
+
+
+@pytest.mark.parametrize("nt", [_LEDGER_ROWS // 2, _LEDGER_ROWS - 1, _LEDGER_ROWS,
+                                2 * _LEDGER_ROWS + 5],
+                         ids=["below", "rows-equal", "nt-equal", "not-a-multiple"])
+@pytest.mark.parametrize("kind", ["constant", "time-dependent-with-u0"])
+def test_blocked_ledger_equals_the_unblocked_formula_bit_for_bit(setup, nt, kind):
+    grid, params, matrix = setup
+    bump = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8))).values[grid.mask]
+    if kind == "constant":
+        f, u0 = np.ones(grid.n_omega), None
+    else:
+        f, u0 = (lambda t: bump * (1.0 + 0.5 * math.sin(3.0 * t))), 2.0 * bump
+    traj = solve_parabolic(f, 0.8, nt, 0.5, params, grid, matrix=matrix, u0=u0)
+    ledger = energy_report(traj)
+    for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
+                         _unblocked_ledger(traj)):
+        assert np.array_equal(got, want)
 
 
 def _theta_steps_by_cholesky(f, T, nt, theta, A, u0):

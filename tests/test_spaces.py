@@ -12,6 +12,7 @@ from fraclab.spaces import (
     besov_seminorm,
     gagliardo_seminorm,
     lp_norm,
+    lp_norms,
     potential_norm,
     sobolev_seminorm,
 )
@@ -27,6 +28,21 @@ def test_lp_norm_basics(grid129):
     peak = np.zeros(grid129.n_omega)
     peak[3] = 3.0
     assert lp_norm(extend_by_zero(peak, grid129), math.inf) == 3.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_lp_norms_of_a_batch_equal_each_datum_bit_for_bit(p):
+    # the oracle: the per-datum formula on one 1-D array, its root Python's float power
+    grid = build_grid(1, ((-2.0, 2.0),), 1025, Ball((0.0,), 1.0))
+    cell = grid.h ** grid.ndim
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((60, grid.n_omega)) * np.exp(rng.uniform(-5.0, 5.0, (60, 1)))
+    batch = lp_norms(rows, p, cell)
+    for row, norm in zip(rows, batch):
+        vals = np.abs(row)
+        want = float(vals.max()) if math.isinf(p) else float((vals ** p).sum() * cell) ** (1 / p)
+        assert norm == want == lp_norm(extend_by_zero(row, grid), p, "omega")
+    assert lp_norms(np.zeros((2, 0)), p, cell).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("p, region", [
