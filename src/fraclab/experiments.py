@@ -523,6 +523,9 @@ READS_SECTIONS = {
     "boundary-profile": ("omega",),
 }
 
+# the keys a recipe reads of a section it reads only in part; any other key is rejected
+READS_KEYS = {"g-bound": {"probe": ("method", "p")}}
+
 
 def run_experiment(name, cfg, out_dir):
     if name not in RECIPES:
@@ -537,6 +540,11 @@ def run_experiment(name, cfg, out_dir):
         if keys and section not in reads:
             raise cfg.error(section, next(iter(keys)), f"{name} does not read [{section}]; "
                             f"it reads {', '.join(f'[{sec}]' for sec in reads)}")
+        known = READS_KEYS.get(name, {}).get(section, keys)
+        unread = next((key for key in keys if key not in known), None)
+        if unread is not None:
+            raise cfg.error(section, unread, f"{name} does not read [{section}] {unread}; "
+                            f"of [{section}] it reads only {', '.join(known)}")
     if "source" in reads:
         _source_kind(cfg)  # before any grid is built
     os.makedirs(out_dir, exist_ok=True)

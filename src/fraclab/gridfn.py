@@ -130,7 +130,8 @@ class CutoffSpec:
     """Nested regions for a smooth bump: 1 on inner, 0 outside outer.
 
     The optional enlargement omega2 sits between outer and Omega.  order
-    is the smoothness of the polynomial ramp (C^order).
+    is the smoothness of the polynomial ramp (C^order), from 2 to
+    MAX_RAMP_ORDER: beyond it the ramp leaves [0, 1].
     """
 
     inner: object
@@ -139,8 +140,9 @@ class CutoffSpec:
     order: int = 3
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("cut-off smoothness order must be >= 2")
+        if not 2 <= self.order <= MAX_RAMP_ORDER:
+            raise ValueError(f"cut-off smoothness order must lie in [2, {MAX_RAMP_ORDER}], "
+                             f"got {self.order}")
         require_nested(self.inner, self.outer, "cut-off inner/outer")
         if self.omega2 is not None:
             require_nested(self.outer, self.omega2, "cut-off outer/omega2")

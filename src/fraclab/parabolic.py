@@ -71,10 +71,13 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     rows = np.array([_rhs_on_omega(f(t), grid) for t in times] if callable(f)
                     else [_rhs_on_omega(f, grid)])
     source = np.broadcast_to(rows, (nt + 1, len(lam)))
-    g = np.broadcast_to(rows @ vecs, (nt + 1, len(lam)))
+    g = rows @ vecs
+    # a constant source drives every step alike: one row, not (nt, m)
+    before, after = (g, g) if len(g) == 1 else (g[:-1], g[1:])
     # mode j: (1 + tau theta lam_j) u_{k+1} = (1 - tau (1-theta) lam_j) u_k + drive_k
     ratio = (1.0 - tau * (1 - theta) * lam) / shifted
-    drive = tau * ((1 - theta) * g[:-1] + theta * g[1:]) / shifted
+    drive = np.broadcast_to(tau * ((1 - theta) * before + theta * after) / shifted,
+                            (nt, len(lam)))
     modes = np.empty((nt + 1, len(lam)))
     modes[0] = 0.0 if u0 is None else _rhs_on_omega(u0, grid) @ vecs
     for k in range(nt):

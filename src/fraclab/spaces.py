@@ -10,7 +10,24 @@ per-shift L^p norms of first and second differences (Besov) are formed
 once, and every exponent of a sweep is then one weighted sum over
 offsets.  `reference` keeps the pairwise forms as the slow oracle.
 
-The shift sums cost O(support), not O(box).  Let B be the bounding box
+At p = 2 the Gagliardo sums and the first-difference Besov sums are
+combinations of three autocorrelations, which real FFTs give for every
+shift at once, in O(M log M) for the M nodes of the lattice summed over
+(`_correlation_sums`).  A Gagliardo region R is centred first, at the
+value of its first node, so u constant on R gives exactly 0.  The
+rounding error of a shift sum is about eps times the sum of u^2, while
+the sum at a short shift k is about |k h|^2 |grad u|^2: the relative
+error grows like eps / (|k| h)^2 (4e-14 at k = 1 on a smooth bump at
+1D n = 513, 8e-13 at n = 2049).  On a smooth cut-off bump, the probe's
+target, a sweep sigma = 0.1, ..., 1.9 agrees with the direct sums to
+1.1e-14 in 2D up to n = 257, 9e-15 in 1D at n = 513, 4e-13 at n = 2049
+and 1.2e-11 at n = 8193.  Second differences keep the direct sums: their
+short-shift sums are about |k h|^4 |D^2 u|^2, so the same rounding
+grows like eps / (|k| h)^4 (per shift at k = 1 on that bump, 3.5e-11 at
+1D n = 513 and 1.3e-8 at n = 2049).
+
+Every other p, and second differences, take direct shift sums, which
+cost O(support), not O(box).  Let B be the bounding box
 of the nonzero values of u and P = |u|^p on B, and let R(.) be a sum of
 P over a sub-box of B, read from one summed-area table (a maximum, for
 p = inf, from a sparse table).  A near shift (|k_i| below B's width on
@@ -35,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import GridFunction
-from .operator import apply_fractional_laplacian
+from .operator import apply_fractional_laplacian, next_fast_len
 
 
 def _region_selector(u, region):
@@ -233,18 +250,47 @@ def _support_shift_sums(fields, box, shape, reduce, p, half, inner=False):
     return shifts, values
 
 
+def _correlation_sums(fields, terms, half, constant=0.0):
+    """constant + sum of c corr(fields[i], fields[j])(k) over terms (c, i, j), per lattice shift k.
+
+    corr(a, b)(k) = sum_x a(x) b(x + k), the fields (C, m0, m1) continued
+    by zero beyond the lattice, is read off one inverse real FFT of the
+    sum of c conj(a^) b^, each axis padded to next_fast_len(2 m - 1) so
+    that no shift wraps around.  Cost O(M log M) for M lattice nodes.
+    Returns every nonzero lattice shift (with half, one of each pair
+    k, -k) and its sum, clipped at 0: the sums this serves are sums of
+    squares, and their rounding may leave them slightly negative.
+    """
+    shape = fields.shape[1:]
+    size = tuple(next_fast_len(2 * m - 1) for m in shape)
+    hats = np.fft.rfftn(fields, size, axes=(1, 2))
+    full = np.fft.irfftn(sum(c * hats[i].conj() * hats[j] for c, i, j in terms), size,
+                         axes=(0, 1))
+    shifts = _lattice_shifts(shape, half)
+    sums = full[shifts[:, 0] % size[0], shifts[:, 1] % size[1]]
+    return shifts, np.maximum(sums + constant, 0.0)
+
+
 def _pair_sums(values, sel, p):
     """S_p(k) = sum_x 1_R(x) 1_R(x+k) |u(x+k) - u(x)|^p over the region R (sel).
 
     Computed over the bounding box of R, for one of each pair of offsets
-    k, -k, since S_p is even.  Where R fills its bounding box, only the
-    support of u in it is summed directly (`_support_shift_sums`).
-    Returns the offset lengths in cells and S_p.
+    k, -k, since S_p is even.  For p = 2, with v = u - u(x0) at the first
+    node x0 of R, S_2(k) = corr(1_R, 1_R v^2)(k) + corr(1_R v^2, 1_R)(k)
+    - 2 corr(1_R v, 1_R v)(k) (`_correlation_sums`); the centring leaves
+    a u constant on R at exactly 0.  For other p, where R fills its
+    bounding box, only the support of u in it is summed directly
+    (`_support_shift_sums`).  Returns the offset lengths in cells and S_p.
     """
     if sel.sum() < 2:
         return np.zeros(0), np.zeros(0)
     crop = _bounding_box(sel)
     vals, inside = _as_lattice(values[crop]), _as_lattice(sel[crop])
+    if p == 2:
+        v = np.where(inside, vals - vals[inside][0], 0.0)
+        shifts, sums = _correlation_sums(np.stack([inside * 1.0, v * v, v]),
+                                         ((1.0, 0, 1), (1.0, 1, 0), (-2.0, 2, 2)), half=True)
+        return np.sqrt((shifts ** 2).sum(axis=1)), sums
     # pairs with a node off u's support are rectangle sums only if R fills its crop
     box = _bounding_box(vals if inside.all() else inside)
     stack = np.stack([vals[box], inside[box] * 1.0])
@@ -269,7 +315,13 @@ def gagliardo_seminorm(u, sigma, p, region=None):
     the diagonal (the singular cell) is excluded.  The sum is regrouped by
     lattice offset k: the sigma-free sums S_p(k) are formed once, and each
     sigma is then one weighted sum (2 h^(2N) sum_k S_p(k) |k h|^(-N-p sigma))^(1/p).
-    Over the whole box (region None), S_p(k) is summed directly only for
+    At p = 2, S_2 comes from three FFT correlations over the bounding box
+    of the region, in O(M log M) for its M nodes, after u is centred at
+    the region's first node; the relative error of S_2(k) grows like
+    eps / (|k| h)^2, and a smooth bump's sweep agrees with the direct sums
+    to 1.1e-14 in 2D up to n = 257 and 1.2e-11 in 1D at n = 8193 (see the
+    module docstring).  For other p, over the whole box (region None),
+    S_p(k) is summed directly only for
     shifts shorter than the bounding box B of u's support; the pairs with
     one node off B add rectangle sums of |u|^p, and a far shift has the
     closed form S_p(k) = R(B n (box - k)) + R(B n (box + k)), pairs that
@@ -322,15 +374,11 @@ def sobolev_seminorm(u, sigma, p, region=None):
     return _result(out, scalar)
 
 
-def _difference_norms(u, p, second):
-    """Per-shift L^p norms over the box of the first or second differences.
+def _direct_difference_sums(vals, p, second):
+    """Per-shift sums of |differences|^p (maxima of |differences|, p = inf) over the support of u.
 
-    First: u(x+k) - u(x) for every shift k; second: u(x+k) - 2u(x) + u(x-k),
-    even in k, for one of each pair k, -k.  u is zero beyond the box, and
-    the sums run over the support of u (`_support_shift_sums`).  Returns
-    the shift lengths in cells and the norms.
+    vals is u on its (m0, m1) lattice; see `_difference_norms`.
     """
-    hN = u.grid.h ** u.grid.ndim
     maximum = np.isinf(p)
 
     def total(d):
@@ -350,10 +398,29 @@ def _difference_norms(u, p, second):
         def reduce(plus, base, _minus):
             return total(plus[0] - base[0])
 
-    vals = _as_lattice(u.values)
     box = _bounding_box(vals)
-    shifts, totals = _support_shift_sums(vals[box][None], box, vals.shape, reduce, p, half=second)
-    norms = totals if maximum else (totals * hN) ** (1.0 / p)
+    return _support_shift_sums(vals[box][None], box, vals.shape, reduce, p, half=second)
+
+
+def _difference_norms(u, p, second):
+    """Per-shift L^p norms over the box of the first or second differences.
+
+    First: u(x+k) - u(x) for every shift k; second: u(x+k) - 2u(x) + u(x-k),
+    even in k, for one of each pair k, -k.  u is zero beyond the box.
+    First differences at p = 2 are R(box) + corr(1_box, u^2)(k)
+    - 2 corr(u, u)(k), R(box) the sum of u^2 (`_correlation_sums`); every
+    other case runs over the support of u (`_support_shift_sums`).
+    Returns the shift lengths in cells and the norms.
+    """
+    vals = _as_lattice(u.values)
+    if p == 2 and not second:
+        squares = vals * vals
+        shifts, totals = _correlation_sums(np.stack([np.ones_like(vals), squares, vals]),
+                                           ((1.0, 0, 1), (-2.0, 2, 2)), half=False,
+                                           constant=squares.sum())
+    else:
+        shifts, totals = _direct_difference_sums(vals, p, second)
+    norms = totals if np.isinf(p) else (totals * u.grid.h ** u.grid.ndim) ** (1.0 / p)
     return np.sqrt((shifts ** 2).sum(axis=1)), norms
 
 
@@ -365,8 +432,14 @@ def besov_seminorm(u, sigma, p, q):
     the exact power-law tail where the shifted supports are disjoint.
     sigma is one exponent or a sweep of them; the per-shift L^p norms are
     free of sigma and formed once per kind of difference for the sweep.
-    Only shifts shorter than the bounding box B of u's support are summed
-    over B directly.  A longer shift moves B off itself, and its p-th
+    First differences at p = 2 come from FFT correlations over the box,
+    in O(M log M) for its M nodes, with a relative error that grows like
+    eps / (|k| h)^2 at short shifts (a smooth bump's sweep agrees with the
+    direct sums to 1.1e-14 in 2D up to n = 257, 1.2e-11 in 1D at
+    n = 8193).  Second differences stay direct at every p: the same
+    rounding would grow like eps / (|k| h)^4 for them.  On the direct
+    path, only shifts shorter than the bounding box B of u's support are
+    summed over B directly.  A longer shift moves B off itself, and its p-th
     power norm is h^N times R(B) + R(B n (box + k)) for first differences
     and 2^p R(B) + R(B n (box + k)) + R(B n (box - k)) for second ones,
     R a sum of |u|^p; it is max|u| and 2 max|u| for p = inf.  Terms

@@ -466,8 +466,13 @@ def test_cli_run_symbol_reads_grid_box_and_omega(tmp_path):
     ("[experiment]\nname = semigroup-contraction\n[time]\nT = 2\n", ":4:5:"),
     ("[experiment]\nname = product-rule\n[grid]\nn = 65\n[inner]\nkind = ball\n"
      "center = 0\nradius = 0.2\n", ":6:8:"),
+    ("[experiment]\nname = g-bound\n[probe]\nlevels = 9\n", ":4:10:"),
+    ("[experiment]\nname = g-bound\n[probe]\np = 2\nsweep = 0.1\n", ":5:9:"),
+    ("[experiment]\nname = g-bound\n[probe]\nmethod = gagliardo\nrate_threshold = 0.2\n",
+     ":5:18:"),
 ], ids=["getoor-source", "boundary-profile-source", "semigroup-source", "semigroup-time",
-        "product-rule-inner"])
+        "product-rule-inner", "g-bound-probe-levels", "g-bound-probe-sweep",
+        "g-bound-probe-rate-threshold"])
 def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
                                                           text, where):
     def no_grid(*args, **kwargs):
@@ -486,6 +491,11 @@ def test_front_end_tables_agree():
     assert set(experiments.READS_SECTIONS) == set(experiments.RECIPES)
     assert experiments.READS_NDIM <= set(experiments.RECIPES)
     assert set().union(*experiments.READS_SECTIONS.values()) == set(_SCHEMA) - front
+    # a section read in part is read by the recipe, and its keys are schema keys
+    for recipe, sections in experiments.READS_KEYS.items():
+        for section, keys in sections.items():
+            assert section in experiments.READS_SECTIONS[recipe]
+            assert set(keys) < set(_SCHEMA[section])
 
 
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):

@@ -126,6 +126,14 @@ def test_cutoff_invalid_nesting():
         CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=1)
 
 
+@pytest.mark.parametrize("order", [MAX_RAMP_ORDER + 1, 18])
+def test_cutoff_order_above_max_ramp_order_raises(order):
+    # order 18 built a cut-off whose maximum was 1.0734
+    want = f"order must lie in \\[2, {MAX_RAMP_ORDER}\\], got {order}"
+    with pytest.raises(ValueError, match=want):
+        CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=order)
+
+
 def test_cutoff_outer_must_nest_in_omega(grid65):
     spec = CutoffSpec(Ball((0.0,), 0.5), Ball((0.0,), 1.5))
     with pytest.raises(NestingError):

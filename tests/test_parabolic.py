@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def test_trajectory_source_and_form_are_read_only(setup, kind):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[-1] = 0.0
+
+
+def test_constant_source_drives_every_step_by_one_row(setup):
+    # an (nt, m) drive and its temporaries put the peak near 3 times the result
+    grid, params, matrix = setup
+    matrix.spectrum  # decomposed before the count starts
+    tracemalloc.start()
+    try:
+        traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 1024, 0.5, params, grid,
+                               matrix=matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * traj.values.nbytes
 
 
 def test_callable_source_is_read_once_per_step_time(setup):
