@@ -34,6 +34,7 @@ from .spaces import lp_norms
 F17 = "{:.17g}".format
 BUMP_FRACTIONS = (0.3, 0.8)  # [source] inner_fraction and outer_fraction when unset
 SYMBOL_WINDOW = (7.0, 16.0)  # [symbol] window_inner and window_outer when unset
+_CSV_ROWS = 4096  # array rows per block of _write_csv's text
 
 
 def getoor_constant(ndim, s):
@@ -45,18 +46,33 @@ def getoor_constant(ndim, s):
 def _write_csv(path, header, rows):
     """Write a header, then the rows: a list of tuples, or a 2-D float array.
 
-    An array is formatted in one % operation, to the bytes csv.writer
+    An array is written _CSV_ROWS rows at a time, to the bytes csv.writer
     writes: floats as %.17g, ',' between fields, '\\r\\n' after each line.
+    Each distinct value of a block, told apart by its bits (so -0.0 is
+    not 0.0), is formatted once, and the block's text is one join of those
+    strings and the separators, gathered by index.
     """
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
         if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+            rows = np.ascontiguousarray(rows, dtype=float)
+            for lo in range(0, len(rows), _CSV_ROWS):
+                fh.write(_csv_text(rows[lo:lo + _CSV_ROWS]))
             return
         for row in rows:
             wr.writerow([F17(v) if isinstance(v, float) else str(v) for v in row])
+
+
+def _csv_text(block):
+    """The lines of a C-contiguous (r, c) float block, c >= 1, as _write_csv writes them."""
+    bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    tokens = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()] + [",", "\r\n"],
+                      dtype=object)
+    take = np.full((len(block), 2 * block.shape[1]), len(bits))  # ',' after each field
+    take[:, 0::2] = index.reshape(block.shape)
+    take[:, -1] = len(bits) + 1  # '\r\n' after the last
+    return "".join(tokens[take].ravel().tolist())
 
 
 def _write_json(path, payload):
@@ -74,13 +90,18 @@ def write_manifest(out_dir, experiment, cfg, grid, regions=None, **fields):
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
+# the [source] keys each profile reads beside `profile`
+PROFILE_KEYS = {"constant": ("value",), "jump": ("threshold", "value"),
+                "power": ("exponent", "center"), "bump": ("inner_fraction", "outer_fraction"),
+                "csv": ("path",)}
+
+
 def _source_kind(cfg, default="constant"):
     """[source] profile or `default`, checked to name a profile, and a path if it is csv."""
     profile = cfg.get_str("source", "profile", default=default)
-    known = ("constant", "jump", "power", "bump", "csv")
-    if profile not in known:
+    if profile not in PROFILE_KEYS:
         raise cfg.error("source", "profile", f"unknown source profile {profile!r} "
-                        f"(known: {', '.join(known)})")
+                        f"(known: {', '.join(PROFILE_KEYS)})")
     if profile == "csv" and not cfg.has("source", "path"):
         raise cfg.error("source", "profile", "missing key 'path' in section [source]")
     return profile
@@ -323,7 +344,8 @@ def run_elliptic_regularity(cfg, out_dir):
     for s in s_list:
         est_int, est_bdy = _probe(cfg, s, grid, [interior, boundary],
                                   [os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json")
-                                   for tag in ("interior", "boundary")], default="jump")
+                                   for tag in ("interior", "boundary")],
+                                  default=DEFAULT_PROFILE["elliptic-regularity"])
         out[s] = {"interior": est_int.sigma_star, "boundary": est_bdy.sigma_star}
     write_manifest(out_dir, "elliptic-regularity", cfg, grid, s=s_list, p=est_int.p,
                    n=base_n, levels=est_int.levels,
@@ -386,8 +408,7 @@ def run_semigroup_contraction(cfg, out_dir):
     after = []  # per t, as `before`
     worst_negative = 0.0
     for t in times:
-        images = np.array([image.values[grid.mask] for image in
-                           semigroup_apply(data, t, nt, params, grid, matrix=matrix)])
+        images = semigroup_apply(data, t, nt, params, grid, matrix=matrix)
         after.append(norms(images))
         worst_negative = min(worst_negative, float(images[nonnegative].min()))
     after = np.stack(after, axis=1)  # (count, len(times), len(p_values))
@@ -523,8 +544,15 @@ READS_SECTIONS = {
     "boundary-profile": ("omega",),
 }
 
-# the keys a recipe reads of a section it reads only in part; any other key is rejected
-READS_KEYS = {"g-bound": {"probe": ("method", "p")}}
+# the keys a recipe reads of a section it reads only in part; any other key is rejected.
+# Only semigroup-contraction draws random data, so only it reads [experiment] seed;
+# the [source] keys read depend on the profile (PROFILE_KEYS)
+READS_KEYS = {name: {"experiment": ("name",)} for name in RECIPES
+              if name != "semigroup-contraction"}
+READS_KEYS["g-bound"]["probe"] = ("method", "p")
+
+# the source profile of a recipe whose [source] sets none, when it is not constant
+DEFAULT_PROFILE = {"elliptic-regularity": "jump"}
 
 
 def run_experiment(name, cfg, out_dir):
@@ -536,16 +564,18 @@ def run_experiment(name, cfg, out_dir):
     if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
         raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
     reads = ("experiment", "params", "grid") + READS_SECTIONS[name]
+    known_keys = dict(READS_KEYS.get(name, {}))
+    if "source" in reads:  # before any grid is built
+        profile = _source_kind(cfg, DEFAULT_PROFILE.get(name, "constant"))
+        known_keys["source"] = ("profile",) + PROFILE_KEYS[profile]
     for section, keys in cfg.sections.items():
         if keys and section not in reads:
             raise cfg.error(section, next(iter(keys)), f"{name} does not read [{section}]; "
                             f"it reads {', '.join(f'[{sec}]' for sec in reads)}")
-        known = READS_KEYS.get(name, {}).get(section, keys)
+        known = known_keys.get(section, keys)
         unread = next((key for key in keys if key not in known), None)
         if unread is not None:
             raise cfg.error(section, unread, f"{name} does not read [{section}] {unread}; "
                             f"of [{section}] it reads only {', '.join(known)}")
-    if "source" in reads:
-        _source_kind(cfg)  # before any grid is built
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[name](cfg, out_dir)

@@ -2,19 +2,27 @@
 
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 + theta f_{k+1}], theta in [1/2, 1]: explicit stepping is excluded because
-the nonlocal stiffness grows like h^(-2s).  A Trajectory is the one record of
-a run: read-only rows u_k, f_k and B[u_k, u_k] per step.  The stepper and the
-semigroup work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam)
-Q^T (in parity blocks when Omega is mirror-symmetric about the box centre,
+the nonlocal stiffness grows like h^(-2s).  The stepper and the semigroup
+work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam) Q^T
+(in parity blocks when Omega is mirror-symmetric about the box centre,
 otherwise by one eigendecomposition of the whole matrix).  It is computed
 once per (kernel, Omega mask, h) in a process and kept with the
 toeplitz_operator entry, so every run on an equal grid with equal s, say
 parabolic-energy then semigroup-contraction, decomposes A once; at worst
-that keeps one m x m Q plus lam per key for as long as the entry lives.
-The theta scheme transforms its source once, steps the mode values c_k,
-records B[u_k, u_k] = sum(lam c_k^2) and returns with one product by Q; a
-batch of semigroup images is Q (1 + tau lam)^(-nt) Q^T phi.  The energy
-ledger reads the trajectory alone, _LEDGER_ROWS rows at a time.  The
+that keeps one m x m Q plus lam per key for as long as the entry lives,
+or as long as a Trajectory stepped in it does, whichever is longer: each
+Trajectory holds its Q (162 MB at the dense cap of 4500 Omega nodes).
+
+The theta scheme transforms its source once and steps the mode
+coefficients c_k, u_k = Q c_k, mode by mode.  A Trajectory is the one
+record of a run and stays in that basis: read-only rows c_k, f_k (Omega
+values) and B[u_k, u_k] = sum(lam c_k^2) per step, with the (lam, Q) it
+was stepped in.  Omega values are formed only when read: `values` is the
+(nt+1, m) product c Q^T on first read, `final()` the one product Q c_nt.
+The energy ledger reads the mode rows, _LEDGER_ROWS at a time, and needs
+no product by Q: Q is orthonormal, so |u_k|^2 = |c_k|^2 and
+|u_{k+1} - u_k|^2 = |c_{k+1} - c_k|^2.  A batch of semigroup images is
+Q (1 + tau lam)^(-nt) Q^T phi, returned as its (k, m) Omega rows.  The
 spectrum needs the dense matrix, so both stay within the dense cap
 (MemoryBudgetError above it), unlike the matrix-free elliptic solve.  A
 failed eigendecomposition, or a step matrix I + c A that is not positive
@@ -24,6 +32,7 @@ definite, raises SingularOperatorError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,17 +45,27 @@ _LEDGER_ROWS = 64  # trajectory rows per block of energy_report's sums
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Read-only rows per t_k = k tau: Omega values u_k (u_0 the datum), source f_k, B[u_k, u_k]."""
+    """Read-only rows per t_k = k tau: mode coefficients c_k of u_k = Q c_k (u_0 the
+    datum), Omega source values f_k and B[u_k, u_k], with the spectrum (lam, Q) of A."""
 
     grid: object
     tau: float
     times: np.ndarray
-    values: np.ndarray
+    modes: np.ndarray
     source: np.ndarray
     form: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+
+    @cached_property
+    def values(self):
+        """Omega values u_k, (nt+1, m), formed on first read."""
+        values = self.modes @ self.vecs.T
+        values.setflags(write=False)
+        return values
 
     def final(self):
-        return extend_by_zero(self.values[-1], self.grid)
+        return extend_by_zero(self.vecs @ self.modes[-1], self.grid)
 
 
 def _modes(matrix, c):
@@ -82,11 +101,10 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     modes[0] = 0.0 if u0 is None else _rhs_on_omega(u0, grid) @ vecs
     for k in range(nt):
         modes[k + 1] = ratio * modes[k] + drive[k]
-    form = modes ** 2 @ lam
-    values = modes @ vecs.T
-    for arr in (form, values):
+    form = np.einsum("km,km,m->k", modes, modes, lam)  # no (nt+1, m) temporary
+    for arr in (modes, form):
         arr.setflags(write=False)
-    return Trajectory(grid, tau, times, values, source, form)
+    return Trajectory(grid, tau, times, modes, source, form, lam, vecs)
 
 
 @dataclass(frozen=True)
@@ -108,7 +126,7 @@ class EnergyLedger:
 
 
 def energy_report(traj, slack=None):
-    """Discrete energy ledger, read from the trajectory's values, source rows and form alone.
+    """Discrete energy ledger, read from the trajectory's modes, source rows and form alone.
 
     The energy is hN (e^(-2t) B[u_k, u_k] + |v_k|^2).  Flags a violation
     when dissipation-so-far plus current energy exceeds (1 + slack) times
@@ -116,7 +134,9 @@ def energy_report(traj, slack=None):
     reflecting the O(tau) perturbation the damping transform introduces in
     the discrete identity.  The per-step sums of squares are formed
     _LEDGER_ROWS rows at a time, each row by the same operations as on the
-    whole (nt+1, m) array, so no temporary grows with nt.
+    whole (nt+1, m) array, so no temporary grows with nt.  v_k and its
+    steps are summed over their mode coefficients, which Q, being
+    orthonormal, maps to Omega values of the same sums of squares.
     """
     grid, tau = traj.grid, traj.tau
     hN = grid.h ** grid.ndim
@@ -129,7 +149,7 @@ def energy_report(traj, slack=None):
     for lo in range(0, rows, _LEDGER_ROWS):
         hi = min(lo + _LEDGER_ROWS, rows)
         start = max(lo - 1, 0)  # one row back: the step into the block's first row
-        v = traj.values[start:hi] * damping[start:hi, None]
+        v = traj.modes[start:hi] * damping[start:hi, None]
         dv = np.diff(v, axis=0) / tau
         steps[start:hi - 1] = (dv * dv).sum(axis=1)
         v = v[lo - start:]
@@ -147,10 +167,11 @@ def energy_report(traj, slack=None):
 def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     """Approximate the homogeneous evolution semigroup by implicit Euler.
 
-    phi is one datum, or a list of data that all share (t, nt): the list
+    phi is one datum, or a list of k data that all share (t, nt): the list
     is stacked into one (k, m) array, the nt steps (I + tau A)^(-nt) are one
-    diagonal scaling in the eigenbasis of A, and the k exterior-zero images
-    come back as a list in the same order.  One datum is a batch of one.
+    diagonal scaling in the eigenbasis of A, and the images come back as
+    the (k, m) array of their Omega rows, in the same order.  One datum is
+    a batch of one and comes back as an exterior-zero GridFunction.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -163,5 +184,4 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     if t > 0:
         _, vecs, shifted = _modes(matrix, t / nt)
         data = (data @ vecs) * shifted ** -float(nt) @ vecs.T
-    images = [extend_by_zero(row, grid) for row in data]
-    return images if batched else images[0]
+    return data if batched else extend_by_zero(data[0], grid)

@@ -470,9 +470,21 @@ def test_cli_run_symbol_reads_grid_box_and_omega(tmp_path):
     ("[experiment]\nname = g-bound\n[probe]\np = 2\nsweep = 0.1\n", ":5:9:"),
     ("[experiment]\nname = g-bound\n[probe]\nmethod = gagliardo\nrate_threshold = 0.2\n",
      ":5:18:"),
+    ("[experiment]\nname = getoor\nseed = 5\n", ":3:8:"),
+    ("[experiment]\nseed = 5\nname = parabolic-energy\n", ":2:8:"),
+    ("[experiment]\nname = parabolic-energy\n[source]\nprofile = bump\nexponent = 1\n",
+     ":5:12:"),
+    ("[experiment]\nname = parabolic-energy\n[source]\nthreshold = 0.2\n", ":4:13:"),
+    ("[experiment]\nname = g-bound\n[source]\nprofile = power\nvalue = 2\n", ":5:9:"),
+    ("[experiment]\nname = elliptic-regularity\n[source]\ninner_fraction = 0.2\n",
+     ":4:18:"),
+    ("[experiment]\nname = regularity-sweep\n[source]\nprofile = csv\npath = f.csv\n"
+     "value = 1\n", ":6:9:"),
 ], ids=["getoor-source", "boundary-profile-source", "semigroup-source", "semigroup-time",
         "product-rule-inner", "g-bound-probe-levels", "g-bound-probe-sweep",
-        "g-bound-probe-rate-threshold"])
+        "g-bound-probe-rate-threshold", "getoor-seed", "parabolic-energy-seed",
+        "bump-exponent", "constant-by-default-threshold", "power-value",
+        "jump-by-default-inner-fraction", "csv-value"])
 def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
                                                           text, where):
     def no_grid(*args, **kwargs):
@@ -485,6 +497,28 @@ def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monk
     assert f"{cfg_path}{where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[experiment]\nname = semigroup-contraction\nseed = 5\n",
+    "[experiment]\nname = elliptic-regularity\n[source]\nthreshold = 0.2\nvalue = 2\n",
+    "[experiment]\nname = parabolic-energy\n[source]\nprofile = bump\n"
+    "inner_fraction = 0.2\nouter_fraction = 0.6\n",
+    "[experiment]\nname = g-bound\n[source]\nprofile = power\nexponent = 0.3\ncenter = 0.1\n",
+    "[experiment]\nname = regularity-sweep\n[source]\nvalue = 3\n",
+], ids=["semigroup-seed", "jump-by-default", "bump", "power", "constant-by-default"])
+def test_cli_run_keys_the_recipe_reads_pass_to_the_grid(tmp_path, monkeypatch, text):
+    class GridReached(Exception):
+        pass
+
+    def no_grid(*args, **kwargs):
+        raise GridReached
+
+    monkeypatch.setattr(experiments, "build_grid", no_grid)
+    cfg_path = tmp_path / "read.cfg"
+    cfg_path.write_text(text)
+    with pytest.raises(GridReached):
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
 def test_front_end_tables_agree():
     # every recipe has one row in each table, and every section is read by some recipe
     front = {"experiment", "params", "grid"}
@@ -494,8 +528,13 @@ def test_front_end_tables_agree():
     # a section read in part is read by the recipe, and its keys are schema keys
     for recipe, sections in experiments.READS_KEYS.items():
         for section, keys in sections.items():
-            assert section in experiments.READS_SECTIONS[recipe]
+            assert section in front | set(experiments.READS_SECTIONS[recipe])
             assert set(keys) < set(_SCHEMA[section])
+    # every [source] key is read by some profile, and every default names a profile
+    assert ({"profile"}.union(*experiments.PROFILE_KEYS.values()) == set(_SCHEMA["source"]))
+    for recipe, profile in experiments.DEFAULT_PROFILE.items():
+        assert "source" in experiments.READS_SECTIONS[recipe]
+        assert profile in experiments.PROFILE_KEYS
 
 
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):

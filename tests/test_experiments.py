@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -47,6 +48,56 @@ def test_write_csv_array_and_rows_give_the_same_bytes(tmp_path):
     assert data == (tmp_path / "rows.csv").read_bytes()
     assert data.splitlines()[1] == b"-0,inf,-inf"
     assert data.count(b"\r\n") == 5
+
+
+def _percent_write(path, header, table):
+    """Write as _write_csv wrote arrays before its blocks: one % over the whole array."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        fh.write(line * table.shape[0] % tuple(table.ravel().tolist()))
+
+
+def _awkward_table(rows, cols, seed):
+    """Signed zeros, infinities, nan, subnormals and values repeated across rows and blocks."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 0.1, 1.0 / 3.0, -2.0, 1e300])
+    table = rng.choice(np.concatenate([pool, rng.standard_normal(7)]), size=(rows, cols))
+    return np.ascontiguousarray(table)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (1, 5), (9, 1), (37, 4),
+                                        (experiments._CSV_ROWS + 3, 2)],
+                         ids=["zero-rows", "one-row", "one-column", "small", "two-blocks"])
+def test_write_csv_array_blocks_match_the_percent_formula(tmp_path, rows, cols):
+    table = _awkward_table(rows, cols, rows * 10 + cols)
+    header = tuple(f"c{j}" for j in range(cols))
+    # a strided view and an integer array are written as their float values
+    for name, head, array in (("out", header, table), ("view", header[::-1], table[:, ::-1]),
+                              ("ints", header, np.arange(rows * cols).reshape(rows, cols))):
+        _write_csv(tmp_path / f"{name}.csv", head, array)
+        _percent_write(tmp_path / f"{name}_percent.csv", head, array.astype(float))
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_percent.csv").read_bytes())
+
+
+def test_write_csv_array_peak_stays_below_the_percent_formula(tmp_path):
+    # getoor's 2D n = 129 solution.csv: 16641 rows of 4, few distinct values per column
+    x = np.linspace(-2.0, 2.0, 129)
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = np.clip(1.0 - (pts ** 2).sum(axis=1), 0.0, None) ** 0.5
+    table = np.column_stack([pts, u, u + 1e-3 * np.round(pts[:, 0], 1)])
+    peaks = []
+    for write, name in ((_write_csv, "blocks.csv"), (_percent_write, "percent.csv")):
+        tracemalloc.start()
+        try:
+            write(tmp_path / name, ("a", "b", "c", "d"), table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= min(peaks[1], 3.08e6)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
 
 
 def test_source_profiles(tmp_path, grid65):
@@ -240,7 +291,7 @@ count = 20
         for t in (0.1, 1.0):
             for p in (1.0, 1.5, 2.0, 4.0, math.inf):
                 before = lp_norm(extend_by_zero(phi, grid), p, "omega")
-                after = lp_norm(images[t][trial], p, "omega")
+                after = lp_norm(extend_by_zero(images[t][trial], grid), p, "omega")
                 growths.append(after - before)
                 expected.append([str(trial), F17(t), "inf" if math.isinf(p) else F17(p),
                                  F17(before), F17(after), F17(after - before)])

@@ -9,7 +9,12 @@ from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.errors import FracLabError, LengthMismatchError, SingularOperatorError
 from fraclab.experiments import run_experiment
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
-from fraclab.operator import FractionalParams, OperatorMatrix, assemble_operator_matrix
+from fraclab.operator import (
+    FractionalParams,
+    OperatorMatrix,
+    _mirror_axes,
+    assemble_operator_matrix,
+)
 from fraclab.parabolic import (
     _LEDGER_ROWS,
     energy_report,
@@ -38,10 +43,22 @@ def test_zero_source_stays_zero(setup):
 def test_initial_datum_is_zero(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 4, 0.5, params, grid, matrix=matrix)
-    assert traj.values.shape == (5, grid.n_omega)
-    assert not traj.values.flags.writeable
-    assert not traj.values[0].any()
+    for arr in (traj.modes, traj.values):
+        assert arr.shape == (5, grid.n_omega)
+        assert not arr.flags.writeable
+        assert not arr[0].any()
+    assert traj.values is traj.values  # formed once
     assert traj.final().dirichlet
+
+
+def test_values_and_final_are_the_modes_back_in_omega(setup):
+    grid, params, matrix = setup
+    lam, vecs = matrix.spectrum
+    traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
+    assert traj.lam is lam and traj.vecs is vecs
+    assert np.array_equal(traj.values, traj.modes @ vecs.T)
+    assert np.array_equal(traj.final().values[grid.mask], vecs @ traj.modes[-1])
+    assert _rel_gap(traj.final().values[grid.mask], traj.values[-1]) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["constant", "callable"])
@@ -58,8 +75,14 @@ def test_trajectory_source_and_form_are_read_only(setup, kind):
             arr[-1] = 0.0
 
 
+def _row_block(grid):
+    """Bytes of _LEDGER_ROWS rows of Omega floats: the slack the time layer's peaks may use."""
+    return _LEDGER_ROWS * grid.n_omega * 8
+
+
 def test_constant_source_drives_every_step_by_one_row(setup):
-    # an (nt, m) drive and its temporaries put the peak near 3 times the result
+    # an (nt, m) drive, a (nt+1, m) back-transform or a modes ** 2 temporary would
+    # each add a whole trajectory to the peak; only the record's own arrays remain
     grid, params, matrix = setup
     matrix.spectrum  # decomposed before the count starts
     tracemalloc.start()
@@ -69,7 +92,33 @@ def test_constant_source_drives_every_step_by_one_row(setup):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * traj.values.nbytes
+    held = traj.modes.nbytes + traj.times.nbytes + traj.form.nbytes
+    assert peak <= held + _row_block(grid)
+    assert "values" not in vars(traj)  # no Omega values formed
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_time_layer_peaks_at_m_511(theta):
+    # evolve-1d's size: the stepper holds its modes and one row block, the ledger
+    # 1.33 MB of its own sums and blocks
+    grid = build_grid(1, ((-2.0, 2.0),), 1025, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid, params)
+    matrix.spectrum
+    assert grid.n_omega == 511
+    tracemalloc.start()
+    try:
+        traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 512, theta, params, grid,
+                               matrix=matrix)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        energy_report(traj)
+        ledger_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= traj.modes.nbytes + _row_block(grid)
+    assert ledger_peak <= 1.4e6
 
 
 def test_callable_source_is_read_once_per_step_time(setup):
@@ -198,11 +247,12 @@ def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _unblocked_ledger(traj):
-    """energy_report's sums over the whole (nt+1, m) trajectory at once: its blocks' oracle."""
+def _unblocked_ledger(traj, rows):
+    """energy_report's sums over the whole (nt+1, m) array `rows` at once: traj.modes for its
+    blocks' oracle, traj.values for the node-space ledger that the mode sums stand for."""
     tau, hN = traj.tau, traj.grid.h ** traj.grid.ndim
     damping = np.exp(-traj.times)
-    v = traj.values * damping[:, None]
+    v = rows * damping[:, None]
     g = traj.source[1:] * damping[1:, None]
     dv = np.diff(v, axis=0) / tau
     diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
@@ -225,7 +275,7 @@ def test_blocked_ledger_equals_the_unblocked_formula_bit_for_bit(setup, nt, kind
     traj = solve_parabolic(f, 0.8, nt, 0.5, params, grid, matrix=matrix, u0=u0)
     ledger = energy_report(traj)
     for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
-                         _unblocked_ledger(traj)):
+                         _unblocked_ledger(traj, traj.modes)):
         assert np.array_equal(got, want)
 
 
@@ -253,6 +303,21 @@ def small_problem(request):
 
 def _rel_gap(fast, slow):
     return float(np.abs(fast - slow).max() / np.abs(slow).max())
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_mode_space_ledger_matches_node_space_ledger(small_problem, theta):
+    # the 2D unit ball is centred: four parity blocks, so Q's orthonormality across blocks counts
+    grid, params, matrix = small_problem
+    assert len(_mirror_axes(grid, matrix.kernel)) == grid.ndim
+    rng = np.random.default_rng(33)
+    g, u0 = rng.standard_normal(grid.n_omega), rng.standard_normal(grid.n_omega)
+    traj = solve_parabolic(lambda t: g * (1.0 + 0.5 * math.sin(3.0 * t)), 0.8, 24, theta,
+                           params, grid, matrix=matrix, u0=u0)
+    ledger = energy_report(traj)
+    for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
+                         _unblocked_ledger(traj, traj.values)):
+        assert _rel_gap(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -284,8 +349,9 @@ def test_spectral_semigroup_matches_repeated_cholesky_solves(small_problem):
         slow = np.array(data).T
         for _ in range(nt):
             slow = scipy.linalg.cho_solve(cho, slow)
+        assert images.shape == (len(data), grid.n_omega)
         for image, want in zip(images, slow.T):
-            assert _rel_gap(image.values[grid.mask], want) <= 1e-12
+            assert _rel_gap(image, want) <= 1e-12
 
 
 SOURCE_CALLERS = {
@@ -360,9 +426,9 @@ def test_semigroup_identity_at_time_zero(setup):
     out = semigroup_apply(phi, 0.0, 8, params, grid, matrix=matrix)
     assert np.array_equal(out.values[grid.mask], phi)
     outs = semigroup_apply([phi, -phi], 0.0, 8, params, grid, matrix=matrix)
-    assert len(outs) == 2
-    assert np.array_equal(outs[0].values[grid.mask], phi)
-    assert np.array_equal(outs[1].values[grid.mask], -phi)
+    assert outs.shape == (2, grid.n_omega)
+    assert np.array_equal(outs[0], phi)
+    assert np.array_equal(outs[1], -phi)
 
 
 def test_semigroup_positivity_and_contraction(setup):
@@ -386,9 +452,10 @@ def test_semigroup_batch_images_in_order(setup):
     data = [rng.standard_normal(grid.n_omega) for _ in range(20)]
     for t in (0.1, 1.0):
         images = semigroup_apply(data, t, 16, params, grid, matrix=matrix)
-        assert len(images) == len(data) and all(im.dirichlet for im in images)
+        assert images.shape == (len(data), grid.n_omega)
         alone = semigroup_apply(data[7], t, 16, params, grid, matrix=matrix)
-        assert np.abs(images[7].values - alone.values).max() <= 1e-13 * alone.linf()
+        assert alone.dirichlet
+        assert np.abs(images[7] - alone.values[grid.mask]).max() <= 1e-13 * alone.linf()
 
 
 def test_semigroup_rejects_bad_steps_and_lengths(setup):
