@@ -1,12 +1,12 @@
 """Named experiment recipes behind the CLI.
 
-Every recipe reads a RunConfig, runs deterministically (worker count
-never changes results), writes CSV/JSON artifacts plus a manifest into
-the output directory, and returns a summary dict used by the acceptance
-thresholds.  Floats are serialized with 17 significant digits.  The two
-probe recipes, elliptic-regularity and regularity-sweep, run one probe
-(_probe): it reads [source] and every [probe] key and writes one
-estimate JSON per region.
+Every recipe reads a RunConfig, runs deterministically (byte-identical
+artifacts at a fixed BLAS thread count), writes CSV/JSON artifacts plus
+a manifest into the output directory, and returns a summary dict used
+by the acceptance thresholds.  Floats are serialized with 17 significant
+digits.  The two probe recipes, elliptic-regularity and regularity-sweep,
+run one probe (_probe): it reads [source] and every [probe] key and
+writes one estimate JSON per region.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -345,7 +346,7 @@ def run_elliptic_regularity(cfg, out_dir):
         est_int, est_bdy = _probe(cfg, s, grid, [interior, boundary],
                                   [os.path.join(out_dir, f"estimate_s{s:g}_{tag}.json")
                                    for tag in ("interior", "boundary")],
-                                  default=DEFAULT_PROFILE["elliptic-regularity"])
+                                  default=READS["elliptic-regularity"].profile)
         out[s] = {"interior": est_int.sigma_star, "boundary": est_bdy.sigma_star}
     write_manifest(out_dir, "elliptic-regularity", cfg, grid, s=s_list, p=est_int.p,
                    n=base_n, levels=est_int.levels,
@@ -528,31 +529,26 @@ RECIPES = {
     "boundary-profile": run_boundary_profile,
 }
 
-# the recipes that accept [params] ndim = 2; every other one runs in 1D only
-READS_NDIM = {"getoor"}
-
-# the sections each recipe reads beside [experiment], [params] and [grid]; no other is allowed
-READS_SECTIONS = {
-    "getoor": ("omega",),
-    "symbol": ("omega", "symbol"),
-    "elliptic-regularity": ("omega", "inner", "boundary", "source", "probe"),
-    "parabolic-energy": ("omega", "source", "time"),
-    "semigroup-contraction": ("omega", "semigroup"),
-    "product-rule": ("omega",),
-    "g-bound": ("omega", "source", "probe"),
-    "regularity-sweep": ("omega", "inner", "source", "probe"),
-    "boundary-profile": ("omega",),
+ALL = None  # every key of a section is read
+# every recipe reads [experiment] name, and builds its grids from [params], [grid] and [omega]
+FRONT = {"experiment": ("name",), "params": ALL, "grid": ALL, "omega": ALL}
+# What each recipe reads; any other key a config sets is rejected.  `sections` maps each
+# section it reads beyond FRONT, or whose FRONT entry it widens, to the keys it reads;
+# `ndims` are the [params] ndim it runs at; `profile` is its [source] profile when the
+# config sets none (None: it reads no [source]), whose keys are `profile` and PROFILE_KEYS.
+Reads = namedtuple("Reads", "sections ndims profile", defaults=((1,), None))
+READS = {
+    "getoor": Reads({}, ndims=(1, 2)),
+    "symbol": Reads({"symbol": ALL}),
+    "elliptic-regularity": Reads({"inner": ALL, "boundary": ALL, "probe": ALL}, profile="jump"),
+    "parabolic-energy": Reads({"time": ALL}, profile="constant"),
+    # the one recipe that draws random data
+    "semigroup-contraction": Reads({"experiment": ("name", "seed"), "semigroup": ALL}),
+    "product-rule": Reads({}),
+    "g-bound": Reads({"probe": ("method", "p")}, profile="constant"),
+    "regularity-sweep": Reads({"inner": ALL, "probe": ALL}, profile="constant"),
+    "boundary-profile": Reads({}),
 }
-
-# the keys a recipe reads of a section it reads only in part; any other key is rejected.
-# Only semigroup-contraction draws random data, so only it reads [experiment] seed;
-# the [source] keys read depend on the profile (PROFILE_KEYS)
-READS_KEYS = {name: {"experiment": ("name",)} for name in RECIPES
-              if name != "semigroup-contraction"}
-READS_KEYS["g-bound"]["probe"] = ("method", "p")
-
-# the source profile of a recipe whose [source] sets none, when it is not constant
-DEFAULT_PROFILE = {"elliptic-regularity": "jump"}
 
 
 def run_experiment(name, cfg, out_dir):
@@ -561,21 +557,19 @@ def run_experiment(name, cfg, out_dir):
         if cfg.get_str("experiment", "name") == name:
             raise cfg.error("experiment", "name", message)
         raise ConfigError(message, path=cfg.path)
-    if name not in READS_NDIM and cfg.get_int("params", "ndim", default=1) != 1:
-        raise cfg.error("params", "ndim", f"{name} runs in 1D only; ndim must be 1")
-    reads = ("experiment", "params", "grid") + READS_SECTIONS[name]
-    known_keys = dict(READS_KEYS.get(name, {}))
-    if "source" in reads:  # before any grid is built
-        profile = _source_kind(cfg, DEFAULT_PROFILE.get(name, "constant"))
-        known_keys["source"] = ("profile",) + PROFILE_KEYS[profile]
-    for section, keys in cfg.sections.items():
-        if keys and section not in reads:
-            raise cfg.error(section, next(iter(keys)), f"{name} does not read [{section}]; "
-                            f"it reads {', '.join(f'[{sec}]' for sec in reads)}")
-        known = known_keys.get(section, keys)
-        unread = next((key for key in keys if key not in known), None)
+    reads = READS[name]
+    if cfg.get_int("params", "ndim", default=1) not in reads.ndims:
+        raise cfg.error("params", "ndim", f"{name} runs only at ndim = "
+                        + " or ".join(map(str, reads.ndims)))
+    keys = {**FRONT, **reads.sections}
+    if reads.profile:  # [source] is read by profile; all of this before any grid is built
+        keys["source"] = ("profile",) + PROFILE_KEYS[_source_kind(cfg, reads.profile)]
+    for section, given in cfg.sections.items():
+        known = keys.get(section, ())
+        unread = next((key for key in given if known is not ALL and key not in known), None)
         if unread is not None:
             raise cfg.error(section, unread, f"{name} does not read [{section}] {unread}; "
-                            f"of [{section}] it reads only {', '.join(known)}")
+                            + (f"of [{section}] it reads only {', '.join(known)}" if known
+                               else f"it reads {', '.join(f'[{sec}]' for sec in keys)}"))
     os.makedirs(out_dir, exist_ok=True)
     return RECIPES[name](cfg, out_dir)

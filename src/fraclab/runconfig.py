@@ -14,18 +14,21 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .experiments import BUMP_FRACTIONS, SYMBOL_WINDOW
+from .experiments import BUMP_FRACTIONS, PROFILE_KEYS, SYMBOL_WINDOW
 from .gridfn import MAX_RAMP_ORDER, MIN_NODES
 from .probe import DEFAULT_METHOD, DEFAULT_P, DEFAULT_SWEEP, estimator_problem
 from .regions import Ball, Box
 
-_REGION = {"kind": None, "center": None, "radius": None, "bounds": None}
+# the keys a region section reads beside `kind`, per kind; any other key is rejected
+REGION_KEYS = {"ball": ("center", "radius"), "box": ("bounds",)}
+_REGION = dict.fromkeys(("kind",) + sum(REGION_KEYS.values(), ()))
+_IN_0_1 = (False, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 # section -> key -> (integer-valued, test, allowed range) or None.  Values
 # outside a range fail at load time, instead of deep in a recipe.
 _SCHEMA = {
     "experiment": {"name": None, "seed": None},
-    "params": {"s": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "params": {"s": _IN_0_1,
                "ndim": (True, lambda v: v in (1, 2), "1 or 2")},
     "grid": {"n": (True, lambda v: v >= MIN_NODES, f">= {MIN_NODES}"),
              "box": None},
@@ -37,10 +40,8 @@ _SCHEMA = {
                "window_outer": (False, lambda v: v > 0.0, "> 0"),
                "window_order": (True, lambda v: 0 <= v <= MAX_RAMP_ORDER,
                                 f"in [0, {MAX_RAMP_ORDER}]")},
-    "source": {"profile": None, "value": None, "threshold": None, "exponent": None,
-               "center": None, "path": None,
-               "inner_fraction": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-               "outer_fraction": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)")},
+    "source": {key: _IN_0_1 if key in PROFILE_KEYS["bump"] else None  # the bump's fractions
+               for key in ("profile",) + sum(PROFILE_KEYS.values(), ())},
     "time": {"T": (False, lambda v: v > 0.0, "> 0"),
              "nt": (True, lambda v: v >= 2, ">= 2"),
              "theta": (False, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
@@ -126,13 +127,17 @@ class RunConfig:
         if not sec:
             return None
         kind = self.get_str(section, "kind")
-        needs = {"ball": ("center", "radius"), "box": ("bounds",)}.get(kind)
+        needs = REGION_KEYS.get(kind)
         if needs is None:
             raise self.error(section, "kind" if kind else next(iter(sec)),
                              f"[{section}] unknown region kind {kind!r} (expected ball or box)")
         if not all(self.has(section, key) for key in needs):
             raise self.error(section, "kind",
                              f"[{section}] {kind} region needs {' and '.join(needs)}")
+        stray = next((key for key in sec if key != "kind" and key not in needs), None)
+        if stray is not None:
+            raise self.error(section, stray, f"[{section}] a {kind} region does not read "
+                             f"{stray}; it reads kind, {', '.join(needs)}")
         try:
             if kind == "ball":
                 return Ball(tuple(self.get_floats(section, "center")),
@@ -247,14 +252,14 @@ def _check_geometry(cfg):
     for section in ("omega", "inner", "boundary"):
         region = cfg.region(section)
         if region is not None and region.dim != ndim:
-            key = next(k for k in ("center", "bounds", "kind") if cfg.has(section, k))
+            key = REGION_KEYS[cfg.get_str(section, "kind")][0]
             raise cfg.error(section, key, f"[{section}] region has dimension {region.dim}, "
                             f"but ndim={ndim}")
     center = cfg.get_floats("source", "center")
     if center is not None and len(center) != ndim:
         raise cfg.error("source", "center", f"[source] center needs {ndim} numbers for "
                         f"ndim={ndim}, got {len(center)}")
-    _check_below(cfg, "source", "inner_fraction", "outer_fraction", BUMP_FRACTIONS)
+    _check_below(cfg, "source", *PROFILE_KEYS["bump"], BUMP_FRACTIONS)
     _check_below(cfg, "symbol", "window_inner", "window_outer", SYMBOL_WINDOW)
 
 

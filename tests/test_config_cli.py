@@ -13,10 +13,10 @@ import pytest
 from fraclab import experiments
 from fraclab.cli import main
 from fraclab.errors import ConfigError
-from fraclab.experiments import source_profile
+from fraclab.experiments import PROFILE_KEYS, source_profile
 from fraclab.gridfn import build_grid
 from fraclab.regions import Ball, Box
-from fraclab.runconfig import _SCHEMA, parse_config_text
+from fraclab.runconfig import _SCHEMA, REGION_KEYS, RunConfig, parse_config_text
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "fraclab"
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -40,6 +40,23 @@ kind = ball
 center = 0.0
 radius = 1.0
 """
+
+
+class GridBuilt(AssertionError):
+    """What experiments.build_grid raises under the no_grid fixture."""
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Replace experiments.build_grid by a raise of GridBuilt.
+
+    A test that expects a config error then fails if any grid was built
+    first, and one that expects GridBuilt sees the config pass to the grid.
+    """
+    def build_grid(*args, **kwargs):
+        raise GridBuilt("built a grid before the config was rejected")
+
+    monkeypatch.setattr(experiments, "build_grid", build_grid)
 
 
 def test_parse_good_config():
@@ -410,14 +427,10 @@ def test_cli_run_symbol_fault_exits_2_before_any_apply(tmp_path, capsys, monkeyp
     ("[grid]\nbox = -26, 26\n", ":4:7:"),
     ("[symbol]\nwindow_outer = 20\n[grid]\nbox = -30, 30\n", ":6:7:"),
 ], ids=["window-outer", "box", "both-set"])
-def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeypatch,
+def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, no_grid,
                                                        text, where):
     # Omega is (-(window_outer + 2), window_outer + 2); its collar needs a
     # box of at least 1.5 (window_outer + 2) each way, which the config alone decides
-    def no_grid(*args, **kwargs):
-        raise AssertionError("built a grid before the config was rejected")
-
-    monkeypatch.setattr(experiments, "build_grid", no_grid)
     cfg_path = tmp_path / "symbol.cfg"
     cfg_path.write_text("[experiment]\nname = symbol\n" + text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -432,12 +445,8 @@ def test_cli_run_symbol_collar_exits_2_before_any_grid(tmp_path, capsys, monkeyp
     ("[experiment]\nname = boundary-profile\n[omega]\nkind = box\nbounds = -1.9, 1.9\n",
      ":4:8:"),
 ], ids=["grid-box", "omega"])
-def test_cli_run_collar_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, text, where):
+def test_cli_run_collar_exits_2_before_any_grid(tmp_path, capsys, no_grid, text, where):
     # the collar rule reads only the box and Omega, which the config alone decides
-    def no_grid(*args, **kwargs):
-        raise AssertionError("built a grid before the config was rejected")
-
-    monkeypatch.setattr(experiments, "build_grid", no_grid)
     cfg_path = tmp_path / "collar.cfg"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -459,7 +468,70 @@ def test_cli_run_symbol_reads_grid_box_and_omega(tmp_path):
     assert manifest["regions"]["omega"] == {"kind": "ball", "center": [0.0], "radius": 19.0}
 
 
-@pytest.mark.parametrize("text, where", [
+REGIONS = ("omega", "inner", "boundary")
+
+# a valid value of each schema key but [experiment] name and a region's kind,
+# whatever its section
+VALUE = {"seed": "5", "s": "0.5", "ndim": "1", "n": "33", "box": "-2, 2",
+         "center": "0.1", "radius": "0.2", "bounds": "-0.4, 0.4",
+         "k": "1", "window_inner": "7", "window_outer": "16", "window_order": "5",
+         "profile": "constant", "value": "2", "threshold": "0.2", "exponent": "0.5",
+         "inner_fraction": "0.2", "outer_fraction": "0.6", "path": "f.csv",
+         "T": "1", "nt": "4", "theta": "1", "slack": "0.05", "t": "0.1", "count": "2",
+         "method": "gagliardo", "p": "2", "levels": "3", "sweep": "0.3",
+         "rate_threshold": "0.2"}
+
+
+def _declared(recipe, profile=None, kind=None):
+    """The (section, key) pairs that the READS row of `recipe` declares.
+
+    [source] is read at `profile`, the row's default when None, and a region
+    section at `kind`, every region key when None.
+    """
+    row = experiments.READS[recipe]
+    sections = {**experiments.FRONT, **row.sections}
+    if row.profile:
+        sections["source"] = ("profile",) + PROFILE_KEYS[profile or row.profile]
+    pairs = set()
+    for section, keys in sections.items():
+        if keys is experiments.ALL:
+            keys = (("kind",) + REGION_KEYS[kind] if kind and section in REGIONS
+                    else _SCHEMA[section])
+        pairs.update((section, key) for key in keys)
+    return pairs
+
+
+def _region_lines(kind, first=None):
+    """The lines of a `kind` region, `first` (a key of the region) leading."""
+    keys = ("kind",) + REGION_KEYS[kind]
+    if first is not None:
+        keys = (first,) + tuple(k for k in keys if k != first)
+    return "".join(f"{k} = {kind if k == 'kind' else VALUE[k]}\n" for k in keys)
+
+
+def _unread_cases():
+    """A config per recipe and schema key its row does not declare, that key first in
+    its section and otherwise valid, with the location of the key's value."""
+    for recipe in experiments.READS:
+        declared = _declared(recipe)
+        for section, keys in _SCHEMA.items():
+            for key in keys:
+                if (section, key) in declared:
+                    continue
+                if section in REGIONS:
+                    kind = next(k for k in REGION_KEYS if key in ("kind",) + REGION_KEYS[k])
+                    lines = _region_lines(kind, key)
+                else:
+                    lines = f"{key} = {VALUE[key]}\n"
+                if section == "experiment":
+                    text, row = f"[experiment]\n{lines}name = {recipe}\n", 2
+                else:
+                    text, row = f"[experiment]\nname = {recipe}\n[{section}]\n{lines}", 4
+                yield pytest.param(text, f":{row}:{len(key) + 4}:",
+                                   id=f"{recipe}-{section}.{key}")
+
+
+HAND_WRITTEN_UNREAD = [
     ("[experiment]\nname = getoor\n[source]\nprofile = jump\n", ":4:11:"),
     ("[experiment]\nname = boundary-profile\n[source]\nvalue = 2\n", ":4:9:"),
     ("[experiment]\nname = semigroup-contraction\n[source]\nprofile = jump\n", ":4:11:"),
@@ -480,17 +552,21 @@ def test_cli_run_symbol_reads_grid_box_and_omega(tmp_path):
      ":4:18:"),
     ("[experiment]\nname = regularity-sweep\n[source]\nprofile = csv\npath = f.csv\n"
      "value = 1\n", ":6:9:"),
-], ids=["getoor-source", "boundary-profile-source", "semigroup-source", "semigroup-time",
-        "product-rule-inner", "g-bound-probe-levels", "g-bound-probe-sweep",
-        "g-bound-probe-rate-threshold", "getoor-seed", "parabolic-energy-seed",
-        "bump-exponent", "constant-by-default-threshold", "power-value",
-        "jump-by-default-inner-fraction", "csv-value"])
-def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
-                                                          text, where):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("built a grid before the config was rejected")
+]
+HAND_WRITTEN_UNREAD_IDS = [
+    "getoor-source", "boundary-profile-source", "semigroup-source", "semigroup-time",
+    "product-rule-inner", "g-bound-probe-levels", "g-bound-probe-sweep",
+    "g-bound-probe-rate-threshold", "getoor-seed", "parabolic-energy-seed",
+    "bump-exponent", "constant-by-default-threshold", "power-value",
+    "jump-by-default-inner-fraction", "csv-value"]
 
-    monkeypatch.setattr(experiments, "build_grid", no_grid)
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param(*case, id=name)
+    for case, name in zip(HAND_WRITTEN_UNREAD, HAND_WRITTEN_UNREAD_IDS)]
+    + list(_unread_cases()))
+def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, no_grid,
+                                                          text, where):
     cfg_path = tmp_path / "unread.cfg"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -505,36 +581,88 @@ def test_cli_run_section_the_recipe_does_not_read_exits_2(tmp_path, capsys, monk
     "[experiment]\nname = g-bound\n[source]\nprofile = power\nexponent = 0.3\ncenter = 0.1\n",
     "[experiment]\nname = regularity-sweep\n[source]\nvalue = 3\n",
 ], ids=["semigroup-seed", "jump-by-default", "bump", "power", "constant-by-default"])
-def test_cli_run_keys_the_recipe_reads_pass_to_the_grid(tmp_path, monkeypatch, text):
-    class GridReached(Exception):
-        pass
-
-    def no_grid(*args, **kwargs):
-        raise GridReached
-
-    monkeypatch.setattr(experiments, "build_grid", no_grid)
+def test_cli_run_keys_the_recipe_reads_pass_to_the_grid(tmp_path, no_grid, text):
     cfg_path = tmp_path / "read.cfg"
     cfg_path.write_text(text)
-    with pytest.raises(GridReached):
+    with pytest.raises(GridBuilt):
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
 def test_front_end_tables_agree():
-    # every recipe has one row in each table, and every section is read by some recipe
-    front = {"experiment", "params", "grid"}
-    assert set(experiments.READS_SECTIONS) == set(experiments.RECIPES)
-    assert experiments.READS_NDIM <= set(experiments.RECIPES)
-    assert set().union(*experiments.READS_SECTIONS.values()) == set(_SCHEMA) - front
-    # a section read in part is read by the recipe, and its keys are schema keys
-    for recipe, sections in experiments.READS_KEYS.items():
-        for section, keys in sections.items():
-            assert section in front | set(experiments.READS_SECTIONS[recipe])
-            assert set(keys) < set(_SCHEMA[section])
-    # every [source] key is read by some profile, and every default names a profile
-    assert ({"profile"}.union(*experiments.PROFILE_KEYS.values()) == set(_SCHEMA["source"]))
-    for recipe, profile in experiments.DEFAULT_PROFILE.items():
-        assert "source" in experiments.READS_SECTIONS[recipe]
-        assert profile in experiments.PROFILE_KEYS
+    # every recipe has a row, and every section is read by some recipe
+    rows = experiments.READS.values()
+    assert set(experiments.READS) == set(experiments.RECIPES)
+    read = set(experiments.FRONT).union(*(row.sections for row in rows))
+    assert read | {"source" for row in rows if row.profile} == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("kind, stray", [
+    (kind, stray) for kind in REGION_KEYS for other in REGION_KEYS if other != kind
+    for stray in REGION_KEYS[other]])
+@pytest.mark.parametrize("section", REGIONS)
+def test_region_key_of_the_other_kind_exits_2_at_load(tmp_path, capsys, no_grid,
+                                                      section, kind, stray):
+    text = (f"[experiment]\nname = elliptic-regularity\n[{section}]\n"
+            + _region_lines(kind) + f"{stray} = {VALUE[stray]}\n")
+    where = (text.count("\n"), len(stray) + 4)
+    with pytest.raises(ConfigError, match=f"a {kind} region does not read {stray}") as err:
+        parse_config_text(text)
+    assert (err.value.line, err.value.column) == where
+    cfg_path = tmp_path / "region.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}:{where[0]}:{where[1]}:" in capsys.readouterr().err
+
+
+# the values of the read-set runs, where they differ from VALUE: small, and each
+# region where the recipe's default puts it; symbol's Omega holds its window
+RUN_VALUE = {("experiment", "seed"): "1", ("omega", "center"): "0", ("omega", "radius"): "1",
+             ("omega", "bounds"): "-1, 1", ("inner", "center"): "0",
+             ("inner", "radius"): "0.4", ("boundary", "center"): "1",
+             ("boundary", "radius"): "0.5", ("boundary", "bounds"): "0.5, 1.5",
+             ("source", "value"): "1", ("source", "threshold"): "0",
+             ("source", "inner_fraction"): "0.3", ("source", "outer_fraction"): "0.8",
+             ("time", "T"): "0.1", ("semigroup", "nt"): "2", ("probe", "sweep"): "0.4, 0.6"}
+SYMBOL_RUN_VALUE = {("grid", "n"): "65, 129", ("grid", "box"): "-30, 30",
+                    ("omega", "radius"): "19", ("omega", "bounds"): "-19, 19"}
+
+
+@pytest.mark.parametrize("recipe", list(experiments.RECIPES))
+def test_recipe_reads_the_keys_its_row_declares(tmp_path, monkeypatch, recipe):
+    # a recipe run on a config that sets every key its row declares reads each of
+    # them and no other: once per [source] profile it accepts (the probe refines its
+    # grid, so it rejects a CSV source) and once per region kind (getoor's closed
+    # form needs a ball Omega)
+    row = experiments.READS[recipe]
+    (tmp_path / "f.csv").write_text(", ".join(["1"] * 15) + "\n")  # the Omega nodes at n = 33
+    profiles = [profile for profile in PROFILE_KEYS if not (
+        profile == "csv" and recipe in ("elliptic-regularity", "regularity-sweep"))]
+    runs = [(profile, "ball") for profile in (profiles if row.profile else [None])]
+    runs += [(None, kind) for kind in REGION_KEYS if kind != "ball" and recipe != "getoor"]
+    values = {**RUN_VALUE, **(SYMBOL_RUN_VALUE if recipe == "symbol" else {}),
+              ("experiment", "name"): recipe, ("source", "path"): str(tmp_path / "f.csv")}
+    read = set()
+
+    def recorded(getter):
+        def get(self, section, key, default=None):
+            read.add((section, key))
+            return getter(self, section, key, default)
+        return get
+
+    for name in ("get_str", "get_floats"):  # every other getter calls one of these
+        monkeypatch.setattr(RunConfig, name, recorded(getattr(RunConfig, name)))
+    for profile, kind in runs:
+        declared = _declared(recipe, profile, kind)
+        value = {**values, ("source", "profile"): profile or row.profile}
+        by_section = {}
+        for section, key in sorted(declared):
+            by_section.setdefault(section, []).append(
+                f"{key} = {kind if key == 'kind' else value.get((section, key)) or VALUE[key]}")
+        cfg = parse_config_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                        for section, lines in by_section.items()))
+        read.clear()  # of what loading the config read
+        experiments.run_experiment(recipe, cfg, str(tmp_path / f"{profile}-{kind}"))
+        assert read | {("experiment", "name")} == declared, (profile, kind)
 
 
 def test_cli_run_config_not_utf8_exits_2(tmp_path, capsys):
