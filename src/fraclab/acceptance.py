@@ -193,7 +193,7 @@ def criterion_8(out_dir, shared=None):
     matrix = assemble_operator_matrix(grid, params)
     f = np.ones(grid.n_omega)
     u_inf = solve_dirichlet(f, params, grid, matrix=matrix)
-    lam1 = float(matrix.spectrum[0][0])
+    lam1 = float(matrix.spectrum.lam.min())
     T = 1.5 * math.log(u_inf.linf() / 1e-4) / lam1
     rows = []
     passed = True

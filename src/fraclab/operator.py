@@ -16,14 +16,19 @@ returns the operator restricted to Omega (OperatorMatrix): every product
 with it is apply(), the same convolution on Omega's bounding box, and
 solve() runs conjugate gradients on apply() with the circulant of that
 box's transform as preconditioner, so it never builds the grid-box
-transform.  Its dense matrix is gathered from d and t onto Omega pairs
-only when first read, by `spectrum`, the one symmetric eigendecomposition
-of A that the time steppers use for every step size, and by the dense
-cross-checks.  A spectrum is computed once per (kernel, Omega mask, h) in
-a process and kept with the kernel, as transforms are, so a second
-operator on an equal grid with equal s reads it without gathering its
-matrix; at worst that keeps one m x m Q plus lam per key for as long as
-the toeplitz_operator entry lives.  Since t(kappa) = t(-kappa) exactly,
+transform.  Its entries are gathered from d and t onto Omega pairs by
+one private gather, read by `spectrum`, the one symmetric
+eigendecomposition of A that the time steppers use for every step size,
+and by `matrix`, the dense m x m matrix that only the dense cross-checks
+read.  `spectrum` gathers its parity blocks straight from the kernel and
+never the dense matrix, and it keeps the eigenbasis in those blocks
+(Eigenbasis): Q is never formed, and Q^T and Q are applied block by
+block.  A spectrum is computed once per (kernel, Omega mask, h) in a
+process and kept with the kernel, as transforms are, so a second
+operator on an equal grid with equal s reads it without a gather; at
+worst that keeps lam and the blocks' eigenvectors, about m^2 / |G|
+floats for a reflection group G, per key for as long as the
+toeplitz_operator entry lives.  Since t(kappa) = t(-kappa) exactly,
 the restricted matrix is exactly symmetric with the M-matrix sign
 pattern: positive diagonal, nonpositive off-diagonal, and a strictly
 positive action on the all-ones vector.  That structure carries the
@@ -38,7 +43,10 @@ node's orbit under these reflections A is block diagonal, with one block
 per character of the group G they generate, and each block, of about
 m/|G| rows, takes its own eigh.  An Omega with no mirror axis, such as an
 off-centre interval, has G trivial: one block, the whole matrix, and one
-eigh of it.
+eigh of it.  A product with Q^T folds the |G| reflection images of each
+row onto the orbits with Walsh-Hadamard butterflies, then takes one GEMM
+per block, and a product with Q runs the same steps backwards, so each
+costs the sum of the blocks' squared sizes, about m^2 / |G|, per row.
 
 The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
 lengths (next_fast_len).
@@ -57,9 +65,9 @@ from .errors import MemoryBudgetError, SingularOperatorError
 from .gridfn import Grid, GridFunction
 from .quadrature import sweep_1d, sweep_2d
 
-DEFAULT_DENSE_CAP = 4500  # max Omega nodes for a dense matrix
+DEFAULT_DENSE_CAP = 4500  # max Omega nodes for eigh and the dense cross-checks
 RESIDUAL_REL_TOL = 1e-10  # solve(): max-norm residual relative to the rhs
-_GATHER_ROWS = 64  # rows gathered per step: of the dense matrix, of Q
+_GATHER_ROWS = 64  # rows of A's entries gathered per step
 
 
 def normalization_constant(ndim, s):
@@ -190,10 +198,10 @@ class OperatorMatrix:
 
     The kernel comes from toeplitz_operator when the operator is made.
     apply() and solve() work from its transform on Omega's bounding box
-    alone (`window`); the dense matrix is gathered from the kernel only on
-    first access to `matrix`, or to a `spectrum` that the kernel does not
-    keep yet, which raise MemoryBudgetError above DEFAULT_DENSE_CAP Omega
-    nodes.
+    alone (`window`).  A's entries are gathered from the kernel (_entries)
+    only on first access to `matrix`, the dense matrix, or to a `spectrum`
+    that the kernel does not keep yet, which gathers its parity blocks;
+    both raise MemoryBudgetError above DEFAULT_DENSE_CAP Omega nodes.
     """
 
     grid: Grid
@@ -204,29 +212,43 @@ class OperatorMatrix:
         grid = self.grid
         object.__setattr__(self, "kernel", toeplitz_operator(grid.ndim, grid.n, self.params.s))
 
-    @cached_property
-    def matrix(self):
-        """Dense m x m matrix, gathered from the kernel on first access.
-
-        The entries are the kernel and diagonal of apply(), so the two
-        agree to rounding.
-        """
-        grid, op = self.grid, self.kernel
-        m = grid.n_omega
+    def _check_dense_cap(self):
+        m = self.grid.n_omega
         if m > DEFAULT_DENSE_CAP:
             raise MemoryBudgetError(
                 f"{m} Omega nodes exceed the dense cap of {DEFAULT_DENSE_CAP}")
+
+    def _entries(self, rows, cols):
+        """A[rows][:, cols] for arrays of Omega indices, cols without repeats.
+
+        The one gather of A's entries, which `matrix` and `spectrum` read:
+        -C t(x_j - x_i) off the diagonal and C d(x_i) on it, the kernel and
+        diagonal of apply(), so the two agree to rounding.
+        """
+        grid, op = self.grid, self.kernel
         n, C = grid.n, self.params.scale(grid.h)
         # flat index into t of offset j - i is key[j] - key[i] + key of offset 0
         strides = (2 * n - 1) ** np.arange(grid.ndim - 1, -1, -1)
         key = np.argwhere(grid.mask) @ strides
-        center = (n - 1) * int(strides.sum())
+        col_key = key[cols] + (n - 1) * int(strides.sum())
         coef = -C * op.t.ravel()
-        mat = np.empty((m, m))
-        for r0 in range(0, m, _GATHER_ROWS):
-            rows = key[r0: r0 + _GATHER_ROWS, None]
-            np.take(coef, key - rows + center, out=mat[r0: r0 + len(rows)])
-        mat[np.diag_indices(m)] = C * op.d[grid.mask]
+        out = np.empty((len(rows), len(cols)))
+        for r0 in range(0, len(rows), _GATHER_ROWS):
+            chunk = key[rows[r0: r0 + _GATHER_ROWS], None]
+            np.take(coef, col_key - chunk, out=out[r0: r0 + len(chunk)])
+        column = np.full(len(key), -1)
+        column[cols] = np.arange(len(cols))
+        on_diagonal = np.flatnonzero(column[rows] >= 0)
+        out[on_diagonal, column[rows[on_diagonal]]] = C * op.d[grid.mask][rows[on_diagonal]]
+        return out
+
+    @cached_property
+    def matrix(self):
+        """Dense m x m matrix, gathered from the kernel on first access; the dense cross-checks
+        read it, the time steppers never do."""
+        self._check_dense_cap()
+        everything = np.arange(self.grid.n_omega)
+        mat = self._entries(everything, everything)
         mat.setflags(write=False)
         return mat
 
@@ -270,35 +292,33 @@ class OperatorMatrix:
 
     @cached_property
     def spectrum(self):
-        """Ascending eigenvalues lam and orthonormal eigenvectors Q: A = Q diag(lam) Q^T.
+        """The Eigenbasis of A = Q diag(lam) Q^T, kept in its parity blocks.
 
         Read-only, and shared by every function of A the time steppers
-        take, such as (I + c A)^(-1) for any c.  Q is column-major.  A is a
-        function of the kernel, the Omega mask and the scale C h^(-2s)
-        alone, so the pair is computed once per (class, mask, scale) and
-        kept with the kernel in kernel.spectra, as kernel_transform keeps
-        transforms: every operator of an equal grid and s reads it without
-        gathering `matrix`, and a subclass that defines its own `matrix`
-        keeps its own.  Each key holds one m x m Q and lam for as long as
-        the toeplitz_operator entry lives.  A is decomposed in parity blocks
-        under the reflections of Omega's mirror axes (_mirror_axes,
-        _parity_eigh), one eigh each, and the eigenvalues merged in
-        ascending order.  With no mirror axis the one block is a copy of
-        the whole matrix, so lam and Q equal a plain eigh of it bit for
-        bit.  A failed eigh of any block raises SingularOperatorError and
-        keeps nothing.
+        take, such as (I + c A)^(-1) for any c.  A is a function of the
+        kernel, the Omega mask and the scale C h^(-2s) alone, so the basis
+        is computed once per (class, mask, scale) and kept with the kernel
+        in kernel.spectra, as kernel_transform keeps transforms: every
+        operator of an equal grid and s reads it without a gather, and a
+        subclass that defines its own `_entries` keeps its own.  A is
+        decomposed in parity blocks under the reflections of Omega's mirror
+        axes (_mirror_axes, _parity_eigh), each block gathered from the
+        kernel by `_entries` and decomposed by one eigh; `matrix` is never
+        read.  With no mirror axis the one block is the whole matrix, so
+        lam and its one block of eigenvectors equal a plain eigh of
+        `matrix` bit for bit.  A failed eigh of any block raises
+        SingularOperatorError and keeps nothing.
         """
         grid, spectra = self.grid, self.kernel.spectra
         key = (type(self), grid.mask.tobytes(), self.params.scale(grid.h))
         if key not in spectra:
+            self._check_dense_cap()
             try:
-                lam, vecs = _parity_eigh(self.matrix, grid.mask, _mirror_axes(grid, self.kernel))
+                basis = _parity_eigh(self._entries, grid.mask, _mirror_axes(grid, self.kernel))
             except np.linalg.LinAlgError as exc:
                 raise SingularOperatorError(
                     f"operator eigendecomposition failed: {exc}") from exc
-            lam.setflags(write=False)
-            vecs.setflags(write=False)
-            spectra[key] = (lam, vecs)
+            spectra[key] = basis
         return spectra[key]
 
     def solve(self, rhs):
@@ -357,21 +377,88 @@ def _mirror_axes(grid, op):
                         for part in (grid.mask, op.d, op.t)))
 
 
-def _parity_eigh(mat, mask, axes):
+def _walsh_hadamard(parts):
+    """[sum_g chi_c(g) parts[g] for c]: Walsh-Hadamard butterflies over the characters
+    chi_c(g) = (-1)^popcount(c & g) of a group of 2^k reflections, which are their own inverse
+    up to the factor 2^k."""
+    parts, span = list(parts), 1
+    while span < len(parts):
+        for lo in range(len(parts)):
+            if not lo & span:
+                parts[lo], parts[lo | span] = (parts[lo] + parts[lo | span],
+                                               parts[lo] - parts[lo | span])
+        span *= 2
+    return parts
+
+
+@dataclass(frozen=True, eq=False)
+class Eigenbasis:
+    """A = Q diag(lam) Q^T, with Q kept in its parity blocks (_parity_eigh).
+
+    lam holds the eigenvalues block after block, ascending within each
+    block.  Block c spans the signed orbit sums of the orbits `orbits[c]`,
+    and its eigenvectors are the columns of `vectors[c]`; `gather[g, a]`
+    is the Omega index of the orbit representative a moved by reflection
+    g, and `size` holds each orbit's node count.  Column j of block c is
+    Q[x, j] = chi_c(g) vectors[c][a, j] / sqrt(size[a]) at x = gather[g, a].
+    Rows are Omega values or mode coefficients along the last axis; every
+    array is read-only.
+    """
+
+    lam: np.ndarray
+    vectors: tuple
+    orbits: tuple
+    gather: np.ndarray
+    size: np.ndarray
+
+    def to_modes(self, rows):
+        """rows Q: the mode coefficients of Omega rows.
+
+        Folds each row onto the orbits once per reflection image, signs
+        them per character by butterflies, and takes one GEMM per block.
+        """
+        folded = _walsh_hadamard(np.take(rows, image, axis=-1) for image in self.gather)
+        weight = np.sqrt(self.size) / len(self.gather)  # sqrt|O| / |G| = 1 / (|Stab| sqrt|O|)
+        out = np.empty(np.shape(rows))
+        lo = 0
+        for c, (vectors, orbits) in enumerate(zip(self.vectors, self.orbits)):
+            part = folded[c] if len(orbits) == len(weight) else folded[c][..., orbits]
+            folded[c] = None
+            part *= weight[orbits]
+            out[..., lo: lo + len(orbits)] = part @ vectors
+            lo += len(orbits)
+        return out
+
+    def from_modes(self, coefs):
+        """coefs Q^T: the Omega rows of rows of mode coefficients, by to_modes' steps backwards."""
+        parts, lo = [], 0
+        for vectors, orbits in zip(self.vectors, self.orbits):
+            part = np.zeros(np.shape(coefs)[:-1] + self.size.shape)
+            part[..., orbits] = (coefs[..., lo: lo + len(orbits)] @ vectors.T) \
+                / np.sqrt(self.size[orbits])
+            parts.append(part)
+            lo += len(orbits)
+        out = np.empty(np.shape(coefs))
+        for image, values in zip(self.gather, _walsh_hadamard(parts)):
+            out[..., image] = values  # a node fixed by some reflections takes equal values
+        return out
+
+
+def _parity_eigh(entries, mask, axes):
     """eigh of A in parity blocks: one block per character of the group of the axes' reflections.
 
-    The group G holds the 2^len(axes) products of the reflections
-    (bitmask g), its characters are chi_c(g) = (-1)^popcount(c & g), and
-    A commutes with G.  For the node orbits O (representative: the
-    orbit's first node in mask order) on which chi_c is 1 on the
-    stabiliser, the vectors sum_{y in O} chi_c(y) e_y / sqrt|O| are
-    orthonormal and span the chi_c-block, where A reads
+    entries(rows, cols) gathers A[rows][:, cols].  The group G holds the
+    2^len(axes) products of the reflections (bitmask g), its characters
+    are chi_c(g) = (-1)^popcount(c & g), and A commutes with G.  For the
+    node orbits O (representative: the orbit's first node in mask order)
+    on which chi_c is 1 on the stabiliser, the vectors
+    sum_{y in O} chi_c(y) e_y / sqrt|O| are orthonormal and span the
+    chi_c-block, where A reads
     B[a, b] = sum_g chi_c(g) A[rep_a, g rep_b] / sqrt(|Stab_a| |Stab_b|)
     (Fassler & Stiefel 1992; for one reflection the even/odd split of
-    Cantoni & Butler 1976).  The blocks' sizes add up to m.  Each eigh
-    of a block gives the columns Q[x, j] = chi_c(x) W[orbit(x), j] / sqrt|O_x|,
-    and a stable sort merges the eigenvalues.  Returns (lam, Q) with Q
-    column-major.
+    Cantoni & Butler 1976).  The blocks' sizes add up to m, and they are
+    gathered as |G| (orbits x orbits) slices of A, never as the whole
+    matrix.  Returns the Eigenbasis of the blocks' eigh.
     """
     n, order = mask.shape[0], 1 << len(axes)
     nodes = np.argwhere(mask)
@@ -385,52 +472,31 @@ def _parity_eigh(mat, mask, axes):
             if g >> bit & 1:
                 image[:, axis] = n - 1 - image[:, axis]
         images[g] = index[tuple(image.T)]
-    first = images.min(axis=0)
-    reps = np.flatnonzero(first == np.arange(m))
-    orbit = np.searchsorted(reps, first)
-    coords, bits = nodes[:, list(axes)], 1 << np.arange(len(axes))
-    fixed = (2 * coords[reps] == n - 1) @ bits  # per orbit: the reflections that fix it
-    moved = (coords != coords[reps][orbit]) @ bits  # per node: the reflections from its rep
-    popcount = np.array([bin(g).count("1") for g in range(order)])
-    odd, stab = popcount & 1, 2.0 ** popcount[fixed]  # stab: the stabiliser's size per orbit
-    blocks = [mat[np.ix_(reps, images[g, reps])] for g in range(order)]
-    span = 1
-    while span < order:  # Walsh-Hadamard butterflies: blocks[c] = sum_g chi_c(g) A[reps, g reps]
-        for lo in range(order):
-            if not lo & span:
-                blocks[lo], blocks[lo | span] = (blocks[lo] + blocks[lo | span],
-                                                 blocks[lo] - blocks[lo | span])
-        span *= 2
-    lams, columns = [], []
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(m))
+    gather = images[:, reps]
+    # per orbit: the reflections that fix it, and its stabiliser's size
+    fixed = (2 * nodes[np.ix_(reps, axes)] == n - 1) @ (1 << np.arange(len(axes)))
+    stab = 2.0 ** np.array([bin(g).count("1") for g in range(order)])[fixed]
+    blocks = _walsh_hadamard(entries(reps, cols) for cols in gather)
+    lams, vectors, orbits = [], [], []
     for c in range(order):
-        keep = (fixed & c) == 0
-        block = blocks[c] if keep.all() else blocks[c][np.ix_(keep, keep)]
+        keep = np.flatnonzero((fixed & c) == 0)
+        block = blocks[c] if len(keep) == len(reps) else blocks[c][np.ix_(keep, keep)]
         blocks[c] = None
         scale = 1.0 / np.sqrt(stab[keep])
         on_mirror = scale != 1.0
         block[on_mirror] *= scale[on_mirror, None]
         block[:, on_mirror] *= scale[on_mirror]
         lam, vecs = np.linalg.eigh(block)
-        # a node of an orbit outside this block takes coefficient 0 (its row is clipped below)
-        coef = np.where(keep[orbit], 1.0 - 2.0 * odd[c & moved], 0.0) * np.sqrt(stab[orbit] / order)
+        del block
         lams.append(lam)
-        columns.append((np.ascontiguousarray(vecs.T), coef, (np.cumsum(keep) - 1)[orbit]))
-    del block, vecs  # the last block and its eigenvectors, before Q is allocated
-    lam = np.concatenate(lams)
-    ascending = np.argsort(lam, kind="stable")
-    place = np.empty(m, np.intp)
-    place[ascending] = np.arange(m)
-    Q = np.empty((m, m), order="F")
-    buffer = np.empty((_GATHER_ROWS, m))
-    start = 0
-    for vectors, coef, row in columns:  # one eigenvector of the block per row
-        for lo in range(0, len(vectors), _GATHER_ROWS):
-            chunk = vectors[lo: lo + _GATHER_ROWS]
-            part = np.take(chunk, row, axis=1, out=buffer[:len(chunk)], mode="clip")
-            part *= coef
-            Q.T[place[start: start + len(part)]] = part  # rows of Q.T are Q's columns
-            start += len(part)
-    return lam[ascending], Q
+        vectors.append(vecs)
+        orbits.append(keep)
+    basis = Eigenbasis(np.concatenate(lams), tuple(vectors), tuple(orbits), gather,
+                       order / stab)
+    for part in (basis.lam, basis.gather, basis.size, *basis.vectors, *basis.orbits):
+        part.setflags(write=False)
+    return basis
 
 
 def assemble_operator_matrix(grid, params):

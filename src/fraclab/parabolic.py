@@ -3,30 +3,36 @@
 Each step solves (I + tau theta A) u_{k+1} = u_k + tau[(1-theta)(f_k - A u_k)
 + theta f_{k+1}], theta in [1/2, 1]: explicit stepping is excluded because
 the nonlocal stiffness grows like h^(-2s).  The stepper and the semigroup
-work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam) Q^T
-(in parity blocks when Omega is mirror-symmetric about the box centre,
-otherwise by one eigendecomposition of the whole matrix).  It is computed
-once per (kernel, Omega mask, h) in a process and kept with the
-toeplitz_operator entry, so every run on an equal grid with equal s, say
-parabolic-energy then semigroup-contraction, decomposes A once; at worst
-that keeps one m x m Q plus lam per key for as long as the entry lives,
-or as long as a Trajectory stepped in it does, whichever is longer: each
-Trajectory holds its Q (162 MB at the dense cap of 4500 Omega nodes).
+work in the eigenbasis of OperatorMatrix.spectrum, A = Q diag(lam) Q^T,
+kept in its parity blocks (operator.Eigenbasis: one block per character
+of Omega's mirror group, the whole matrix when Omega has no mirror axis).
+Q is never formed: rows go into the basis by `to_modes` (rows Q) and
+back by `from_modes` (coefficients Q^T), each a fold over the mirror
+images and one GEMM per block.  The basis is computed once per (kernel,
+Omega mask, h) in a process and kept with the toeplitz_operator entry,
+so every run on an equal grid with equal s, say parabolic-energy then
+semigroup-contraction, decomposes A once; at worst that keeps lam and
+the blocks' eigenvectors, about m^2 / |G| floats for a mirror group G,
+per key for as long as the entry lives, or as long as a Trajectory
+stepped in it does, whichever is longer.
 
-The theta scheme transforms its source once and steps the mode
-coefficients c_k, u_k = Q c_k, mode by mode.  A Trajectory is the one
-record of a run and stays in that basis: read-only rows c_k, f_k (Omega
-values) and B[u_k, u_k] = sum(lam c_k^2) per step, with the (lam, Q) it
-was stepped in.  Omega values are formed only when read: `values` is the
-(nt+1, m) product c Q^T on first read, `final()` the one product Q c_nt.
-The energy ledger reads the mode rows, _LEDGER_ROWS at a time, and needs
-no product by Q: Q is orthonormal, so |u_k|^2 = |c_k|^2 and
-|u_{k+1} - u_k|^2 = |c_{k+1} - c_k|^2.  A batch of semigroup images is
+The theta scheme transforms its source and steps the mode coefficients
+c_k, u_k = Q c_k, mode by mode: a constant source is one row transformed
+once, a callable one is read once per t_k into the trajectory's source
+rows and transformed _LEDGER_ROWS rows at a time as the steps reach
+them.  A Trajectory is the one record of a run and stays in that basis:
+read-only rows c_k, f_k (Omega values) and B[u_k, u_k] = sum(lam c_k^2)
+per step, with the Eigenbasis it was stepped in.  Omega values are
+formed only when read: `values` is `from_modes` of the (nt+1, m) mode
+rows on first read, `final()` that of c_nt alone.  The energy ledger
+reads the mode rows, _LEDGER_ROWS at a time, and needs no product by Q:
+Q is orthonormal, so |u_k|^2 = |c_k|^2 and |u_{k+1} - u_k|^2 =
+|c_{k+1} - c_k|^2.  A batch of semigroup images is
 Q (1 + tau lam)^(-nt) Q^T phi, returned as its (k, m) Omega rows.  The
-spectrum needs the dense matrix, so both stay within the dense cap
-(MemoryBudgetError above it), unlike the matrix-free elliptic solve.  A
-failed eigendecomposition, or a step matrix I + c A that is not positive
-definite, raises SingularOperatorError.
+spectrum's eigh stays within the dense cap (MemoryBudgetError above it),
+unlike the matrix-free elliptic solve.  A failed eigendecomposition, or
+a step matrix I + c A that is not positive definite, raises
+SingularOperatorError.
 """
 
 from __future__ import annotations
@@ -40,13 +46,13 @@ from .elliptic import _operator, _rhs_on_omega
 from .errors import SingularOperatorError
 from .gridfn import extend_by_zero
 
-_LEDGER_ROWS = 64  # trajectory rows per block of energy_report's sums
+_LEDGER_ROWS = 64  # trajectory rows per block: of a callable source's steps, of the ledger
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Read-only rows per t_k = k tau: mode coefficients c_k of u_k = Q c_k (u_0 the
-    datum), Omega source values f_k and B[u_k, u_k], with the spectrum (lam, Q) of A."""
+    datum), Omega source values f_k and B[u_k, u_k], with the Eigenbasis of A."""
 
     grid: object
     tau: float
@@ -54,27 +60,26 @@ class Trajectory:
     modes: np.ndarray
     source: np.ndarray
     form: np.ndarray
-    lam: np.ndarray
-    vecs: np.ndarray
+    basis: object
 
     @cached_property
     def values(self):
         """Omega values u_k, (nt+1, m), formed on first read."""
-        values = self.modes @ self.vecs.T
+        values = self.basis.from_modes(self.modes)
         values.setflags(write=False)
         return values
 
     def final(self):
-        return extend_by_zero(self.vecs @ self.modes[-1], self.grid)
+        return extend_by_zero(self.basis.from_modes(self.modes[-1]), self.grid)
 
 
 def _modes(matrix, c):
-    """Eigenvalues lam and eigenvectors Q of A, and the eigenvalues 1 + c lam of I + c A."""
-    lam, vecs = matrix.spectrum
-    shifted = 1.0 + c * lam
+    """The Eigenbasis of A, and the eigenvalues 1 + c lam of I + c A."""
+    basis = matrix.spectrum
+    shifted = 1.0 + c * basis.lam
     if not (shifted > 0.0).all():
         raise SingularOperatorError(f"I + {c:g} A is not positive definite ({shifted.min():.3e})")
-    return lam, vecs, shifted
+    return basis, shifted
 
 
 def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
@@ -86,25 +91,44 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     matrix = _operator(matrix, params, grid)
     tau = T / nt
     times = np.arange(nt + 1) * tau
-    lam, vecs, shifted = _modes(matrix, tau * theta)
-    rows = np.array([_rhs_on_omega(f(t), grid) for t in times] if callable(f)
-                    else [_rhs_on_omega(f, grid)])
-    source = np.broadcast_to(rows, (nt + 1, len(lam)))
-    g = rows @ vecs
-    # a constant source drives every step alike: one row, not (nt, m)
-    before, after = (g, g) if len(g) == 1 else (g[:-1], g[1:])
+    basis, shifted = _modes(matrix, tau * theta)
+    m = len(shifted)
+    if callable(f):
+        source = np.empty((nt + 1, m))
+        for k, t in enumerate(times):
+            source[k] = _rhs_on_omega(f(t), grid)
+    else:
+        source = np.broadcast_to(_rhs_on_omega(f, grid), (nt + 1, m))
+
+    def drive(g):
+        """tau ((1 - theta) g_k + theta g_{k+1}) / shifted per step of the mode rows g, formed
+        over g_k in place; a constant source drives every step alike: one row, not (nt, m)."""
+        if len(g) == 1:
+            return tau * ((1 - theta) * g + theta * g) / shifted
+        after = theta * g[1:]
+        g = g[:-1]
+        g *= 1 - theta
+        g += after
+        g *= tau
+        g /= shifted
+        return g
+
     # mode j: (1 + tau theta lam_j) u_{k+1} = (1 - tau (1-theta) lam_j) u_k + drive_k
-    ratio = (1.0 - tau * (1 - theta) * lam) / shifted
-    drive = np.broadcast_to(tau * ((1 - theta) * before + theta * after) / shifted,
-                            (nt, len(lam)))
-    modes = np.empty((nt + 1, len(lam)))
-    modes[0] = 0.0 if u0 is None else _rhs_on_omega(u0, grid) @ vecs
-    for k in range(nt):
-        modes[k + 1] = ratio * modes[k] + drive[k]
-    form = np.einsum("km,km,m->k", modes, modes, lam)  # no (nt+1, m) temporary
-    for arr in (modes, form):
+    ratio = (1.0 - tau * (1 - theta) * basis.lam) / shifted
+    constant = None if callable(f) else drive(basis.to_modes(source[:1]))
+    modes = np.empty((nt + 1, m))
+    modes[0] = 0.0 if u0 is None else basis.to_modes(_rhs_on_omega(u0, grid))
+    for lo in range(0, nt, _LEDGER_ROWS):
+        hi = min(lo + _LEDGER_ROWS, nt)
+        block = (drive(basis.to_modes(source[lo:hi + 1])) if constant is None
+                 else np.broadcast_to(constant, (hi - lo, m)))
+        for k in range(lo, hi):
+            modes[k + 1] = ratio * modes[k] + block[k - lo]
+        del block  # before the next block is transformed
+    form = np.einsum("km,km,m->k", modes, modes, basis.lam)  # no (nt+1, m) temporary
+    for arr in (modes, source, form):
         arr.setflags(write=False)
-    return Trajectory(grid, tau, times, modes, source, form, lam, vecs)
+    return Trajectory(grid, tau, times, modes, source, form, basis)
 
 
 @dataclass(frozen=True)
@@ -182,6 +206,6 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     batch = phi if batched else [phi]
     data = np.array([_rhs_on_omega(datum, grid) for datum in batch])
     if t > 0:
-        _, vecs, shifted = _modes(matrix, t / nt)
-        data = (data @ vecs) * shifted ** -float(nt) @ vecs.T
+        basis, shifted = _modes(matrix, t / nt)
+        data = basis.from_modes(basis.to_modes(data) * shifted ** -float(nt))
     return data if batched else extend_by_zero(data[0], grid)

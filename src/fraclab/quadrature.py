@@ -217,6 +217,9 @@ def rect_complement_integral(p1, q1, p2, q2, s):
 
 _GAUSS_SCHEDULE = ((1, 16), (2, 12), (4, 8), (8, 6))
 _GAUSS_FAR = 4
+# Octant cells per pass of cell_corner_weights' kernel evaluation, at least this many
+# unless an order has fewer in all: BLAS may sum a product of few rows in another order
+_CORNER_CELLS = 1 << 16
 
 
 def _gauss_order(dist_cells):
@@ -234,8 +237,9 @@ def cell_corner_weights(n, s):
     of corner (ka+da, kb+db) of cell [ka,ka+1]x[kb,kb+1], 0 <= ka, kb <= n-2.
     The reflection ka -> -1-ka, which swaps da = 0 and 1, gives the cells
     of the other quadrants.  Tensor Gauss order grows toward the
-    singularity; the near cell (0, 0) gets zero weight here.  The cached
-    table is read-only.
+    singularity; the near cell (0, 0) gets zero weight here.  Each order's
+    kernel values are formed in passes over its cells, so the peak stays a
+    few times the table at any n.  The cached table is read-only.
     """
     # Octant cells 0 <= kb <= ka <= n-2; a cell's Gauss order depends on ka alone there
     ka, kb = np.tril_indices(n - 1)
@@ -243,18 +247,19 @@ def cell_corner_weights(n, s):
     order = np.array(schedule + (_GAUSS_FAR,))[np.searchsorted(bounds, ka)]
     vals = np.zeros((len(ka), 4))
     for g in np.unique(order):
-        sel = np.flatnonzero((order == g) & (ka > 0))  # ka = 0: the near cell (0, 0)
+        cells = np.flatnonzero((order == g) & (ka > 0))  # ka = 0: the near cell (0, 0)
         t, wt = _leggauss(g)
         xi = (t + 1.0) / 2.0
         # rule[g i + j, 2 da + db]: the weight of node (xi_i, xi_j) times the shape
         # function of corner (da, db), with N_0 = 1 - xi and N_1 = xi per axis
         shape = np.stack([(1.0 - xi) * wt / 2.0, xi * wt / 2.0], axis=1)
         rule = (shape[:, None, :, None] * shape[None, :, None, :]).reshape(g * g, 4)
-        z1 = ka[sel, None, None] + xi[None, :, None]
-        z2 = kb[sel, None, None] + xi[None, None, :]
-        ker = z1 * z1 + z2 * z2
-        np.power(ker, -s, out=ker)
-        vals[sel] = ker.reshape(len(sel), g * g) @ rule
+        for sel in np.array_split(cells, max(1, len(cells) // _CORNER_CELLS)):
+            z1 = ka[sel, None, None] + xi[None, :, None]
+            z2 = kb[sel, None, None] + xi[None, None, :]
+            ker = z1 * z1 + z2 * z2
+            np.power(ker, -s, out=ker)
+            vals[sel] = ker.reshape(len(sel), g * g) @ rule
     # The transposition fixes the cells ka = kb: their corners (0, 1) and (1, 0)
     # agree up to the summation order, and are made equal
     vals[ka == kb, 2] = vals[ka == kb, 1]

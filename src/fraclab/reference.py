@@ -79,8 +79,29 @@ def _naive_2d(grid, vals, s, C):
     rules = {}
     for g in set(map(_gauss_order, range(n))):
         tg, wg = leggauss(g)
-        xi = (tg + 1.0) / 2.0
-        rules[g] = (xi, wg / 2.0, [(1.0 - x, x) for x in xi])
+        xi = ((tg + 1.0) / 2.0).tolist()  # Python floats: numpy scalars slow these loops
+        rules[g] = (xi, (wg / 2.0).tolist(), [(1.0 - x, x) for x in xi])
+
+    # every far cell's four corner weights, once per call, as (da, db, weight):
+    # h^2 int_cell N_corner(z) |z|^(-2s) dz / |corner|^2 by the cell's tensor Gauss rule
+    corners, corner_weights = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
+    for ka in range(-(n - 1), n - 1):
+        for kb in range(-(n - 1), n - 1):
+            if -1 <= ka <= 0 and -1 <= kb <= 0:
+                continue
+            dc = max(min(abs(ka), abs(ka + 1)), min(abs(kb), abs(kb + 1)))
+            g = _gauss_order(dc)
+            xi, wq, shape = rules[g]
+            sums = [0.0] * 4
+            for aq in range(g):
+                for bq in range(g):
+                    z1, z2 = (ka + xi[aq]) * h, (kb + xi[bq]) * h
+                    ker = wq[aq] * wq[bq] * (z1 * z1 + z2 * z2) ** (-s)
+                    for corner, (da, db) in enumerate(corners):
+                        sums[corner] += ker * shape[aq][da] * shape[bq][db]
+            corner_weights[ka, kb] = [
+                (da, db, h * h * w / (((ka + da) * h) ** 2 + ((kb + db) * h) ** 2))
+                for (da, db), w in zip(corners, sums)]
 
     for flat in np.flatnonzero(grid.mask.ravel()):
         ix, iy = divmod(flat, n)
@@ -90,30 +111,11 @@ def _naive_2d(grid, vals, s, C):
 
         near = (phi(1, 0) + phi(0, 1)) / h**2
         total = q * near
-        for ka in range(-(n - 1), n - 1):
-            for kb in range(-(n - 1), n - 1):
-                if -1 <= ka <= 0 and -1 <= kb <= 0:
-                    continue
-                in_plus = (-ix <= ka <= n - 2 - ix) and (-iy <= kb <= n - 2 - iy)
-                in_minus = (-(n - 1 - ix) <= ka <= ix - 1) and (-(n - 1 - iy) <= kb <= iy - 1)
-                if not (in_plus or in_minus):
-                    continue
-                dc = max(min(abs(ka), abs(ka + 1)), min(abs(kb), abs(kb + 1)))
-                g = _gauss_order(dc)
-                xi, wq, shape = rules[g]
-                # phi and |corner|^2 at the four cell corners
-                corners = [(da, db, phi(ka + da, kb + db), ((ka + da) * h) ** 2 + ((kb + db) * h) ** 2)
-                           for da in (0, 1) for db in (0, 1)]
-                cell = 0.0
-                for aq in range(g):
-                    for bq in range(g):
-                        z1, z2 = (ka + xi[aq]) * h, (kb + xi[bq]) * h
-                        ker = (z1 * z1 + z2 * z2) ** (-s)
-                        psi = 0.0
-                        for da, db, ph, d2 in corners:
-                            psi += shape[aq][da] * shape[bq][db] * ph / d2
-                        cell += wq[aq] * wq[bq] * ker * psi
-                total += cell * h * h
+        for (ka, kb), weights in corner_weights.items():
+            in_plus = (-ix <= ka <= n - 2 - ix) and (-iy <= kb <= n - 2 - iy)
+            in_minus = (-(n - 1 - ix) <= ka <= ix - 1) and (-(n - 1 - iy) <= kb <= iy - 1)
+            if in_plus or in_minus:
+                total += sum(weight * phi(ka + da, kb + db) for da, db, weight in weights)
         px, qx = ix * h, (n - 1 - ix) * h
         py, qy = iy * h, (n - 1 - iy) * h
         tail = (rect_complement_integral(px, qx, py, qy, s)

@@ -427,15 +427,20 @@ def test_recipe_builds_each_grid_once(tmp_path, monkeypatch, name, grid_n, build
     assert len(calls) == builds
 
 
-def test_time_recipes_on_one_grid_decompose_the_operator_once(tmp_path, monkeypatch):
+def test_time_recipes_on_one_grid_decompose_once_and_never_gather_the_matrix(
+        tmp_path, monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def gathered(self):
+        raise AssertionError("the time layer gathered the dense matrix")
+
     real = operator._parity_eigh
     monkeypatch.setattr(operator, "_parity_eigh", counted)
+    monkeypatch.setattr(operator.OperatorMatrix, "matrix", property(gathered))
     shared = "[params]\ns = 0.4567\n[grid]\nn = 41\n"  # a kernel no other test builds
     run_experiment("parabolic-energy", _cfg(
         "[experiment]\nname = parabolic-energy\n" + shared + "[time]\nnt = 8, 16\n"),

@@ -207,12 +207,14 @@ def test_quadrature_order_on_smooth_bump():
         assert order >= 1.7, f"s={s}: fitted order {order}"
 
 
-def test_memory_budget_cap(grid65, params_half, monkeypatch):
+def test_memory_budget_cap(grid65, monkeypatch):
     monkeypatch.setattr(operator, "DEFAULT_DENSE_CAP", grid65.n_omega - 1)
-    A = assemble_operator_matrix(grid65, params_half)
+    A = assemble_operator_matrix(grid65, FractionalParams(1, 0.4321))  # no spectrum kept yet
     with pytest.raises(MemoryBudgetError):
         A.matrix
-
+    with pytest.raises(MemoryBudgetError):
+        A.spectrum
+    assert A.kernel.spectra == {}
 
 
 def test_nonpositive_preconditioner_symbol_raises(grid65, params_half):
@@ -223,11 +225,13 @@ def test_nonpositive_preconditioner_symbol_raises(grid65, params_half):
         A.solve(np.ones(grid65.n_omega))
 
 
-def test_spectrum_is_column_major_and_reports_a_failed_eigendecomposition(
+def test_spectrum_blocks_ascend_and_a_failed_eigendecomposition_keeps_nothing(
         grid65, params_half, monkeypatch):
-    # the time steppers' BLAS products were fixed on column-major eigenvectors
-    lam, vecs = assemble_operator_matrix(grid65, params_half).spectrum
-    assert vecs.flags.f_contiguous and np.all(np.diff(lam) >= 0)
+    basis = assemble_operator_matrix(grid65, params_half).spectrum
+    sizes = [len(orbits) for orbits in basis.orbits]
+    assert sum(sizes) == grid65.n_omega and len(sizes) == 2
+    for block in np.split(basis.lam, np.cumsum(sizes)[:-1]):
+        assert np.all(np.diff(block) >= 0)
 
     def no_convergence(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -257,15 +261,16 @@ def test_spectrum_is_kept_with_the_kernel_per_mask_and_spacing(monkeypatch):
 
     first, second = made(), made()
     assert first.grid is not second.grid
-    lam, vecs = first.spectrum
-    assert second.spectrum[0] is lam and second.spectrum[1] is vecs
-    assert "matrix" not in vars(second)  # read without gathering its dense matrix
+    basis = first.spectrum
+    assert second.spectrum is basis
+    assert "matrix" not in vars(first) and "matrix" not in vars(second)  # no dense gather
     assert len(calls) == 1
     wider = made(half=2.2)  # the same mask at another spacing
     assert np.array_equal(wider.grid.mask, first.grid.mask) and wider.grid.h != first.grid.h
     others = [made(s=0.4124), made(n=35), wider, made(omega=Ball((0.1,), 1.0))]
     for k, other in enumerate(others, start=2):
-        assert other.spectrum[1] is not vecs
+        kept = other.spectrum
+        assert kept is not basis
         assert len(calls) == k
-        assert np.abs(other.matrix @ other.spectrum[1] - other.spectrum[1] * other.spectrum[0]
-                      ).max() <= 1e-12 * other.spectrum[0].max()
+        Q = kept.from_modes(np.eye(other.grid.n_omega)).T
+        assert np.abs(other.matrix @ Q - Q * kept.lam).max() <= 1e-12 * kept.lam.max()

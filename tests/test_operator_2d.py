@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from fraclab import quadrature
 from fraclab.gridfn import GridFunction, build_grid, extend_by_zero
 from fraclab.operator import (
     FractionalParams,
@@ -155,3 +156,19 @@ def test_2d_kernel_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+@pytest.mark.parametrize("n", [17, 129, 1025])
+def test_corner_weight_table_in_cell_passes_equals_one_pass(n, s, monkeypatch):
+    # at n = 1025 the lowest Gauss order covers 524k octant cells, evaluated in several passes
+    tracemalloc.start()
+    try:
+        table = cell_corner_weights.__wrapped__(n, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if n == 1025:
+        assert peak < 100e6  # 169 MB in one pass, for a 34 MB table
+    monkeypatch.setattr(quadrature, "_CORNER_CELLS", 1 << 40)
+    assert np.array_equal(table, cell_corner_weights.__wrapped__(n, s))

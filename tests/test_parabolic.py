@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fraclab import parabolic
 from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.errors import FracLabError, LengthMismatchError, SingularOperatorError
 from fraclab.experiments import run_experiment
@@ -53,11 +54,11 @@ def test_initial_datum_is_zero(setup):
 
 def test_values_and_final_are_the_modes_back_in_omega(setup):
     grid, params, matrix = setup
-    lam, vecs = matrix.spectrum
+    basis = matrix.spectrum
     traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
-    assert traj.lam is lam and traj.vecs is vecs
-    assert np.array_equal(traj.values, traj.modes @ vecs.T)
-    assert np.array_equal(traj.final().values[grid.mask], vecs @ traj.modes[-1])
+    assert traj.basis is basis
+    assert np.array_equal(traj.values, basis.from_modes(traj.modes))
+    assert np.array_equal(traj.final().values[grid.mask], basis.from_modes(traj.modes[-1]))
     assert _rel_gap(traj.final().values[grid.mask], traj.values[-1]) <= 1e-14
 
 
@@ -98,18 +99,20 @@ def test_constant_source_drives_every_step_by_one_row(setup):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_time_layer_peaks_at_m_511(theta):
-    # evolve-1d's size: the stepper holds its modes and one row block, the ledger
-    # 1.33 MB of its own sums and blocks
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_time_layer_peaks_at_m_511(theta, kind):
+    # evolve-1d's size: the stepper holds its modes (and a callable source's rows) and a few
+    # row blocks, the ledger 1.33 MB of its own sums and blocks
     grid = build_grid(1, ((-2.0, 2.0),), 1025, Ball((0.0,), 1.0))
     params = FractionalParams(1, 0.5)
     matrix = assemble_operator_matrix(grid, params)
     matrix.spectrum
     assert grid.n_omega == 511
+    g = np.ones(grid.n_omega)
+    f = g if kind == "constant" else (lambda t: (1.0 + t) * g)
     tracemalloc.start()
     try:
-        traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 512, theta, params, grid,
-                               matrix=matrix)
+        traj = solve_parabolic(f, 1.0, 512, theta, params, grid, matrix=matrix)
         solve_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
@@ -117,8 +120,28 @@ def test_time_layer_peaks_at_m_511(theta):
         ledger_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert solve_peak <= traj.modes.nbytes + _row_block(grid)
+    if kind == "constant":
+        assert solve_peak <= traj.modes.nbytes + _row_block(grid)
+    else:  # the source rows, transformed and stepped one row block at a time
+        assert solve_peak <= traj.modes.nbytes + traj.source.nbytes + 3 * _row_block(grid)
     assert ledger_peak <= 1.4e6
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_callable_source_stepped_in_row_blocks_matches_one_block(setup, theta, monkeypatch):
+    grid, params, matrix = setup
+    rng = np.random.default_rng(34)
+    g, u0 = rng.standard_normal(grid.n_omega), rng.standard_normal(grid.n_omega)
+
+    def f(t):
+        return g * (1.0 + 0.5 * math.sin(3.0 * t))
+
+    nt = 3 * _LEDGER_ROWS + 5
+    blocked = solve_parabolic(f, 0.8, nt, theta, params, grid, matrix=matrix, u0=u0)
+    monkeypatch.setattr(parabolic, "_LEDGER_ROWS", nt + 1)
+    whole = solve_parabolic(f, 0.8, nt, theta, params, grid, matrix=matrix, u0=u0)
+    assert _rel_gap(blocked.modes, whole.modes) <= 1e-14
+    assert np.array_equal(blocked.source, whole.source)
 
 
 def test_callable_source_is_read_once_per_step_time(setup):
@@ -476,10 +499,9 @@ def test_semigroup_non_spd_operator_raises(setup):
     tau = 0.25
 
     class NegativeOperator(OperatorMatrix):
-        @property
-        def matrix(self):
+        def _entries(self, rows, cols):
             # I + tau A = -I is negative definite
-            return -(2.0 / tau) * np.eye(grid.n_omega)
+            return -(2.0 / tau) * (rows[:, None] == cols)
 
     matrix = NegativeOperator(grid, params)
     with pytest.raises(SingularOperatorError):

@@ -30,9 +30,10 @@ quadrant integral's power series in the corner angle matches the
 incomplete-beta closed form.
 The eigenvectors of the operator's spectrum are orthonormal, and the
 spectral (I + c A)^(-1) b agrees with a Cholesky solve.  The spectrum,
-taken in parity blocks when Omega is mirror-symmetric about the box
+kept in parity blocks when Omega is mirror-symmetric about the box
 centre, matches a plain eigh of the dense matrix and rebuilds it, for
-reflection groups of 1, 2 and 4 elements; with no mirror axis it is that
+reflection groups of 1, 2 and 4 elements, and its transforms into and
+out of the basis invert each other; with no mirror axis it is that
 plain eigh, bit for bit.
 The implicit-Euler semigroup keeps nonnegative data nonnegative and
 contracts the L^1, L^2 and L^inf norms on Omega, and a batch of data
@@ -351,10 +352,11 @@ def test_spectral_solve_matches_cholesky(ndim, n_max):
     def check(problem, log_c):
         grid, params, rng = problem
         matrix = assemble_operator_matrix(grid, params)
-        _, vecs = matrix.spectrum
-        assert matrix.spectrum[1] is vecs and not vecs.flags.writeable
+        basis = matrix.spectrum
+        assert matrix.spectrum is basis
         m = grid.n_omega
-        assert np.abs(vecs.T @ vecs - np.eye(m)).max() <= 1e-12
+        Q = basis.from_modes(np.eye(m)).T
+        assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-12
         c = 10.0 ** log_c
         b = rng.standard_normal(m)
         # one implicit-Euler step of length c is (I + c A)^(-1) b
@@ -366,17 +368,29 @@ def test_spectral_solve_matches_cholesky(ndim, n_max):
 
 
 def _check_spectrum(matrix):
-    """spectrum against a plain eigh of the dense matrix: the same one when Omega has no mirror."""
-    lam, vecs = matrix.spectrum
+    """spectrum against a plain eigh of the dense matrix: the same one when Omega has no mirror.
+
+    Q is formed from the basis as from_modes(I)^T, and to_modes(I) is Q as well.
+    """
+    basis = matrix.spectrum
     A = matrix.matrix
     plain_lam, plain_vecs = np.linalg.eigh(A)
-    assert not lam.flags.writeable and not vecs.flags.writeable and vecs.flags.f_contiguous
-    assert np.all(np.diff(lam) >= 0)
-    assert np.abs(lam - plain_lam).max() <= 1e-12 * np.abs(plain_lam).max()
-    assert np.abs((vecs * lam) @ vecs.T - A).max() <= 1e-12 * np.abs(A).max()
-    assert np.abs(vecs.T @ vecs - np.eye(len(lam))).max() <= 1e-12
+    for part in (basis.lam, basis.gather, basis.size, *basis.vectors, *basis.orbits):
+        assert not part.flags.writeable
+    sizes = [len(orbits) for orbits in basis.orbits]
+    assert sum(sizes) == len(A)
+    for block in np.split(basis.lam, np.cumsum(sizes)[:-1]):
+        assert np.all(np.diff(block) >= 0)
+    lam = basis.lam
+    assert np.abs(np.sort(lam) - plain_lam).max() <= 1e-12 * np.abs(plain_lam).max()
+    Q = basis.from_modes(np.eye(len(A))).T
+    assert np.abs(basis.to_modes(np.eye(len(A))) - Q).max() <= 1e-14
+    assert np.abs(A @ Q - Q * lam).max() <= 1e-12 * np.abs(lam).max()
+    assert np.abs((Q * lam) @ Q.T - A).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(Q.T @ Q - np.eye(len(lam))).max() <= 1e-12
     if not _mirror_axes(matrix.grid, matrix.kernel):
-        assert np.array_equal(lam, plain_lam) and np.array_equal(vecs, plain_vecs)
+        assert np.array_equal(lam, plain_lam) and np.array_equal(basis.vectors[0], plain_vecs)
+        assert np.array_equal(Q, plain_vecs)
 
 
 @pytest.mark.parametrize("ndim, n_max", [(1, 33), (2, 17)])
@@ -406,6 +420,11 @@ def test_parity_spectrum_per_group_size(ndim, n, omega, group):
     matrix = assemble_operator_matrix(grid, FractionalParams(ndim, 0.4))
     assert 2 ** len(_mirror_axes(grid, matrix.kernel)) == group
     _check_spectrum(matrix)
+    basis = matrix.spectrum
+    assert len(basis.vectors) == group
+    rows = np.random.default_rng(group).standard_normal((3, grid.n_omega))
+    assert _rel_gap(basis.from_modes(basis.to_modes(rows)), rows) <= 1e-14
+    assert _rel_gap(basis.to_modes(basis.from_modes(rows)), rows) <= 1e-14
 
 
 def _pairwise_remainder(u, eta, c, params):
