@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import solve_dirichlet
-from .experiments import run_experiment
+from .experiments import _write_csv, run_experiment
 from .gridfn import build_grid, extend_by_zero
 from .operator import FractionalParams, assemble_operator_matrix
 from .parabolic import solve_parabolic
@@ -207,11 +207,8 @@ def criterion_8(out_dir, shared=None):
         ok = errs[-1] <= 1e-4 and monotone
         passed &= ok
         rows.append((theta, errs))
-    sub = _subdir(out_dir, 8)
-    with open(os.path.join(sub, "steady_state.csv"), "w") as fh:
-        fh.write("theta,err_T2,err_3T4,err_T\n")
-        for theta, errs in rows:
-            fh.write(",".join([f"{theta:.17g}"] + [f"{e:.17g}" for e in errs]) + "\n")
+    _write_csv(os.path.join(_subdir(out_dir, 8), "steady_state.csv"),
+               ("theta", "err_T2", "err_3T4", "err_T"), [(th, *er) for th, er in rows])
     detail = "; ".join(f"theta={th:g}: final err {er[-1]:.2e}" for th, er in rows)
     return CriterionResult(8, "steady-state", passed,
                            detail + f" (need <= 1e-4, decreasing; T={T:.1f})")
@@ -236,10 +233,8 @@ def criterion_9(out_dir, shared=None):
             slow = naive_apply_omega(u, params)
             scale = max(1.0, float(np.abs(slow).max()))
             worst = max(worst, float(np.abs(fast - slow).max()) / scale)
-    sub = _subdir(out_dir, 9)
-    with open(os.path.join(sub, "oracle_equivalence.csv"), "w") as fh:
-        fh.write("worst_rel_gap\n")
-        fh.write(f"{worst:.17g}\n")
+    _write_csv(os.path.join(_subdir(out_dir, 9), "oracle_equivalence.csv"),
+               ("worst_rel_gap",), [(worst,)])
     passed = worst <= 1e-12
     return CriterionResult(9, "oracle-equivalence", passed,
                            f"worst matrix-vs-naive gap {worst:.2e} (<= 1e-12)")

@@ -3,20 +3,23 @@
 Every recipe reads a RunConfig, runs deterministically (byte-identical
 artifacts at a fixed BLAS thread count), writes CSV/JSON artifacts plus
 a manifest into the output directory, and returns a summary dict used
-by the acceptance thresholds.  Floats are serialized with 17 significant
-digits.  The two probe recipes, elliptic-regularity and regularity-sweep,
-run one probe (_probe): it reads [source] and every [probe] key and
-writes one estimate JSON per region.
+by the acceptance thresholds.  There is one writer per format:
+_write_csv takes a 2-D numeric table and writes every field as %.17g,
+and _write_json writes a payload (a probe estimate is its `asdict`)
+with sorted keys.  Default regions are fractions of Omega's disc
+(_omega_disc), so they follow [omega].  The two probe recipes,
+elliptic-regularity and regularity-sweep, run one probe (_probe): it
+reads [source] and every [probe] key and writes one estimate JSON per
+region.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import json
 import math
 import os
 from collections import namedtuple
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .probe import (DEFAULT_METHOD, DEFAULT_P, DEFAULT_RATE_THRESHOLD, DEFAULT_S
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norms
 
-F17 = "{:.17g}".format
 BUMP_FRACTIONS = (0.3, 0.8)  # [source] inner_fraction and outer_fraction when unset
 SYMBOL_WINDOW = (7.0, 16.0)  # [symbol] window_inner and window_outer when unset
 _CSV_ROWS = 4096  # array rows per block of _write_csv's text
@@ -44,29 +46,28 @@ def getoor_constant(ndim, s):
             / math.gamma(ndim / 2.0))
 
 
-def _write_csv(path, header, rows):
-    """Write a header, then the rows: a list of tuples, or a 2-D float array.
+def _write_csv(path, header, table):
+    """Write a header line, then a 2-D numeric table, _CSV_ROWS rows at a time.
 
-    An array is written _CSV_ROWS rows at a time, to the bytes csv.writer
-    writes: floats as %.17g, ',' between fields, '\\r\\n' after each line.
-    Each distinct value of a block, told apart by its bits (so -0.0 is
-    not 0.0), is formatted once, and the block's text is one join of those
-    strings and the separators, gathered by index.
+    Floats as %.17g, ',' between fields, '\\r\\n' after each line; a
+    table that is not one number per header field in each row raises
+    TypeError.  Each distinct value of a block, told apart by its bits (so
+    -0.0 is not 0.0), is formatted once, and the block's text is one join
+    of those strings and the separators, gathered by index.
     """
+    table = np.asarray(table)
+    if table.ndim != 2 or table.dtype.kind not in "iuf" or table.shape[1] != len(header):
+        raise TypeError(f"{path}: a CSV table is a 2-D numeric array of {len(header)} "
+                        f"columns, got {table.dtype} of shape {table.shape}")
+    table = np.ascontiguousarray(table, dtype=float)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        if isinstance(rows, np.ndarray):
-            rows = np.ascontiguousarray(rows, dtype=float)
-            for lo in range(0, len(rows), _CSV_ROWS):
-                fh.write(_csv_text(rows[lo:lo + _CSV_ROWS]))
-            return
-        for row in rows:
-            wr.writerow([F17(v) if isinstance(v, float) else str(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(table), _CSV_ROWS):
+            fh.write(_csv_text(table[lo:lo + _CSV_ROWS]))
 
 
 def _csv_text(block):
-    """The lines of a C-contiguous (r, c) float block, c >= 1, as _write_csv writes them."""
+    """The lines of a C-contiguous (r, c) float block, c >= 1, in _write_csv's dialect."""
     bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
     tokens = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()] + [",", "\r\n"],
                       dtype=object)
@@ -127,8 +128,7 @@ def source_profile(cfg, grid, default="constant"):
     if profile == "bump":
         frac_in = cfg.get_float("source", "inner_fraction", default=BUMP_FRACTIONS[0])
         frac_out = cfg.get_float("source", "outer_fraction", default=BUMP_FRACTIONS[1])
-        center, rad = _omega_disc(grid)
-        spec = CutoffSpec(Ball(center, frac_in * rad), Ball(center, frac_out * rad))
+        spec = CutoffSpec(_disc_ball(grid, frac_in), _disc_ball(grid, frac_out))
         return build_cutoff(grid, spec).values[grid.mask]
     path = cfg.get_str("source", "path")  # profile = csv
     try:
@@ -145,6 +145,18 @@ def _omega_disc(grid):
     """Centre of Omega's bounding box and half its smallest width: Omega's centred disc."""
     bb = grid.omega.bounding_box()
     return tuple(0.5 * (lo + hi) for lo, hi in bb), 0.5 * min(hi - lo for lo, hi in bb)
+
+
+def _disc_ball(grid, frac):
+    """The ball about the centre of Omega's disc whose radius is `frac` times the disc's."""
+    center, rad = _omega_disc(grid)
+    return Ball(center, frac * rad)
+
+
+def _disc_box(grid, lo, hi):
+    """The box from lo to hi disc radii past the centre of Omega's disc, on every axis."""
+    center, rad = _omega_disc(grid)
+    return Box(tuple(c + lo * rad for c in center), tuple(c + hi * rad for c in center))
 
 
 def _reject_csv_source(cfg, runner):
@@ -185,9 +197,7 @@ def _probe(cfg, s, grid, regions, paths, default="constant"):
     estimates = [estimate_local_exponent(resolve, grid, p, region, **opts)
                  for region in regions]
     for est, path in zip(estimates, paths):
-        with open(path, "w") as fh:
-            fh.write(est.to_json())
-            fh.write("\n")
+        _write_json(path, asdict(est))
     return estimates
 
 
@@ -338,9 +348,9 @@ def run_elliptic_regularity(cfg, out_dir):
     """Interior vs boundary maximal exponents, by default for a jump source."""
     s_list = cfg.get_floats("params", "s", default=[0.3, 0.5])
     base_n = cfg.get_int("grid", "n", default=129)
-    interior = cfg.region("inner") or Box((-0.4,), (0.4,))
-    boundary = cfg.region("boundary") or Box((0.5,), (1.5,))
     grid = _default_grid(cfg, base_n)
+    interior = cfg.region("inner") or _disc_box(grid, -0.4, 0.4)
+    boundary = cfg.region("boundary") or _disc_box(grid, 0.5, 1.5)
     out = {}
     for s in s_list:
         est_int, est_bdy = _probe(cfg, s, grid, [interior, boundary],
@@ -360,7 +370,7 @@ def run_parabolic_energy(cfg, out_dir):
     theta = cfg.get_float("time", "theta", default=1.0)
     T = cfg.get_float("time", "T", default=1.0)
     nt_list = cfg.get_ints("time", "nt", default=[64, 128])
-    slack = cfg.get_float("time", "slack", default=0.05)
+    slack = cfg.get_float("time", "slack")  # None: energy_report's max(0.05, 2 tau)
     n = cfg.get_int("grid", "n", default=257)
     grid = _default_grid(cfg, n)
     params = FractionalParams(grid.ndim, s)
@@ -375,7 +385,7 @@ def run_parabolic_energy(cfg, out_dir):
                    np.column_stack([np.arange(nt + 1), ledger.times, ledger.dissipation,
                                     ledger.energy, ledger.source]))
         worst[nt] = {"worst_ratio": ledger.worst_ratio(),
-                     "violation": ledger.violation}
+                     "violation": ledger.violation, "slack": ledger.slack}
     write_manifest(out_dir, "parabolic-energy", cfg, grid, s=s, theta=theta, T=T,
                    nt=nt_list, n=n, tau=[T / nt for nt in nt_list])
     return {"ledgers": worst, "slack": slack}
@@ -433,10 +443,13 @@ def run_product_rule(cfg, out_dir):
     rows = []
     factors = {}
     grids = [_default_grid(cfg, n) for n in levels]
+
+    def cutoff(grid, inner, outer, order):
+        return build_cutoff(grid, CutoffSpec(_disc_ball(grid, inner), _disc_ball(grid, outer),
+                                             order=order))
+
     # the bump u and the cut-off eta per grid; every s reads them
-    pairs = [(build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.25), Ball((0.0,), 0.75), order=5)),
-              build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.45), Ball((0.0,), 0.9), order=3)))
-             for grid in grids]
+    pairs = [(cutoff(grid, 0.25, 0.75, 5), cutoff(grid, 0.45, 0.9, 3)) for grid in grids]
     for s in s_list:
         res = []
         for n, grid, (u, eta) in zip(levels, grids, pairs):
@@ -467,14 +480,14 @@ def run_g_bound(cfg, out_dir):
         grid = _default_grid(cfg, n)
         params = FractionalParams(grid.ndim, s)
         u = solve_dirichlet(source_profile(cfg, grid), params, grid)
-        spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6),
-                          omega2=Ball((0.0,), 0.8))
+        spec = CutoffSpec(_disc_ball(grid, 0.4), _disc_ball(grid, 0.6),
+                          omega2=_disc_ball(grid, 0.8))
         report = g_bound_monitor(u, spec, params, p)
         ratios.append(report.ratio)
         rows.append(report)
     _write_csv(os.path.join(out_dir, "g_bound.csv"),
-               [f.name for f in dataclasses.fields(rows[0])] + ["ratio"],
-               [dataclasses.astuple(r) + (r.ratio,) for r in rows])
+               [f.name for f in fields(rows[0])] + ["ratio"],
+               [astuple(r) + (r.ratio,) for r in rows])
     write_manifest(out_dir, "g-bound", cfg, grid, s=s, p=p, n=levels,
                    regions={"eta_outer": spec.outer.describe(),
                             "omega2": spec.omega2.describe()})
@@ -485,8 +498,8 @@ def run_regularity_sweep(cfg, out_dir):
     """Generic exponent sweep for a configurable source and region."""
     s = cfg.get_float("params", "s", default=0.5)
     base_n = cfg.get_int("grid", "n", default=129)
-    inner = cfg.region("inner") or Box((-0.4,), (0.4,))
     grid = _default_grid(cfg, base_n)
+    inner = cfg.region("inner") or _disc_box(grid, -0.4, 0.4)
     est, = _probe(cfg, s, grid, [inner], [os.path.join(out_dir, "estimate.json")])
     write_manifest(out_dir, "regularity-sweep", cfg, grid, s=s, p=est.p, n=base_n,
                    levels=est.levels, regions={"inner": inner.describe()})

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalizationError
-from .gridfn import GridFunction, build_cutoff
+from .elliptic import _rhs_on_omega
+from .gridfn import GridFunction, build_cutoff, extend_by_zero
 from .operator import apply_fractional_laplacian, convolve, toeplitz_operator
 from .spaces import gagliardo_seminorm, lp_norm
 
@@ -83,16 +84,15 @@ def _cutoff_remainder(u, eta, params):
 def localized_rhs(u, eta, f, params, verify=True, residual_bound=None):
     """Right-hand side F for the cut-off product u eta, as a whole-space source.
 
-    F = eta f + u (-Delta)^s eta - I_s(u, eta).  With verify=True the
-    defining identity is checked: ||(-Delta)^s(u eta) - F||_inf must stay
-    within the product-rule residual bound plus the solve residual of u.
+    F = eta f + u (-Delta)^s eta - I_s(u, eta), with f read on Omega as
+    solve_dirichlet reads its source (LengthMismatchError unless one value
+    per Omega node, FracLabError for inf or nan) and zero outside it.
+    With verify=True the defining identity is checked:
+    ||(-Delta)^s(u eta) - F||_inf must stay within the product-rule
+    residual bound plus the solve residual of u.
     """
     grid = u.grid
-    f_full = np.zeros(grid.shape)
-    if isinstance(f, GridFunction):
-        f_full[:] = f.values
-    else:
-        f_full[grid.mask] = np.asarray(f, float).ravel()
+    f_full = extend_by_zero(_rhs_on_omega(f, grid), grid).values
     F = eta.values * f_full + _cutoff_remainder(u, eta, params)
     if verify:
         if residual_bound is None:
@@ -113,8 +113,6 @@ class GBoundReport:
     s: float
     p: float
     h: float
-    eta_region: str
-    omega2_region: str
     g_norm: float
     sobolev_term: float
     lp_term: float
@@ -143,6 +141,4 @@ def g_bound_monitor(u, eta_spec, params, p):
     lp_o2 = lp_norm(u, p, omega2)
     sobolev = (lp_o2 ** p + semi ** p) ** (1.0 / p)
     lp_omega = lp_norm(u, p, "omega")
-    return GBoundReport(params.s, p, grid.h,
-                        str(eta_spec.outer.describe()), str(omega2.describe()),
-                        g_norm, sobolev, lp_omega)
+    return GBoundReport(params.s, p, grid.h, g_norm, sobolev, lp_omega)

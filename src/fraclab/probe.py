@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,19 +78,7 @@ class RegularityEstimate:
     flipped: list           # sweep exponents whose verdict the clean-up flipped
 
     def to_json(self):
-        return json.dumps({
-            "region": self.region,
-            "p": self.p,
-            "method": self.method,
-            "sweep": list(self.sweep),
-            "levels": self.levels,
-            "mode": self.mode,
-            "values": [[float(v) for v in row] for row in self.values],
-            "rates": [float(r) for r in self.rates],
-            "verdicts": [bool(b) for b in self.verdicts],
-            "sigma_star": self.sigma_star,
-            "flipped": [float(sg) for sg in self.flipped],
-        }, sort_keys=True, indent=1)
+        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
 def _clean_verdicts(verdicts, sweep):

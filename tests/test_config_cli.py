@@ -281,6 +281,14 @@ def test_cli_run_out_that_names_a_file_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and str(out) in err
 
 
+def test_cli_run_without_experiment_name_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("[params]\ns = 0.5\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: config needs [experiment] name = <recipe>\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_check_out_that_names_a_file_exits_2(tmp_path, capsys):
     for out in _blocked_out_dirs(tmp_path):
         assert main(["check", "--out", str(out), "--criteria", "9"]) == 2

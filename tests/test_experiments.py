@@ -11,7 +11,6 @@ from fraclab import experiments, operator
 from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import ConfigError
 from fraclab.experiments import (
-    F17,
     _write_csv,
     getoor_constant,
     run_experiment,
@@ -24,6 +23,9 @@ from fraclab.probe import estimate_local_exponent
 from fraclab.regions import Ball, Box
 from fraclab.runconfig import parse_config_text
 from fraclab.spaces import lp_norm
+
+
+F17 = "{:.17g}".format
 
 
 def _cfg(text):
@@ -48,6 +50,18 @@ def test_write_csv_array_and_rows_give_the_same_bytes(tmp_path):
     assert data == (tmp_path / "rows.csv").read_bytes()
     assert data.splitlines()[1] == b"-0,inf,-inf"
     assert data.count(b"\r\n") == 5
+
+
+@pytest.mark.parametrize("table", [
+    [(1.0, "ball")],                                 # a text field
+    [(1.0, 2.0), (3.0,)],                            # ragged rows
+    np.zeros((2, 3)),                                # a column more than the header
+    np.zeros(2),                                     # one row, not a table
+    np.array([[True, False]]),                       # booleans
+], ids=["text", "ragged", "columns", "1-d", "bool"])
+def test_write_csv_rejects_anything_but_a_numeric_table(tmp_path, table):
+    with pytest.raises((TypeError, ValueError)):
+        _write_csv(tmp_path / "bad.csv", ("a", "b"), table)
 
 
 def _percent_write(path, header, table):
@@ -477,3 +491,92 @@ def test_check_exit_code_on_threshold_failure(tmp_path, monkeypatch, capsys):
     rc = cli.main(["check", "--out", str(tmp_path)])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+# a small config per recipe, each key beside [experiment] name
+SMALL = {
+    "getoor": "[grid]\nn = 17, 33\n",
+    "symbol": "[params]\ns = 0.5\n[symbol]\nk = 1\n[grid]\nn = 129, 257\n",
+    "elliptic-regularity": "[params]\ns = 0.5\n[grid]\nn = 17\n",
+    "parabolic-energy": "[grid]\nn = 17\n[time]\nnt = 4\n",
+    "semigroup-contraction": "[grid]\nn = 17\n[semigroup]\ncount = 2\nnt = 4\n",
+    "product-rule": "[params]\ns = 0.5\n[grid]\nn = 17, 33\n",
+    "g-bound": "[grid]\nn = 33, 65\n",
+    "regularity-sweep": "[grid]\nn = 17\n",
+    "boundary-profile": "[params]\ns = 0.5\n[grid]\nn = 33\n",
+}
+
+
+def test_every_recipe_writes_one_table_format_and_one_json_format(tmp_path):
+    assert set(SMALL) == set(experiments.RECIPES)
+    for name, body in SMALL.items():
+        out = tmp_path / name
+        run_experiment(name, _cfg(f"[experiment]\nname = {name}\n" + body), str(out))
+        written = sorted(out.iterdir())
+        assert len(written) >= 2, name  # the manifest and at least one table or estimate
+        for path in written:
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                with open(path) as fh:
+                    canonical = json.dumps(json.load(fh), sort_keys=True, indent=1) + "\n"
+                assert data.decode() == canonical, path
+                continue
+            assert path.suffix == ".csv", path
+            # CRLF after every line and nowhere else; %.17g floats under the header
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path
+            header, *lines = data.decode().split("\r\n")[:-1]
+            assert lines, path
+            for line in lines:
+                fields = line.split(",")
+                assert len(fields) == len(header.split(",")), path
+                assert fields == [F17(float(v)) for v in fields], path
+
+
+OFF_CENTRE = {  # each Omega the recipe's unit-ball defaults did not fit
+    "product-rule": ("[grid]\nn = 33, 65\nbox = -2, 3\n", (0.5,), 1.0),
+    "g-bound": ("[grid]\nn = 33, 65\n", (0.0,), 0.7),
+    "elliptic-regularity": ("[params]\ns = 0.5\n[grid]\nn = 33\n", (0.0,), 0.5),
+    "regularity-sweep": ("[grid]\nn = 33\n", (1.0,), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_CENTRE))
+def test_recipe_default_regions_follow_omega(tmp_path, capsys, name):
+    from fraclab.cli import main
+
+    body, center, radius = OFF_CENTRE[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\nname = {name}\n{body}[omega]\nkind = ball\n"
+                   f"center = {center[0]:g}\nradius = {radius:g}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+    regions = json.loads((tmp_path / "out" / "manifest.json").read_text())["regions"]
+    c, r = center[0], radius
+    box = {"kind": "box", "lo": [c - 0.4 * r], "hi": [c + 0.4 * r]}
+    expected = {
+        "product-rule": {},
+        "g-bound": {"eta_outer": Ball(center, 0.6 * r).describe(),
+                    "omega2": Ball(center, 0.8 * r).describe()},
+        "elliptic-regularity": {"interior": box, "boundary": {
+            "kind": "box", "lo": [c + 0.5 * r], "hi": [c + 1.5 * r]}},
+        "regularity-sweep": {"inner": box},
+    }[name]
+    assert {k: v for k, v in regions.items() if k != "omega"} == expected
+
+
+def test_parabolic_energy_slack_defaults_to_the_ledgers_own(tmp_path):
+    # theta = 1/2 at nt = 4, 8 on (0, 1): worst ratios 1.15 and 1.10, within
+    # energy_report's max(0.05, 2 tau) = 0.5 and 0.25 but above 1.05
+    body = "[grid]\nn = 17\n[time]\ntheta = 0.5\nnt = 4, 8\n"
+    summary = run_experiment("parabolic-energy",
+                             _cfg("[experiment]\nname = parabolic-energy\n" + body),
+                             str(tmp_path / "unset"))
+    ledgers = summary["ledgers"]
+    assert [ledgers[nt]["slack"] for nt in (4, 8)] == [0.5, 0.25]
+    assert not any(led["violation"] for led in ledgers.values())
+    assert min(led["worst_ratio"] for led in ledgers.values()) > 1.05
+    summary = run_experiment("parabolic-energy", _cfg(
+        "[experiment]\nname = parabolic-energy\n" + body + "slack = 0.05\n"),
+        str(tmp_path / "set"))
+    assert all(led["violation"] and led["slack"] == 0.05
+               for led in summary["ledgers"].values())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab.elliptic import solve_dirichlet
-from fraclab.errors import LocalizationError
+from fraclab.errors import FracLabError, LengthMismatchError, LocalizationError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.localization import (
     g_bound_monitor,
@@ -114,6 +114,16 @@ def test_localized_rhs_consistency_check(params_half):
     # an impossible residual bound must trip the check
     with pytest.raises(LocalizationError):
         localized_rhs(u, eta, f, params_half, verify=True, residual_bound=0.0)
+
+
+def test_localized_rhs_rejects_a_source_nan_or_of_the_wrong_length(grid65, eta65, params_half):
+    u = extend_by_zero(np.zeros(grid65.n_omega), grid65)
+    f = np.ones(grid65.n_omega)
+    f[3] = np.nan
+    with pytest.raises(FracLabError, match="1 of"):
+        localized_rhs(u, eta65, f, params_half, verify=False)
+    with pytest.raises(LengthMismatchError, match=f"for {grid65.n_omega} Omega nodes"):
+        localized_rhs(u, eta65, np.ones(grid65.n_omega + 1), params_half, verify=False)
 
 
 def test_localized_rhs_norm_stable_under_refinement(params_half):

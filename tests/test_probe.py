@@ -178,6 +178,24 @@ def test_estimate_json_round_trip():
     assert payload["flipped"] == []
 
 
+def test_estimate_json_keeps_the_field_by_field_bytes():
+    import json
+
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, Box((0.5,), (1.5,)),
+                                  sweep=(0.5, 1.5, 0.7, 1.7, 1.9), levels=3)
+    assert est.flipped  # every list field has entries
+    old = json.dumps({
+        "region": est.region, "p": est.p, "method": est.method, "sweep": list(est.sweep),
+        "levels": est.levels, "mode": est.mode,
+        "values": [[float(v) for v in row] for row in est.values],
+        "rates": [float(r) for r in est.rates],
+        "verdicts": [bool(b) for b in est.verdicts], "sigma_star": est.sigma_star,
+        "flipped": [float(sg) for sg in est.flipped],
+    }, sort_keys=True, indent=1)
+    assert est.to_json() == old
+
+
 def test_estimate_records_flipped_verdict():
     import json
 
