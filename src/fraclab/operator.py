@@ -67,7 +67,7 @@ from .quadrature import sweep_1d, sweep_2d
 
 DEFAULT_DENSE_CAP = 4500  # max Omega nodes for eigh and the dense cross-checks
 RESIDUAL_REL_TOL = 1e-10  # solve(): max-norm residual relative to the rhs
-_GATHER_ROWS = 64  # rows of A's entries gathered per step
+_GATHER_ROWS = 64  # rows of A's entries gathered, or of a butterfly formed, per step
 
 
 def normalization_constant(ndim, s):
@@ -380,13 +380,18 @@ def _mirror_axes(grid, op):
 def _walsh_hadamard(parts):
     """[sum_g chi_c(g) parts[g] for c]: Walsh-Hadamard butterflies over the characters
     chi_c(g) = (-1)^popcount(c & g) of a group of 2^k reflections, which are their own inverse
-    up to the factor 2^k."""
+    up to the factor 2^k.  Each butterfly overwrites its pair (a, b) with (a + b, a - b),
+    _GATHER_ROWS rows at a time, so beside the parts only one chunk of a - b is held."""
     parts, span = list(parts), 1
     while span < len(parts):
         for lo in range(len(parts)):
             if not lo & span:
-                parts[lo], parts[lo | span] = (parts[lo] + parts[lo | span],
-                                               parts[lo] - parts[lo | span])
+                a, b = parts[lo], parts[lo | span]
+                for r0 in range(0, len(a), _GATHER_ROWS):
+                    chunk = slice(r0, r0 + _GATHER_ROWS)
+                    diff = a[chunk] - b[chunk]
+                    a[chunk] += b[chunk]
+                    b[chunk] = diff
         span *= 2
     return parts
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,14 @@ def random_dirichlet(grid, rng):
     vals = np.zeros(grid.shape)
     vals[grid.mask] = rng.standard_normal(grid.n_omega)
     return GridFunction(grid, vals, dirichlet=True)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

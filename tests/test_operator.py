@@ -19,7 +19,7 @@ from fraclab.operator import (
 from fraclab.reference import naive_apply_omega
 from fraclab.regions import Ball
 
-from conftest import random_dirichlet
+from conftest import random_dirichlet, traced_peak
 
 
 def test_normalization_half_is_inverse_pi():
@@ -274,3 +274,28 @@ def test_spectrum_is_kept_with_the_kernel_per_mask_and_spacing(monkeypatch):
         assert len(calls) == k
         Q = kept.from_modes(np.eye(other.grid.n_omega)).T
         assert np.abs(other.matrix @ Q - Q * kept.lam).max() <= 1e-12 * kept.lam.max()
+
+
+def test_butterflies_in_place_equal_the_sums_and_differences_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for shape in ((3 * operator._GATHER_ROWS + 5, 7), (2 * operator._GATHER_ROWS + 3,)):
+        parts = [rng.standard_normal(shape) for _ in range(4)]
+        want = [parts[0] + parts[1], parts[0] - parts[1], parts[2] + parts[3], parts[2] - parts[3]]
+        want = [want[0] + want[2], want[1] + want[3], want[0] - want[2], want[1] - want[3]]
+        got = operator._walsh_hadamard(part.copy() for part in parts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("ndim, n, bound", [(1, 1025, 1.8), (2, 65, 1.75)])
+def test_parity_spectrum_peaks_below_twice_the_basis_it_keeps(ndim, n, bound):
+    # the |G| gathered slices are summed in place: the peak is those slices, a butterfly chunk
+    # and the eigh of one block, not the slices and their sums together
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, Ball((0.0,) * ndim, 1.0))
+    matrix = assemble_operator_matrix(grid, FractionalParams(ndim, 0.5))
+    matrix.kernel.spectra.clear()  # else the kept spectrum is read and nothing is gathered
+    basis, peak = traced_peak(lambda: matrix.spectrum)
+    kept = sum(part.nbytes for part in (basis.lam, basis.gather, basis.size, *basis.vectors,
+                                        *basis.orbits))
+    assert len(basis.vectors) == 2 ** ndim
+    assert peak <= bound * kept

@@ -8,7 +8,7 @@ import scipy.linalg
 from fraclab import parabolic
 from fraclab.elliptic import residual_check, solve_dirichlet
 from fraclab.errors import FracLabError, LengthMismatchError, SingularOperatorError
-from fraclab.experiments import run_experiment
+from fraclab.experiments import getoor_constant, run_experiment
 from fraclab.gridfn import CutoffSpec, build_cutoff, build_grid, extend_by_zero
 from fraclab.operator import (
     FractionalParams,
@@ -25,6 +25,8 @@ from fraclab.parabolic import (
 from fraclab.regions import Ball
 from fraclab.runconfig import parse_config_text
 from fraclab.spaces import lp_norm
+
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,26 @@ def test_theta_validation(setup):
         solve_parabolic(f, 1.0, 1, 1.0, params, grid, matrix=matrix)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_bad_end_time_is_a_usage_error(T):
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid, params)
+    with pytest.raises(ValueError, match="end time T must be finite and positive"):
+        solve_parabolic(np.ones(grid.n_omega), T, 4, 1.0, params, grid, matrix=matrix)
+    assert "spectrum" not in vars(matrix)  # rejected before the spectrum is read
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_bad_semigroup_time_is_a_usage_error(t):
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid, params)
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        semigroup_apply(np.ones(grid.n_omega), t, 4, params, grid, matrix=matrix)
+    assert "spectrum" not in vars(matrix)
+
+
 def test_constant_source_relaxes_to_elliptic(setup):
     grid, params, matrix = setup
     f = np.ones(grid.n_omega)
@@ -221,6 +243,25 @@ def test_energy_inequality_implicit_euler(setup):
         ledger = energy_report(traj, slack=0.05)
         assert not ledger.violation
         assert ledger.worst_ratio() <= 1.05
+
+
+@pytest.mark.parametrize("f", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("datum", ["one", "normal"])
+def test_ledger_bounds_dissipation_and_energy_by_initial_energy_plus_source(grid129, datum, f):
+    # D_k + E_k <= E_0 + S_k: a datum's energy is on the right, so a small source or none
+    # does not make a dissipative run look like a violation
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid129, params)
+    m = grid129.n_omega
+    u0 = np.ones(m) if datum == "one" else np.random.default_rng(0).standard_normal(m)
+    for theta in (0.5, 1.0):
+        for nt in (8, 64):
+            traj = solve_parabolic(np.full(m, f), 1.0, nt, theta, params, grid129,
+                                   matrix=matrix, u0=u0)
+            ledger = energy_report(traj)
+            assert ledger.energy[0] > 0.0
+            assert not ledger.violation
+            assert 0.0 < ledger.worst_ratio() <= 1.0
 
 
 def test_energy_ledger_converges_under_tau_refinement(setup):
@@ -555,3 +596,67 @@ def test_time_dependent_source_matches_duhamel_sum(setup):
         acc += tau * (k * tau) * semigroup_apply(g, m * tau, m, params, grid,
                                                  matrix=matrix).values[grid.mask]
     assert np.abs(acc - traj.final().values[grid.mask]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_ledger_and_final_state_memory_does_not_grow_with_nt(theta):
+    # the scheme is stepped _LEDGER_ROWS rows at a time whenever it is read, so neither the
+    # ledger nor the final state holds a row per step
+    grid = build_grid(1, ((-2.0, 2.0),), 1025, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid, params)
+    matrix.spectrum
+    assert grid.n_omega == 511
+    f = np.ones(grid.n_omega)
+
+    def stepped(nt, read):
+        traj = solve_parabolic(f, 1.0, nt, theta, params, grid, matrix=matrix)
+        energy_report(traj) if read == "ledger" else traj.final()
+        return traj
+
+    for read in ("ledger", "final"):
+        peaks = []
+        for nt in (512, 4096):
+            traj, peak = traced_peak(stepped, nt, read)
+            assert "modes" not in vars(traj) and "values" not in vars(traj)
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 0.5e6
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_theta_scheme_converges_to_an_exact_space_time_solution(s, theta):
+    # u = t w with (-Delta)^s w = 1 on (-1, 1) (Getoor) solves u_t + (-Delta)^s u = w + t,
+    # u_0 = 0; relative L2(Q) errors 6.7e-3 .. 1.05e-3 over n = 257 .. 1025, nt = (n - 1) / 2
+    errs = []
+    for n in (257, 513, 1025):
+        grid = build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
+        params = FractionalParams(1, s)
+        x = grid.axes[0][grid.mask]
+        w = np.clip(1.0 - x ** 2, 0.0, None) ** s / getoor_constant(1, s)
+        traj = solve_parabolic(lambda t: w + t, 1.0, (n - 1) // 2, theta, params, grid)
+        exact = traj.times[:, None] * w
+        errs.append(np.linalg.norm(traj.values - exact) / np.linalg.norm(exact))
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 3e-3
+
+
+def _sorted_eigenvalues(n, s=0.5):
+    grid = build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
+    return np.sort(assemble_operator_matrix(grid, FractionalParams(1, s)).spectrum.lam)
+
+
+def test_first_eigenvalue_at_half_extrapolates_to_the_interval_value():
+    # lambda_1 of (-Delta)^(1/2) on (-1, 1) is 1.1577738836977 (Kulczycki, Kwasnicki, Malecki
+    # & Stos 2010); the grid value converges at first order in h
+    lam = {n: _sorted_eigenvalues(n)[0] for n in (1025, 2049)}
+    assert abs(2.0 * lam[2049] - lam[1025] - 1.1577738836977) <= 1e-5
+
+
+def test_eigenvalues_at_half_approach_kwasnicki_asymptotics():
+    # lambda_k = k pi / 2 - pi / 8 + O(1 / k) on (-1, 1) (Kwasnicki 2012); relative gaps at
+    # n = 2049 are 3.9e-4 at k = 5 and 5.6e-4 at k = 10
+    lam = _sorted_eigenvalues(2049)
+    for k in (5, 10):
+        mu = k * math.pi / 2 - math.pi / 8
+        assert abs(lam[k - 1] - mu) / mu < 1e-3
