@@ -32,6 +32,7 @@ from .operator import FractionalParams, apply_fractional_laplacian, assemble_ope
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
 from .probe import (DEFAULT_METHOD, DEFAULT_P, DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP,
                     estimate_local_exponent, estimator_problem)
+from .quadrature import _leggauss
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norms
 
@@ -277,7 +278,7 @@ def _symbol_oracle(kf, center, s, cns, window, width):
         return 2 * u0 * (2 * np.sin(kf * z / 2) ** 2
                          + np.cos(kf * z) * (1 - _window(z, *window)))
 
-    t, w = np.polynomial.legendre.leggauss(20)
+    t, w = _leggauss(20)
     t, w = (t + 1) / 2, w / 2
     edges = list(min(width, r1) * 0.5 ** np.arange(12, -1, -1))  # 8 halvings reach rounding
     for b in (r1, r2):

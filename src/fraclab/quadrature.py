@@ -52,6 +52,16 @@ both box images B+ and B- seen from node i fold onto [0, lo) and [0, hi)
 of the quadrant, lo = min(i, n-1-i) and hi = n-1-lo, so one fold of a
 quadrant table sums over B+ union B- (_fold): the far part of the
 diagonal and the corner integrals of the tail are both read that way.
+
+The 2D build runs no linear algebra beyond the corner table's products.
+Its Gauss-Legendre rules come from a Newton iteration on the Legendre
+recurrence (_leggauss), not from numpy's leggauss, whose companion-matrix
+eigenvalues load LAPACK.  sweep_2d forms the quadrant of far straight in
+the offset window and the per-cell totals and their summed-area table in
+place; the tail's corner-integral table is filled, and every fold taken,
+in row blocks of about _BLOCK_CELLS cells.  Each of these steps is
+elementwise or a cumsum along one axis, so the blocks bound the
+temporaries and change no bit of the result.
 """
 
 from __future__ import annotations
@@ -61,8 +71,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 Kernel = namedtuple("Kernel", "far near diag")
 
@@ -119,13 +127,43 @@ def sweep_1d(n, s):
 # 2D near-square moment and tail integrals
 
 
+def _legendre(g, x):
+    """P_g(x) and P_g'(x) by the three-term recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, g):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, g * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _leggauss(g):
-    """Gauss-Legendre nodes and weights of order g on [-1, 1], read-only."""
-    rule = leggauss(g)
-    for part in rule:
+    """Gauss-Legendre nodes and weights of order g on [-1, 1], read-only.
+
+    Newton's iteration on P_g, evaluated by its three-term recurrence,
+    from Tricomi's guesses cos(pi (k - 1/4) / (g + 1/2)), converges
+    quadratically to every node at once (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013).  The nodes are made symmetric, x = -x reversed,
+    and the recurrence is odd or even in x exactly, so the weights
+    2 / ((1 - x^2) P_g'(x)^2) are symmetric too; they are scaled to sum
+    to 2.  No linear algebra runs: numpy's leggauss takes the
+    eigenvalues of a companion matrix, which loads LAPACK into a process
+    that needs it for nothing else.  The rule integrates x^d, d <= 2g - 1,
+    to rounding.
+    """
+    x = np.cos(np.pi * (np.arange(g, 0, -1) - 0.25) / (g + 0.5))
+    for _ in range(100):  # a few steps reach rounding; the bound stops a cycle within it
+        p, dp = _legendre(g, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= np.finfo(float).eps:
+            break
+    x = (x - x[::-1]) / 2.0
+    dp = _legendre(g, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w *= 2.0 / w.sum()
+    for part in (x, w):
         part.setflags(write=False)
-    return rule
+    return x, w
 
 
 def near_square_moment(s):
@@ -167,14 +205,14 @@ def _angular_series(s):
     """Power series in x = theta^2 of the two angular integrals of corner_integral.
 
     The coefficients of int_0^theta sin^(2s) / theta^(2s+1) and of
-    int_0^theta cos^(2s) / theta, lowest power first.  sin^(2s) t =
-    t^(2s) (sin t / t)^(2s); both powers are even series in t, integrated
-    term by term.
+    int_0^theta cos^(2s) / theta, highest power first, as np.polyval
+    reads them.  sin^(2s) t = t^(2s) (sin t / t)^(2s); both powers are
+    even series in t, integrated term by term.
     """
     sinc = _power_series([(-1) ** k / math.factorial(2 * k + 1) for k in range(_SIN_TERMS)], 2 * s)
     cos = _power_series([(-1) ** k / math.factorial(2 * k) for k in range(_COS_TERMS)], 2 * s)
-    return ([b / (2 * s + 2 * k + 1) for k, b in enumerate(sinc)],
-            [b / (2 * k + 1) for k, b in enumerate(cos)])
+    return ([b / (2 * s + 2 * k + 1) for k, b in enumerate(sinc)][::-1],
+            [b / (2 * k + 1) for k, b in enumerate(cos)][::-1])
 
 
 def corner_integral(p, q, s):
@@ -188,14 +226,15 @@ def corner_integral(p, q, s):
 
       (lo^(-2s) int_0^theta sin^(2s) + hi^(-2s) (B(s+1/2, 1/2)/2 - int_0^theta cos^(2s))) / (2s),
 
-    with both integrals power series in theta^2.  Array arguments broadcast.
+    with both integrals power series in theta^2, summed by Horner's rule.
+    Array arguments broadcast, and every operation is elementwise.
     """
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     theta = np.arctan2(lo, hi)
     x = theta * theta
     sin_coef, cos_coef = _angular_series(s)
-    part_sin = (theta / lo) ** (2 * s) * theta * polyval(x, sin_coef)
-    part_cos = hi ** (-2 * s) * (0.5 * _beta_full(s) - theta * polyval(x, cos_coef))
+    part_sin = (theta / lo) ** (2 * s) * theta * np.polyval(sin_coef, x)
+    part_cos = hi ** (-2 * s) * (0.5 * _beta_full(s) - theta * np.polyval(cos_coef, x))
     return (part_sin + part_cos) / (2 * s)
 
 
@@ -220,6 +259,10 @@ _GAUSS_FAR = 4
 # Octant cells per pass of cell_corner_weights' kernel evaluation, at least this many
 # unless an order has fewer in all: BLAS may sum a product of few rows in another order
 _CORNER_CELLS = 1 << 16
+# Table cells per row block of the tail's corner-integral table and of the folds:
+# every step there is elementwise, so blocks only bound the temporaries, and at
+# n <= 129 each table is one block
+_BLOCK_CELLS = 1 << 15
 
 
 def _gauss_order(dist_cells):
@@ -272,23 +315,30 @@ def cell_corner_weights(n, s):
     return cw
 
 
-def far_weight_field(n, s):
+def far_weight_field(n, s, out=None):
     """Corner weights of every far cell summed per lattice offset (a, b) >= 0, shape (n, n).
 
     Index (a, b) holds the weight of offset (a, b) when all four cells
     around it take part in the sum, as they do for every node at least one
     cell inside the box.  The two cells across an axis are the reflections
     of the two on it and carry the same weights, so the axis row and
-    column are doubled.
+    column are doubled.  Written into `out` when given, which is returned.
     """
     cw = cell_corner_weights(n, s)
-    W = np.zeros((n, n))
+    W = np.empty((n, n)) if out is None else out
+    W.fill(0.0)
     for da in (0, 1):
         for db in (0, 1):
             W[da: da + n - 1, db: db + n - 1] += cw[da, db]
     W[0] *= 2.0
     W[:, 0] *= 2.0
     return W
+
+
+def _row_blocks(rows, width):
+    """Slices of at most _BLOCK_CELLS // width rows (one at least) covering range(rows)."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
 def _fold(table, lo, hi):
@@ -299,9 +349,12 @@ def _fold(table, lo, hi):
     and B- each fold onto [0, lo) and [0, hi), and they overlap in
     [-lo, lo), which folds onto [0, lo) twice.  So B+ + B- - (B+ cap B-)
     counts 2 (H x H + L x H + H x L) - 2 L x L, with L = [0, lo), H = [0, hi).
+    Yields (rows, sums) in row blocks of the (len(lo), len(lo)) result.
     """
-    return 2.0 * ((table[np.ix_(hi, hi)] - table[np.ix_(lo, lo)])
-                  + (table[np.ix_(lo, hi)] + table[np.ix_(hi, lo)]))
+    for rows in _row_blocks(len(lo), len(lo)):
+        l, h = lo[rows], hi[rows]
+        yield rows, 2.0 * ((table[np.ix_(h, hi)] - table[np.ix_(l, lo)])
+                           + (table[np.ix_(l, hi)] + table[np.ix_(h, lo)]))
 
 
 def _extents(n):
@@ -320,36 +373,60 @@ def tail_integral_2d(n, s):
     2 R(B+) - R(B+ cap B-); the half-plane terms at the near extents lo
     cancel, which leaves 2 (hp(hi_i) + hp(hi_j)) less the fold of the
     corner integrals.  Every corner sits at an integer pair in [1, n-2]^2,
-    so corner_integral runs once per pair 1 <= p <= q <= n-2 into one
-    symmetric table.
+    so corner_integral runs once per pair 1 <= p <= q <= n-2, in row
+    blocks of p, into one symmetric table.
     """
-    p, q = np.triu_indices(n - 2)
-    p, q = p + 1, q + 1
     table = np.zeros((n - 1, n - 1))
-    table[p, q] = table[q, p] = corner_integral(p.astype(float), q.astype(float), s)
+    for rows in _row_blocks(n - 2, n - 2):
+        p0, p1 = rows.start + 1, rows.stop + 1
+        vals = corner_integral(np.arange(p0, p1, dtype=float)[:, None],
+                               np.arange(p0, n - 1, dtype=float), s)
+        table[p0:p1, p0:] = vals
+        table[p0:, p0:p1] = vals.T
     lo, hi = (e[1:-1] for e in _extents(n))
     hp = halfplane_integral(hi.astype(float), s)
-    return np.pad(2.0 * (hp[:, None] + hp[None, :]) - _fold(table, lo, hi), 1)
+    out = np.zeros((n, n))
+    inner = out[1:-1, 1:-1]
+    np.add(hp[:, None], hp[None, :], out=inner)
+    inner *= 2.0
+    for rows, part in _fold(table, lo, hi):
+        inner[rows] -= part
+    return out
 
 
 def sweep_2d(n, s):
     """Kernel of the 2D operator on an n x n grid of unit spacing.
 
-    far(kappa) = W(kappa) / |kappa|^2 with W the far weight field, on the
-    first quadrant, reflected once into the offset window, so that
-    far(kappa) = far(-kappa) holds by construction.  The far part of the
-    diagonal at node x sums, over the far cells in B+ union B-, each
-    cell's corner weights over |corner|^2: the fold of a first-quadrant
-    summed-area table of those per-cell totals.
+    far(kappa) = W(kappa) / |kappa|^2 with W the far weight field, formed
+    on the first quadrant of the offset window and reflected from there,
+    so that far(kappa) = far(-kappa) holds by construction.  The far part
+    of the diagonal at node x sums, over the far cells in B+ union B-,
+    each cell's corner weights over |corner|^2: the fold of a
+    first-quadrant summed-area table of those per-cell totals, built in
+    place.  Besides the window and the diagonal, no temporary is larger
+    than the quadrant.
     """
+    cw = cell_corner_weights(n, s)  # built, on a cold cache, before the window is allocated
     k = np.arange(n, dtype=float) ** 2
     d2 = k[:, None] + k[None, :]
     d2[0, 0] = 1.0
-    far = np.pad(far_weight_field(n, s) / d2, ((n - 1, 0), (n - 1, 0)), mode="reflect")
-    cw = cell_corner_weights(n, s)
-    per_cell = sum(cw[da, db] / d2[da: da + n - 1, db: db + n - 1]
-                   for da in (0, 1) for db in (0, 1))
+    far = np.empty((2 * n - 1, 2 * n - 1))
+    quadrant = far_weight_field(n, s, out=far[n - 1:, n - 1:])
+    quadrant /= d2
+    far[:n - 1, n - 1:] = far[:n - 1:-1, n - 1:]
+    far[:, :n - 1] = far[:, :n - 1:-1]
     sat = np.zeros((n, n))
-    sat[1:, 1:] = per_cell.cumsum(axis=0).cumsum(axis=1)
-    diag = _fold(sat, *_extents(n)) + tail_integral_2d(n, s)
+    per_cell, part = sat[1:, 1:], np.empty((n - 1, n - 1))
+    np.divide(cw[0, 0], d2[:-1, :-1], out=per_cell)
+    for da, db in ((0, 1), (1, 0), (1, 1)):
+        np.divide(cw[da, db], d2[da: da + n - 1, db: db + n - 1], out=part)
+        per_cell += part
+    del d2, part  # freed before the tail builds its tables
+    np.cumsum(per_cell, axis=0, out=per_cell)
+    np.cumsum(per_cell, axis=1, out=per_cell)
+    diag = np.empty((n, n))
+    for rows, part in _fold(sat, *_extents(n)):
+        diag[rows] = part
+    del sat, per_cell
+    diag += tail_integral_2d(n, s)
     return Kernel(far, 0.5 * near_square_moment(s), diag)

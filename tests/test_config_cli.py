@@ -236,6 +236,31 @@ def test_import_path_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_2d_kernel_build_runs_no_linear_algebra():
+    # the Gauss rules come from a Newton iteration: a cold 2D kernel build and the symbol
+    # oracle call no numpy.linalg routine and never import numpy.polynomial, whose leggauss
+    # takes the eigenvalues of a companion matrix
+    probe = "\n".join([
+        "import sys",
+        "import numpy.linalg as la",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('numpy.linalg ran')",
+        "for name in la.__all__:",
+        "    if not isinstance(getattr(la, name), type):",
+        "        setattr(la, name, refuse)",
+        "import fraclab",
+        "from fraclab.experiments import _symbol_oracle",
+        "from fraclab.operator import toeplitz_operator",
+        "toeplitz_operator(2, 33, 0.5)",
+        "_symbol_oracle(1.0, 1.5, 0.5, 1.0, (7.0, 16.0, 5), 0.1)",
+        "print(sorted(k for k in sys.modules if k.split('.')[:2] == ['numpy', 'polynomial']))",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_runtime_dependency_is_numpy_alone():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     for path in sorted(SRC_DIR.glob("*.py")):

@@ -18,6 +18,8 @@ from fraclab.quadrature import cell_corner_weights, rect_complement_integral, ta
 from fraclab.reference import naive_apply_omega
 from fraclab.regions import Ball
 
+from conftest import traced_peak
+
 
 def _grid2d(n=33, radius=1.0):
     return build_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), n, Ball((0.0, 0.0), radius))
@@ -156,6 +158,43 @@ def test_2d_kernel_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("g", [4, 6, 8, 12, 16, 20, 64])
+def test_newton_gauss_rule(g):
+    # every order the quadrature uses: exact on x^d up to d = 2g - 1, symmetric bit for bit,
+    # within rounding of numpy's eigenvalue rule, and shared read-only through the cache
+    x, w = quadrature._leggauss(g)
+    for d in range(2 * g):
+        assert abs(w @ x ** d - (1 + (-1) ** d) / (d + 1)) <= 1e-15, d
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.abs(x - leggauss(g)[0]).max() <= 2e-16
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n", [17, 65, 129, 513])
+def test_kernel_in_row_blocks_equals_one_block(n, monkeypatch):
+    # the tail table, the folds and the summed-area table are elementwise or per-axis cumsums,
+    # so row blocks of any height give the one-block kernel bit for bit
+    s = 0.75
+    builds = []
+    for cells in (quadrature._BLOCK_CELLS, 1, 1 << 40):  # default, one row per block, one block
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", cells)
+        builds.append(toeplitz_operator.__wrapped__(2, n, s))
+    for op in builds[:2]:
+        assert np.array_equal(op.t, builds[2].t) and np.array_equal(op.d, builds[2].d)
+        assert op.near == builds[2].near
+
+
+def test_2d_tail_and_sweep_peaks_in_row_blocks():
+    # at n = 513 one pass peaked at 15.7 MB (tail) and 32.5 MB (sweep) for 2.1 MB and
+    # 8.4 + 2.1 MB kept; the corner table is cached before, as a refinement ladder has it
+    n, s = 513, 0.75
+    cell_corner_weights(n, s)
+    _, tail_peak = traced_peak(tail_integral_2d, n, s)
+    _, sweep_peak = traced_peak(quadrature.sweep_2d, n, s)
+    assert tail_peak <= 6e6
+    assert sweep_peak <= 24e6
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])

@@ -653,6 +653,21 @@ def test_first_eigenvalue_at_half_extrapolates_to_the_interval_value():
     assert abs(2.0 * lam[2049] - lam[1025] - 1.1577738836977) <= 1e-5
 
 
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_eigenvalue_gaps_to_kwasnicki_asymptotics_fall_with_n(s):
+    # lambda_k ~ (k pi / 2 - (2 - 2s) pi / 8)^(2s) on (-1, 1) (Kwasnicki 2012); gaps at k = 5, 10
+    # over n = 513, 1025, 2049: 1.27e-3 / 1.55e-3 to 1.54e-4 / 4.17e-4 at s = 0.25,
+    # 1.62e-3 / 1.42e-3 to 3.84e-4 / 4.29e-4 at s = 0.75
+    gaps = []
+    for n in (513, 1025, 2049):
+        lam = _sorted_eigenvalues(n, s)
+        mu = [(k * math.pi / 2 - (2 - 2 * s) * math.pi / 8) ** (2 * s) for k in (5, 10)]
+        gaps.append([abs(lam[k - 1] - m) / m for k, m in zip((5, 10), mu)])
+    gaps = np.array(gaps)
+    assert np.all(gaps[1:] < gaps[:-1])
+    assert gaps[-1].max() < 6e-4
+
+
 def test_eigenvalues_at_half_approach_kwasnicki_asymptotics():
     # lambda_k = k pi / 2 - pi / 8 + O(1 / k) on (-1, 1) (Kwasnicki 2012); relative gaps at
     # n = 2049 are 3.9e-4 at k = 5 and 5.6e-4 at k = 10
