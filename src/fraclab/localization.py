@@ -31,30 +31,6 @@ def _eta_pad_values(eta):
     return float(edge[0])
 
 
-def _operands(u, eta, params):
-    """The kernel of (u.grid, params.s), u's values and e = eta - its pad value, checked."""
-    if not isinstance(u, GridFunction) or not isinstance(eta, GridFunction):
-        raise TypeError("u and eta must be GridFunctions")
-    if not u.dirichlet:
-        raise ValueError("u must be exterior-zero (Dirichlet-extended)")
-    if u.grid is not eta.grid:
-        raise ValueError("u and eta must share one grid")
-    grid = u.grid
-    return toeplitz_operator(grid.ndim, grid.n, params.s), u.values, eta.values - _eta_pad_values(eta)
-
-
-def _remainder(op, uv, ev, tu, te, tue):
-    """remainder_Is at unit spacing, from the convolutions t * u, t * e and t * (u e)."""
-    out = uv * ev * op.d - uv * te - ev * tu + tue
-    # near field: one-sided products to central ones, -(w/2) D2u D2e per axis
-    up, ep = np.pad(uv, 1), np.pad(ev, 1)
-    for axis in range(uv.ndim):
-        fwd = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(uv.ndim))
-        bwd = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(uv.ndim))
-        out -= 0.5 * op.near * (up[fwd] - 2 * uv + up[bwd]) * (ep[fwd] - 2 * ev + ep[bwd])
-    return out
-
-
 def remainder_Is(u, eta, params):
     """Remainder of the cut-off product rule.
 
@@ -69,32 +45,34 @@ def remainder_Is(u, eta, params):
     -(w/2) D2u D2e per axis, with D2 the second difference, turns that
     into the central rule (w/2) (u(x+e) - u(x-e)) (e(x+e) - e(x-e)).
     """
-    op, uv, ev = _operands(u, eta, params)
-    out = _remainder(op, uv, ev, convolve(op, uv), convolve(op, ev), convolve(op, uv * ev))
-    return GridFunction(u.grid, params.scale(u.grid.h) * out)
+    if not isinstance(u, GridFunction) or not isinstance(eta, GridFunction):
+        raise TypeError("u and eta must be GridFunctions")
+    if not u.dirichlet:
+        raise ValueError("u must be exterior-zero (Dirichlet-extended)")
+    if u.grid is not eta.grid:
+        raise ValueError("u and eta must share one grid")
+    grid = u.grid
+    uv = u.values
+    ev = eta.values - _eta_pad_values(eta)
+    op = toeplitz_operator(grid.ndim, grid.n, params.s)
+    out = (uv * ev * op.d - uv * convolve(op, ev) - ev * convolve(op, uv)
+           + convolve(op, uv * ev))
+    # near field: one-sided products to central ones, -(w/2) D2u D2e per axis
+    up, ep = np.pad(uv, 1), np.pad(ev, 1)
+    for axis in range(grid.ndim):
+        fwd = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(grid.ndim))
+        bwd = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(grid.ndim))
+        out -= 0.5 * op.near * (up[fwd] - 2 * uv + up[bwd]) * (ep[fwd] - 2 * ev + ep[bwd])
+    return GridFunction(grid, params.scale(grid.h) * out)
 
 
 def product_rule_residual(u, eta, params):
-    """Max nodewise residual of the four-term cut-off identity.
-
-    (-Delta)^s (u eta) - eta (-Delta)^s u - u (-Delta)^s eta + I_s(u, eta),
-    with each operator term formed as apply_fractional_laplacian forms it,
-    so eta must be exterior-zero too.  Then e = eta in remainder_Is, and
-    the six convolutions of the four terms are three, with u, eta and
-    u eta, each formed once.
-    """
-    op, uv, ev = _operands(u, eta, params)
-    if not eta.dirichlet:
-        raise ValueError("eta must be exterior-zero (Dirichlet-extended)")
-    if params.ndim != u.grid.ndim:
-        raise ValueError("params dimension does not match the grid")
-    ue = uv * ev
-    tu, te, tue = convolve(op, uv), convolve(op, ev), convolve(op, ue)
-    scale = params.scale(u.grid.h)
-    lhs = scale * (op.d * ue - tue)
-    rhs = (ev * (scale * (op.d * uv - tu)) + uv * (scale * (op.d * ev - te))
-           - scale * _remainder(op, uv, ev, tu, te, tue))
-    return float(np.abs(lhs - rhs).max())
+    """Max nodewise residual of the four-term cut-off identity."""
+    lhs = apply_fractional_laplacian(u * eta, params)
+    rhs = (eta.values * apply_fractional_laplacian(u, params).values
+           + u.values * apply_fractional_laplacian(eta, params).values
+           - remainder_Is(u, eta, params).values)
+    return float(np.abs(lhs.values - rhs).max())
 
 
 def _cutoff_remainder(u, eta, params):

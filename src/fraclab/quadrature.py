@@ -315,24 +315,24 @@ def cell_corner_weights(n, s):
     return cw
 
 
-def far_weight_field(n, s, out=None):
+def far_weight_field(n, s, out):
     """Corner weights of every far cell summed per lattice offset (a, b) >= 0, shape (n, n).
 
     Index (a, b) holds the weight of offset (a, b) when all four cells
     around it take part in the sum, as they do for every node at least one
     cell inside the box.  The two cells across an axis are the reflections
     of the two on it and carry the same weights, so the axis row and
-    column are doubled.  Written into `out` when given, which is returned.
+    column are doubled.  Written into the (n, n) array `out`, which is
+    returned.
     """
     cw = cell_corner_weights(n, s)
-    W = np.empty((n, n)) if out is None else out
-    W.fill(0.0)
+    out.fill(0.0)
     for da in (0, 1):
         for db in (0, 1):
-            W[da: da + n - 1, db: db + n - 1] += cw[da, db]
-    W[0] *= 2.0
-    W[:, 0] *= 2.0
-    return W
+            out[da: da + n - 1, db: db + n - 1] += cw[da, db]
+    out[0] *= 2.0
+    out[:, 0] *= 2.0
+    return out
 
 
 def _row_blocks(rows, width):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fraclab import operator
 from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import FracLabError, LengthMismatchError, LocalizationError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
@@ -72,37 +71,10 @@ def test_product_rule_residual_decays(s):
     assert residuals[0] / residuals[1] >= 2.0
 
 
-def _four_term_residual(u, eta, params):
-    """The identity's residual from the public operator and remainder: six convolutions."""
-    lhs = apply_fractional_laplacian(u * eta, params)
-    rhs = (eta.values * apply_fractional_laplacian(u, params).values
-           + u.values * apply_fractional_laplacian(eta, params).values
-           - remainder_Is(u, eta, params).values)
-    return float(np.abs(lhs.values - rhs).max())
-
-
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("ndim, n", [(1, 65), (1, 129), (1, 257), (2, 17), (2, 25), (2, 33), (2, 49)])
-def test_product_rule_residual_forms_each_convolution_once(ndim, n, s, monkeypatch):
-    # the product-rule recipe's bump and cut-off (localize-2d's in 2D)
-    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, Ball((0.0,) * ndim, 1.0))
-    u = build_cutoff(grid, CutoffSpec(Ball((0.0,) * ndim, 0.25), Ball((0.0,) * ndim, 0.75), order=5))
-    eta = build_cutoff(grid, CutoffSpec(Ball((0.0,) * ndim, 0.45), Ball((0.0,) * ndim, 0.9), order=3))
-    params = FractionalParams(ndim, s)
-    want = _four_term_residual(u, eta, params)
-    calls = []
-    circulant = operator._circulant
-    monkeypatch.setattr(operator, "_circulant", lambda *args: calls.append(1) or circulant(*args))
-    assert product_rule_residual(u, eta, params) == want
-    assert len(calls) == 3
-
-
 def test_product_rule_residual_rejects_eta_with_edge_value(grid65, bump65, params_half):
     # eta = 0.7 on the box edge is no exterior-zero function: the operator term of eta is
-    # undefined, as for the six-convolution form
+    # undefined
     const = GridFunction(grid65, np.full(grid65.shape, 0.7))
-    with pytest.raises(ValueError):
-        _four_term_residual(bump65, const, params_half)
     with pytest.raises(ValueError):
         product_rule_residual(bump65, const, params_half)
 
