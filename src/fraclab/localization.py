@@ -1,9 +1,9 @@
 """Cut-off localization: the remainder term, product rule, and g-bound monitor.
 
-The remainder reads the operator's kernel but uses its own near-field
-rule (a product of central first differences), so the discrete
-product-rule identity closes at quadrature order instead of collapsing
-to an algebraic identity.
+The remainder I_s(u, eta) = e L(u) + u L(e) - L(u e), e = eta - c, is the
+bilinear defect of the operator's image L (operator._image) plus its own
+central near-field rule, so the discrete product-rule identity closes at
+quadrature order instead of collapsing to an algebraic identity.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import numpy as np
 from .errors import LocalizationError
 from .elliptic import _rhs_on_omega
 from .gridfn import GridFunction, build_cutoff, extend_by_zero
-from .operator import apply_fractional_laplacian, convolve, toeplitz_operator
+from .operator import _image, _kernel_for, apply_fractional_laplacian, convolve
 from .spaces import gagliardo_seminorm, lp_norm
 
 
 def _eta_pad_values(eta):
-    """Continuation of eta beyond the box: the one value eta takes on the
-    whole box edge (zero when exterior-zero), so that a globally constant
-    eta is exact."""
+    """Continuation of eta beyond the box: the one value eta takes on the whole
+    box edge (zero when exterior-zero), so that a globally constant eta is exact."""
     edge = np.ones(eta.values.shape, dtype=bool)
     edge[(slice(1, -1),) * edge.ndim] = False
     edge = eta.values[edge]
@@ -36,27 +35,23 @@ def remainder_Is(u, eta, params):
 
     Pointwise integral of (u(x)-u(y)) (eta(x)-eta(y)) against the kernel,
     with the operator's quadrature split: first-difference near field,
-    cell-exact weighted far field, closed-form tail.  It reads the
-    operator's kernel t and diagonal d, built once per (ndim, n, s) at
-    unit spacing, scaled by h^(-2s).  With e = eta - c, which vanishes on
-    the box edge and beyond, u e d - u (t * e) - e (t * u) + t * (u e)
-    gives the far field and tail plus the near part
-    w sum_{+-e} (u(x+-e) - u)(e(x+-e) - e) of the near weight w.  Adding
-    -(w/2) D2u D2e per axis, with D2 the second difference, turns that
-    into the central rule (w/2) (u(x+e) - u(x-e)) (e(x+e) - e(x-e)).
+    cell-exact weighted far field, closed-form tail.  With e = eta - c,
+    which vanishes on the box edge and beyond, and L(v) = d v - t * v the
+    operator's image at unit spacing, e L(u) + u L(e) - L(u e) gives the
+    far field and tail plus the near part w sum_{+-e} (u(x+-e) - u)(e(x+-e) - e)
+    of the near weight w.  Adding -(w/2) D2u D2e per axis, with D2 the second
+    difference, turns that into the central rule (w/2) (u(x+e) - u(x-e)) (e(x+e) - e(x-e)).
+    u is checked as apply_fractional_laplacian checks it; eta must share its grid.
     """
-    if not isinstance(u, GridFunction) or not isinstance(eta, GridFunction):
-        raise TypeError("u and eta must be GridFunctions")
-    if not u.dirichlet:
-        raise ValueError("u must be exterior-zero (Dirichlet-extended)")
+    op = _kernel_for(u, params)
+    if not isinstance(eta, GridFunction):
+        raise TypeError("eta must be a GridFunction")
     if u.grid is not eta.grid:
         raise ValueError("u and eta must share one grid")
-    grid = u.grid
-    uv = u.values
+    grid, uv = u.grid, u.values
     ev = eta.values - _eta_pad_values(eta)
-    op = toeplitz_operator(grid.ndim, grid.n, params.s)
-    out = (uv * ev * op.d - uv * convolve(op, ev) - ev * convolve(op, uv)
-           + convolve(op, uv * ev))
+    l_u, l_e, l_ue = (_image(op.d, v, convolve(op, v)) for v in (uv, ev, uv * ev))
+    out = ev * l_u + uv * l_e - l_ue
     # near field: one-sided products to central ones, -(w/2) D2u D2e per axis
     up, ep = np.pad(uv, 1), np.pad(ev, 1)
     for axis in range(grid.ndim):
@@ -66,19 +61,17 @@ def remainder_Is(u, eta, params):
     return GridFunction(grid, params.scale(grid.h) * out)
 
 
+def _product_rule_gap(lhs, u, eta, a_u, a_eta, i_s):
+    """max |A(u eta) - (eta A u + u A eta - I_s)| over the box, from the four images."""
+    return float(np.abs(lhs - (eta * a_u + u * a_eta - i_s)).max())
+
+
 def product_rule_residual(u, eta, params):
     """Max nodewise residual of the four-term cut-off identity."""
     lhs = apply_fractional_laplacian(u * eta, params)
-    rhs = (eta.values * apply_fractional_laplacian(u, params).values
-           + u.values * apply_fractional_laplacian(eta, params).values
-           - remainder_Is(u, eta, params).values)
-    return float(np.abs(lhs.values - rhs).max())
-
-
-def _cutoff_remainder(u, eta, params):
-    """g = u (-Delta)^s eta - I_s(u, eta) on the box."""
-    return (u.values * apply_fractional_laplacian(eta, params).values
-            - remainder_Is(u, eta, params).values)
+    return _product_rule_gap(
+        lhs.values, u.values, eta.values, apply_fractional_laplacian(u, params).values,
+        apply_fractional_laplacian(eta, params).values, remainder_Is(u, eta, params).values)
 
 
 def localized_rhs(u, eta, f, params, verify=True, residual_bound=None):
@@ -87,20 +80,22 @@ def localized_rhs(u, eta, f, params, verify=True, residual_bound=None):
     F = eta f + u (-Delta)^s eta - I_s(u, eta), with f read on Omega as
     solve_dirichlet reads its source (LengthMismatchError unless one value
     per Omega node, FracLabError for inf or nan) and zero outside it.
-    With verify=True the defining identity is checked:
-    ||(-Delta)^s(u eta) - F||_inf must stay within the product-rule
-    residual bound plus the solve residual of u.
+    With verify=True, ||(-Delta)^s(u eta) - F||_inf, from images formed
+    once each, must stay within the product-rule residual bound
+    (product_rule_residual's by default) plus the solve residual of u.
     """
     grid = u.grid
     f_full = extend_by_zero(_rhs_on_omega(f, grid), grid).values
-    F = eta.values * f_full + _cutoff_remainder(u, eta, params)
+    a_eta = apply_fractional_laplacian(eta, params).values
+    i_s = remainder_Is(u, eta, params).values
+    F = eta.values * f_full + (u.values * a_eta - i_s)
     if verify:
-        if residual_bound is None:
-            residual_bound = product_rule_residual(u, eta, params)
         lhs = apply_fractional_laplacian(u * eta, params).values
+        a_u = apply_fractional_laplacian(u, params).values
+        if residual_bound is None:
+            residual_bound = _product_rule_gap(lhs, u.values, eta.values, a_u, a_eta, i_s)
         gap = float(np.abs(lhs - F)[grid.mask].max())
-        solve_gap = float(np.abs(
-            apply_fractional_laplacian(u, params).values - f_full)[grid.mask & (eta.values > 0)].max(initial=0.0))
+        solve_gap = float(np.abs(a_u - f_full)[grid.mask & (eta.values > 0)].max(initial=0.0))
         if gap > residual_bound + solve_gap + 1e-9:
             raise LocalizationError(
                 f"localized source inconsistent: gap {gap:.3e} exceeds "
@@ -136,7 +131,8 @@ def g_bound_monitor(u, eta_spec, params, p):
     if omega2 is None:
         raise ValueError("the g-bound monitor needs a cut-off with omega2")
     eta = build_cutoff(grid, eta_spec)
-    g_norm = lp_norm(GridFunction(grid, _cutoff_remainder(u, eta, params)), p)
+    a_eta = apply_fractional_laplacian(eta, params).values
+    g_norm = lp_norm(GridFunction(grid, u.values * a_eta - remainder_Is(u, eta, params).values), p)
     semi = gagliardo_seminorm(u, params.s, p, omega2)
     lp_o2 = lp_norm(u, p, omega2)
     sobolev = (lp_o2 ** p + semi ** p) ** (1.0 / p)

@@ -10,43 +10,35 @@ unit spacing, scaled by h^(-2s) (FractionalParams.scale).  Every FFT
 product with t takes its transform from kernel_transform: for a box of
 extent b per axis, t cut to the offsets |k| <= b - 1 and transformed at
 next_fast_len(2b - 1), built on first use per extent and kept with the
-kernel.  apply_fractional_laplacian evaluates the operator at every box
-node with one such convolution on the grid box.  assemble_operator_matrix
-returns the operator restricted to Omega (OperatorMatrix): every product
-with it is apply(), the same convolution on Omega's bounding box, and
-solve() runs conjugate gradients on apply() with the circulant of that
-box's transform as preconditioner, so it never builds the grid-box
-transform.  Its entries are gathered from d and t onto Omega pairs by
-one private gather, read by `spectrum`, the one symmetric
+kernel.  Every image, on the box or on Omega, is C h^(-2s) times
+_image, d v - t * v given the convolution t * v.
+apply_fractional_laplacian evaluates it at every box node with one
+convolution on the grid box, after the operand checks of _kernel_for,
+which remainder_Is shares.  assemble_operator_matrix returns the
+operator restricted to Omega (OperatorMatrix): every product with it is
+apply(), the same convolution on Omega's bounding box, and solve() runs
+conjugate gradients on apply() with the circulant of that box's
+transform as preconditioner, so it never builds the grid-box transform.
+Its entries are gathered from d and t onto Omega pairs by one private
+gather, read by `matrix`, the dense m x m matrix that only the dense
+cross-checks read, and by `spectrum`, the one symmetric
 eigendecomposition of A that the time steppers use for every step size,
-and by `matrix`, the dense m x m matrix that only the dense cross-checks
-read.  `spectrum` gathers its parity blocks straight from the kernel and
-never the dense matrix, and it keeps the eigenbasis in those blocks
-(Eigenbasis): Q is never formed, and Q^T and Q are applied block by
-block.  A spectrum is computed once per (kernel, Omega mask, h) in a
-process and kept with the kernel, as transforms are, so a second
-operator on an equal grid with equal s reads it without a gather; at
-worst that keeps lam and the blocks' eigenvectors, about m^2 / |G|
-floats for a reflection group G, per key for as long as the
-toeplitz_operator entry lives.  Since t(kappa) = t(-kappa) exactly,
-the restricted matrix is exactly symmetric with the M-matrix sign
-pattern: positive diagonal, nonpositive off-diagonal, and a strictly
-positive action on the all-ones vector.  That structure carries the
-discrete maximum principle used by the solvers and semigroup tests.
+kept with the kernel per (Omega mask, h), as transforms are, for as long
+as the toeplitz_operator entry lives.  Since t(kappa) = t(-kappa)
+exactly, the restricted matrix is exactly symmetric with the M-matrix
+sign pattern: positive diagonal, nonpositive off-diagonal, and a
+strictly positive action on the all-ones vector.  That structure
+carries the discrete maximum principle used by the solvers and
+semigroup tests.
 
-`spectrum` uses Omega's mirror symmetry.  A reflection of the grid box
+`spectrum` uses Omega's mirror symmetry: a reflection of the grid box
 about its centre along an axis whose mask, d and t equal their flips bit
-for bit commutes with A.  A centred interval has one such axis, a
-centred disc or box has both (four products of reflections), a 2D box
-centred in x alone has one.  In the basis of signed sums over each
-node's orbit under these reflections A is block diagonal, with one block
-per character of the group G they generate, and each block, of about
-m/|G| rows, takes its own eigh.  An Omega with no mirror axis, such as an
-off-centre interval, has G trivial: one block, the whole matrix, and one
-eigh of it.  A product with Q^T folds the |G| reflection images of each
-row onto the orbits with Walsh-Hadamard butterflies, then takes one GEMM
-per block, and a product with Q runs the same steps backwards, so each
-costs the sum of the blocks' squared sizes, about m^2 / |G|, per row.
+for bit commutes with A (a centred interval has one such axis, a
+centred disc both, an off-centre interval none).  A is block diagonal in
+the signed orbit sums under the group G these reflections generate, one
+block of about m/|G| rows per character, and each block takes its own
+eigh (_parity_eigh).  The basis stays in those blocks (Eigenbasis): Q is
+never formed, and a product with Q or Q^T costs about m^2 / |G| per row.
 
 The FFTs are numpy.fft's real transforms, on one thread, at 5-smooth
 lengths (next_fast_len).
@@ -172,6 +164,23 @@ def convolve(op, values):
     return _circulant(values, *kernel_transform(op, values.shape))
 
 
+def _image(d, values, conv):
+    """d values - conv: the operator at unit spacing on values, given conv = t * values."""
+    return d * values - conv
+
+
+def _kernel_for(u, params):
+    """The toeplitz_operator entry for an operand u: an exterior-zero GridFunction whose
+    grid has params' dimension (TypeError, ValueError otherwise)."""
+    if not isinstance(u, GridFunction):
+        raise TypeError("u must be a GridFunction")
+    if not u.dirichlet:
+        raise ValueError("u must be exterior-zero (Dirichlet-extended)")
+    if params.ndim != u.grid.ndim:
+        raise ValueError("params dimension does not match the grid")
+    return toeplitz_operator(u.grid.ndim, u.grid.n, params.s)
+
+
 def apply_fractional_laplacian(u, params):
     """Evaluate the operator at every grid node of an exterior-zero function.
 
@@ -181,15 +190,8 @@ def apply_fractional_laplacian(u, params):
     the part beyond the box is evaluated in closed form against the zero
     extension.
     """
-    if not isinstance(u, GridFunction):
-        raise TypeError("u must be a GridFunction")
-    if not u.dirichlet:
-        raise ValueError("u must be exterior-zero (Dirichlet-extended)")
-    if params.ndim != u.grid.ndim:
-        raise ValueError("params dimension does not match the grid")
-    grid = u.grid
-    op = toeplitz_operator(grid.ndim, grid.n, params.s)
-    return GridFunction(grid, params.scale(grid.h) * (op.d * u.values - convolve(op, u.values)))
+    op, grid = _kernel_for(u, params), u.grid
+    return GridFunction(grid, params.scale(grid.h) * _image(op.d, u.values, convolve(op, u.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +290,7 @@ class OperatorMatrix:
         """A vec for an Omega vector, by one windowed FFT convolution; no dense matrix is read."""
         win = self.window
         C = self.params.scale(self.grid.h)
-        return C * (win.d * vec - self._circulant(vec, win.t_hat))
+        return C * _image(win.d, vec, self._circulant(vec, win.t_hat))
 
     @cached_property
     def spectrum(self):

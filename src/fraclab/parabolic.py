@@ -143,8 +143,8 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
     """Record the theta scheme from a zero (or supplied) u0; a callable f is read once per t_k."""
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    if nt < 2:
-        raise ValueError(f"need nt >= 2 steps, got {nt}")
+    if not isinstance(nt, (int, np.integer)) or nt < 2:
+        raise ValueError(f"need an integer nt >= 2 steps, got {nt}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"end time T must be finite and positive, got {T}")
     matrix = _operator(matrix, params, grid)
@@ -267,8 +267,8 @@ def semigroup_apply(phi, t, nt, params, grid, matrix=None):
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    if t > 0 and nt < 1:
-        raise ValueError(f"need nt >= 1 steps for t > 0, got {nt}")
+    if not isinstance(nt, (int, np.integer)) or (t > 0 and nt < 1):
+        raise ValueError(f"need an integer nt, and nt >= 1 steps for t > 0, got {nt}")
     matrix = _operator(matrix, params, grid)
     batched = isinstance(phi, list)
     batch = phi if batched else [phi]

@@ -150,6 +150,8 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         raise ValueError("sweep exponents must lie in (0, 2)")
     margin = nesting_margin(inner, base_grid.omega)
     mode = "cutoff" if margin > 0 else "region"
+    # the cut-off's outer region is grid-free: a union too tight to expand fails before any solve
+    outer = inner.expand(margin / 2.0) if mode == "cutoff" else None
     problem = estimator_problem(method, p, sweep, mode == "region")
     if problem:
         raise ValueError(problem[1])
@@ -164,10 +166,7 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         u = resolve(grid)
         if u.grid is not grid:
             raise ValueError("resolve must return a solution on the given grid")
-        eta = None
-        if mode == "cutoff":
-            outer = inner.expand(margin / 2.0)
-            eta = build_cutoff(grid, CutoffSpec(inner, outer))
+        eta = build_cutoff(grid, CutoffSpec(inner, outer)) if outer is not None else None
         level = _level_seminorms(u, sweep, p, method, mode, inner, eta)
         # all zero: the region holds no grid node, or u vanishes on it (outside Omega)
         if not level.any():

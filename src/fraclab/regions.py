@@ -146,6 +146,9 @@ class DisjointUnion:
             for a in range(self.dim)
         )
 
+    def expand(self, margin):
+        return DisjointUnion(tuple(m.expand(margin) for m in self.members))
+
     def describe(self):
         return {"kind": "union", "members": [m.describe() for m in self.members]}
 

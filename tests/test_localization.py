@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab.elliptic import solve_dirichlet
+from fraclab import localization
 from fraclab.errors import FracLabError, LengthMismatchError, LocalizationError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.localization import (
@@ -10,7 +11,12 @@ from fraclab.localization import (
     product_rule_residual,
     remainder_Is,
 )
-from fraclab.operator import FractionalParams, apply_fractional_laplacian
+from fraclab.operator import (
+    FractionalParams,
+    apply_fractional_laplacian,
+    convolve,
+    toeplitz_operator,
+)
 from fraclab.regions import Ball
 
 from conftest import random_dirichlet
@@ -181,3 +187,58 @@ def test_remainder_far_field_decay_regression():
         vals = remainder_Is(u, eta, FractionalParams(1, s)).values
         weighted = np.abs(vals[far]) * np.abs(x[far]) ** (1 + 2 * s)
         assert weighted.max() <= cap
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_operator_and_remainder_reject_params_of_the_other_dimension(ndim):
+    z = (0.0,) * ndim
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, 17, Ball(z, 1.0))
+    u = build_cutoff(grid, CutoffSpec(Ball(z, 0.25), Ball(z, 0.75)))
+    eta = build_cutoff(grid, CutoffSpec(Ball(z, 0.45), Ball(z, 0.9)))
+    other = FractionalParams(3 - ndim, 0.5)
+    with pytest.raises(ValueError, match="dimension"):
+        apply_fractional_laplacian(u, other)
+    with pytest.raises(ValueError, match="dimension"):
+        remainder_Is(u, eta, other)
+
+
+def test_localized_rhs_forms_each_image_once(monkeypatch, params_half):
+    grid = build_grid(1, ((-2.0, 2.0),), 129, Ball((0.0,), 1.0))
+    f = np.ones(grid.n_omega)
+    u = solve_dirichlet(f, params_half, grid)
+    eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.8), order=3))
+    calls = []
+
+    def counted(name):
+        inner = getattr(localization, name)
+        return lambda *args: calls.append(name) or inner(*args)
+
+    for name in ("apply_fractional_laplacian", "remainder_Is"):
+        monkeypatch.setattr(localization, name, counted(name))
+    localized_rhs(u, eta, f, params_half, verify=True)
+    assert sorted(calls) == ["apply_fractional_laplacian"] * 3 + ["remainder_Is"]
+
+
+@pytest.mark.parametrize("ndim, n", [(1, 65), (1, 129), (1, 257),
+                                     (2, 17), (2, 25), (2, 33), (2, 49)])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_remainder_matches_the_expanded_formula(ndim, n, s):
+    # the bilinear defect e L(u) + u L(e) - L(u e) against its expansion
+    # u e d - u (t * e) - e (t * u) + t * (u e), with the same near-field correction
+    z = (0.0,) * ndim
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, Ball(z, 1.0))
+    params = FractionalParams(ndim, s)
+    u = build_cutoff(grid, CutoffSpec(Ball(z, 0.25), Ball(z, 0.75), order=5))
+    eta = build_cutoff(grid, CutoffSpec(Ball(z, 0.45), Ball(z, 0.9), order=3))
+    op = toeplitz_operator(ndim, n, s)
+    uv, ev = u.values, eta.values
+    old = (uv * ev * op.d - uv * convolve(op, ev) - ev * convolve(op, uv)
+           + convolve(op, uv * ev))
+    up, ep = np.pad(uv, 1), np.pad(ev, 1)
+    for axis in range(ndim):
+        fwd = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(ndim))
+        bwd = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(ndim))
+        old -= 0.5 * op.near * (up[fwd] - 2 * uv + up[bwd]) * (ep[fwd] - 2 * ev + ep[bwd])
+    old *= params.scale(grid.h)
+    new = remainder_Is(u, eta, params).values
+    assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()

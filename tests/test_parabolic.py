@@ -535,6 +535,30 @@ def test_semigroup_rejects_bad_steps_and_lengths(setup):
             semigroup_apply(bad, 0.5, 4, params, grid, matrix=matrix)
 
 
+@pytest.mark.parametrize("nt", [2.5, 4.0, "4"])
+def test_step_counts_must_be_integers(nt):
+    grid = build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    matrix = assemble_operator_matrix(grid, params)
+    phi = np.ones(grid.n_omega)
+    with pytest.raises(ValueError, match="integer nt"):
+        solve_parabolic(phi, 1.0, nt, 1.0, params, grid, matrix=matrix)
+    with pytest.raises(ValueError, match="integer nt"):
+        semigroup_apply(phi, 1.0, nt, params, grid, matrix=matrix)
+    assert "spectrum" not in vars(matrix)  # rejected before the spectrum is read
+
+
+def test_numpy_step_counts_are_accepted(setup):
+    grid, params, matrix = setup
+    phi = np.ones(grid.n_omega)
+    finals = [solve_parabolic(phi, 1.0, nt, 1.0, params, grid, matrix=matrix).final().values
+              for nt in (np.int64(4), 4)]
+    assert np.array_equal(*finals)
+    images = [semigroup_apply(phi, 1.0, nt, params, grid, matrix=matrix).values
+              for nt in (np.int32(3), 3)]
+    assert np.array_equal(*images)
+
+
 def test_semigroup_non_spd_operator_raises(setup):
     grid, params, _ = setup
     tau = 0.25

@@ -16,7 +16,7 @@ from fraclab.probe import (
     estimator_problem,
     growth_rate,
 )
-from fraclab.regions import Ball, Box
+from fraclab.regions import Ball, Box, DisjointUnion
 
 
 def test_protocol_growth_rate():
@@ -282,3 +282,24 @@ def test_probe_of_region_without_data_is_inconclusive(inner):
         estimate_local_exponent(resolve, base, 2.0, inner)
     assert str(inner.describe()) in str(exc.value)
     assert len(calls) == 1
+
+
+def test_union_inside_omega_runs_in_cutoff_mode():
+    # the cut-off's outer region is the union of the expanded members
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    params = FractionalParams(1, 0.5)
+    inner = DisjointUnion((Box((-0.6,), (-0.4,)), Box((0.4,), (0.6,))))
+    est = estimate_local_exponent(
+        lambda grid: solve_dirichlet(np.ones(grid.n_omega), params, grid), base, 2.0, inner)
+    assert est.mode == "cutoff"
+    assert est.sigma_star == pytest.approx(1.45)
+
+
+def test_union_too_tight_to_expand_fails_before_solving():
+    # margin 0.5 to the unit ball: members expanded by 0.25 across a gap of 0.2 meet
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_bump_resolver())
+    inner = DisjointUnion((Box((-0.5,), (-0.1,)), Box((0.1,), (0.5,))))
+    with pytest.raises(ValueError, match="disjoint"):
+        estimate_local_exponent(resolve, base, 2.0, inner)
+    assert calls == []

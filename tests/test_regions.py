@@ -82,3 +82,10 @@ def test_union_requires_disjoint_members():
     assert u.exterior_distance(pts)[1] == pytest.approx(1.5)
     assert u.bounding_box()[0] == (-2.5, 2.5)
 
+
+def test_union_expands_member_by_member():
+    u = DisjointUnion((Ball((-2.0,), 0.5), Box((1.0,), (2.0,))))
+    assert u.expand(0.25) == DisjointUnion((Ball((-2.0,), 0.75), Box((0.75,), (2.25,))))
+    with pytest.raises(ValueError, match="disjoint"):
+        u.expand(1.5)  # the expanded members meet across the gap of 2.5
+
