@@ -31,7 +31,7 @@ from .localization import g_bound_monitor, product_rule_residual
 from .operator import FractionalParams, apply_fractional_laplacian, assemble_operator_matrix
 from .parabolic import energy_report, semigroup_apply, solve_parabolic
 from .probe import (DEFAULT_METHOD, DEFAULT_P, DEFAULT_RATE_THRESHOLD, DEFAULT_SWEEP,
-                    estimate_local_exponent, estimator_problem)
+                    _ladder_problem, estimate_local_exponent, estimator_problem)
 from .quadrature import _leggauss
 from .regions import Ball, Box, nesting_margin
 from .spaces import lp_norms
@@ -182,6 +182,10 @@ def _probe(cfg, s, grid, regions, paths, default="constant"):
             "rate_threshold": cfg.get_float("probe", "rate_threshold",
                                             default=DEFAULT_RATE_THRESHOLD),
             "method": cfg.get_str("probe", "method", default=DEFAULT_METHOD)}
+    too_fine = _ladder_problem(grid.n, grid.ndim, opts["levels"])
+    if too_fine:
+        raise cfg.error(*(("probe", "levels") if cfg.has("probe", "levels") else ("grid", "n")),
+                        too_fine)
     for region in regions:
         problem = estimator_problem(opts["method"], p, opts["sweep"],
                                     nesting_margin(region, grid.omega) <= 0)

@@ -16,6 +16,10 @@ from .errors import CollarError, GridSizeError, LengthMismatchError
 from .regions import require_nested
 
 MIN_NODES = 8
+# The most box nodes the finest grid of a refinement ladder (the probe's)
+# may have: 2049^2, the largest 2D grid measured.  Every level's grid
+# holds its mask and distance arrays, so an unbounded ladder exhausts memory.
+_MAX_LADDER_NODES = 2049 ** 2
 # Omega nodes must keep this many cells to the box edge so every quadrature
 # stencil around an Omega node stays inside the box.
 MIN_COLLAR_CELLS = 2

@@ -176,9 +176,14 @@ def _kernel_for(u, params):
         raise TypeError("u must be a GridFunction")
     if not u.dirichlet:
         raise ValueError("u must be exterior-zero (Dirichlet-extended)")
-    if params.ndim != u.grid.ndim:
+    return _grid_kernel(u.grid, params)
+
+
+def _grid_kernel(grid, params):
+    """The toeplitz_operator entry for params on grid (ValueError if their dimensions differ)."""
+    if params.ndim != grid.ndim:
         raise ValueError("params dimension does not match the grid")
-    return toeplitz_operator(u.grid.ndim, u.grid.n, params.s)
+    return toeplitz_operator(grid.ndim, grid.n, params.s)
 
 
 def apply_fractional_laplacian(u, params):
@@ -211,8 +216,7 @@ class OperatorMatrix:
     kernel: Toeplitz = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = self.grid
-        object.__setattr__(self, "kernel", toeplitz_operator(grid.ndim, grid.n, self.params.s))
+        object.__setattr__(self, "kernel", _grid_kernel(self.grid, self.params))
 
     def _check_dense_cap(self):
         m = self.grid.n_omega

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InconclusiveVerdictError
-from .gridfn import CutoffSpec, build_cutoff
+from .gridfn import _MAX_LADDER_NODES, CutoffSpec, build_cutoff
 from .regions import nesting_margin
 from .spaces import besov_seminorm, sobolev_seminorm
 
@@ -39,6 +39,22 @@ def growth_rate(values):
     if np.any(v <= 0):
         return -math.inf
     return float(np.log2(v[1:] / v[:-1]).min())
+
+
+def _ladder_problem(n, ndim, levels):
+    """Why `levels` dyadic refinements from n nodes per axis are too fine; None if they are not.
+
+    The finest grid, (2^(levels - 1) (n - 1) + 1)^ndim box nodes, must
+    stay within _MAX_LADDER_NODES; the bound is found level by level, so
+    a huge `levels` costs nothing.
+    """
+    top = 0  # the most levels within the bound
+    while ((n - 1) * 2 ** top + 1) ** ndim <= _MAX_LADDER_NODES:
+        top += 1
+    if levels > top:
+        return (f"levels must be at most {top} from n = {n} in {ndim}D, which keeps the "
+                f"finest grid within {_MAX_LADDER_NODES} box nodes; got {levels}")
+    return None
 
 
 def estimator_problem(method, p, sweep=DEFAULT_SWEEP, region_mode=False):
@@ -145,6 +161,9 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
+    too_fine = _ladder_problem(base_grid.n, base_grid.ndim, levels)
+    if too_fine:
+        raise ValueError(too_fine)
     sweep = tuple(float(sg) for sg in sweep)
     if any(not 0.0 < sg < 2.0 for sg in sweep):
         raise ValueError("sweep exponents must lie in (0, 2)")
@@ -157,12 +176,11 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
         raise ValueError(problem[1])
     if method == "besov":
         sweep = tuple(sg for sg in sweep if sg != 1.0)
-    grids = [base_grid]
-    while len(grids) < levels:
-        grids.append(grids[-1].refine())
-
     values = []
-    for grid in grids:
+    grid = base_grid
+    for level in range(levels):
+        if level:  # each level's grid is built when it is reached
+            grid = grid.refine()
         u = resolve(grid)
         if u.grid is not grid:
             raise ValueError("resolve must return a solution on the given grid")

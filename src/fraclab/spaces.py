@@ -13,18 +13,30 @@ offsets.  `reference` keeps the pairwise forms as the slow oracle.
 At p = 2 the Gagliardo sums and the first-difference Besov sums are
 combinations of three autocorrelations, which real FFTs give for every
 shift at once, in O(M log M) for the M nodes of the lattice summed over
-(`_correlation_sums`).  A Gagliardo region R is centred first, at the
-value of its first node, so u constant on R gives exactly 0.  The
-rounding error of a shift sum is about eps times the sum of u^2, while
-the sum at a short shift k is about |k h|^2 |grad u|^2: the relative
-error grows like eps / (|k| h)^2 (4e-14 at k = 1 on a smooth bump at
-1D n = 513, 8e-13 at n = 2049).  On a smooth cut-off bump, the probe's
-target, a sweep sigma = 0.1, ..., 1.9 agrees with the direct sums to
-1.1e-14 in 2D up to n = 257, 9e-15 in 1D at n = 513, 4e-13 at n = 2049
-and 1.2e-11 at n = 8193.  Second differences keep the direct sums: their
-short-shift sums are about |k h|^4 |D^2 u|^2, so the same rounding
-grows like eps / (|k| h)^4 (per shift at k = 1 on that bump, 3.5e-11 at
-1D n = 513 and 1.3e-8 at n = 2049).
+(`_correlation_sums`).  The sum at shift k sits at k mod the padded size
+of the inverse transform, so the shifts with |k_i| < m_i fill its four
+corner blocks: the sums are sliced off them in shift order, and the
+lengths |k| off a block of the same shape, with no shift or index array
+formed.  A field is transformed when a term first needs it and dropped
+after its last term, and the terms accumulate in one complex buffer, so
+besides the transform's own work arrays a sweep holds at most three
+half-spectra at a time, each about one real grid of the padded size;
+each exponent of a sweep is then weighted on its own, with no
+(exponents x shifts) array.  At 2D n = 257 (padded grid 540^2, 2.3 MB)
+a first-difference Besov sweep peaks at 10.5 MB traced, and the cut-off
+Sobolev sweep sigma = 0.1, ..., 1.9 at 9.7 MB.  A Gagliardo region R
+is centred first, at the value of its first node, so u constant on R
+gives exactly 0.  The rounding error of a shift sum is about eps times
+the sum of u^2, while the sum at a short shift k is about
+|k h|^2 |grad u|^2: the relative error grows like eps / (|k| h)^2
+(4e-14 at k = 1 on a smooth bump at 1D n = 513, 8e-13 at n = 2049).
+On a smooth cut-off bump, the probe's target, a sweep
+sigma = 0.1, ..., 1.9 agrees with the direct sums to 1.1e-14 in 2D up
+to n = 257, 9e-15 in 1D at n = 513, 4e-13 at n = 2049 and 1.2e-11 at
+n = 8193.  Second differences keep the direct sums: their short-shift
+sums are about |k h|^4 |D^2 u|^2, so the same rounding grows like
+eps / (|k| h)^4 (per shift at k = 1 on that bump, 3.5e-11 at 1D
+n = 513 and 1.3e-8 at n = 2049).
 
 Every other p, and second differences, take direct shift sums, which
 cost O(support), not O(box).  Let B be the bounding box
@@ -253,22 +265,65 @@ def _support_shift_sums(fields, box, shape, reduce, p, half, inner=False):
 def _correlation_sums(fields, terms, half, constant=0.0):
     """constant + sum of c corr(fields[i], fields[j])(k) over terms (c, i, j), per lattice shift k.
 
-    corr(a, b)(k) = sum_x a(x) b(x + k), the fields (C, m0, m1) continued
+    corr(a, b)(k) = sum_x a(x) b(x + k), the (m0, m1) fields continued
     by zero beyond the lattice, is read off one inverse real FFT of the
     sum of c conj(a^) b^, each axis padded to next_fast_len(2 m - 1) so
     that no shift wraps around.  Cost O(M log M) for M lattice nodes.
-    Returns every nonzero lattice shift (with half, one of each pair
-    k, -k) and its sum, clipped at 0: the sums this serves are sums of
-    squares, and their rounding may leave them slightly negative.
+    A field is transformed when a term first needs it and dropped after
+    its last term; the terms accumulate, in order, in one complex
+    buffer, and a term is written over the transform a^ when no later
+    term reads it, so at most three half-spectra are held at a time.
+    The inverse transform holds the sum at shift k at k mod the padded
+    size: its four corner blocks are sliced into one block of the shifts
+    with |k_i| < m_i, in shift order, and the sums at nonzero shifts are
+    read off it, the lengths |k| off a block of the same shape.  Returns
+    the lengths in cells and the sums of every nonzero lattice shift
+    (with half, one of each pair k, -k), in `_lattice_shifts` order; the
+    sums are clipped at 0, as the sums this serves are sums of squares,
+    and their rounding may leave them slightly negative.
     """
-    shape = fields.shape[1:]
+    shape = fields[0].shape
     size = tuple(next_fast_len(2 * m - 1) for m in shape)
-    hats = np.fft.rfftn(fields, size, axes=(1, 2))
-    full = np.fft.irfftn(sum(c * hats[i].conj() * hats[j] for c, i, j in terms), size,
-                         axes=(0, 1))
-    shifts = _lattice_shifts(shape, half)
-    sums = full[shifts[:, 0] % size[0], shifts[:, 1] % size[1]]
-    return shifts, np.maximum(sums + constant, 0.0)
+    last = {}
+    for t, (_, i, j) in enumerate(terms):
+        last[i] = last[j] = t
+    hats, total = {}, None
+    for t, (c, i, j) in enumerate(terms):
+        for f in (i, j):
+            if f not in hats:
+                hats[f] = np.fft.rfftn(fields[f], size, axes=(0, 1))
+        # c conj(a^) b^, written over a^ when no later term reads it
+        term = np.conjugate(hats[i], out=hats[i] if last[i] == t and i != j else None)
+        np.multiply(c, term, out=term)
+        np.multiply(term, hats[j], out=term)
+        for f in {i, j}:
+            if last[f] == t:
+                del hats[f]
+        if total is None:
+            total = term
+        else:
+            total += term
+        del term
+    full = np.fft.irfftn(total, size, axes=(0, 1))
+    del total
+    (m0, m1), (s0, s1) = shape, size
+    rows = (slice(0, m0),) if half else (slice(s0 - m0 + 1, s0), slice(0, m0))
+    cols = (slice(s1 - m1 + 1, s1), slice(0, m1))
+    block = np.block([[full[r, c] for c in cols] for r in rows])
+    del full
+    # block[a, b] is the sum at shift (k0[a], k1[b]): drop k = 0 and, with half, the k before it
+    k0 = np.arange(0 if half else 1 - m0, m0, dtype=float)
+    k1 = np.arange(1 - m1, m1, dtype=float)
+    centre = (k0.size - m0) * k1.size + m1 - 1
+
+    def pick(b):
+        return b.ravel()[centre + 1:] if half else np.delete(b, centre)
+
+    sums = pick(block)
+    sums += constant
+    np.maximum(sums, 0.0, out=sums)
+    lengths = pick(k0[:, None] ** 2 + k1 ** 2)  # exact integers
+    return np.sqrt(lengths, out=lengths), sums
 
 
 def _pair_sums(values, sel, p):
@@ -288,9 +343,8 @@ def _pair_sums(values, sel, p):
     vals, inside = _as_lattice(values[crop]), _as_lattice(sel[crop])
     if p == 2:
         v = np.where(inside, vals - vals[inside][0], 0.0)
-        shifts, sums = _correlation_sums(np.stack([inside * 1.0, v * v, v]),
-                                         ((1.0, 0, 1), (1.0, 1, 0), (-2.0, 2, 2)), half=True)
-        return np.sqrt((shifts ** 2).sum(axis=1)), sums
+        return _correlation_sums((inside * 1.0, v * v, v),
+                                 ((1.0, 0, 1), (1.0, 1, 0), (-2.0, 2, 2)), half=True)
     # pairs with a node off u's support are rectangle sums only if R fills its crop
     box = _bounding_box(vals if inside.all() else inside)
     stack = np.stack([vals[box], inside[box] * 1.0])
@@ -336,8 +390,9 @@ def gagliardo_seminorm(u, sigma, p, region=None):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     grid = u.grid
     cells, sums = _pair_sums(u.values, _region_selector(u, region), p)
-    kernel = (cells * grid.h) ** (-(grid.ndim + p * sig[:, None]))
-    total = 2.0 * grid.h ** (2 * grid.ndim) * (kernel * sums).sum(axis=1)
+    dist = cells * grid.h
+    weighted = np.array([(dist ** -(grid.ndim + p * sg) * sums).sum() for sg in sig])
+    total = 2.0 * grid.h ** (2 * grid.ndim) * weighted
     return _result(total ** (1.0 / p), scalar)
 
 
@@ -415,13 +470,14 @@ def _difference_norms(u, p, second):
     vals = _as_lattice(u.values)
     if p == 2 and not second:
         squares = vals * vals
-        shifts, totals = _correlation_sums(np.stack([np.ones_like(vals), squares, vals]),
-                                           ((1.0, 0, 1), (-2.0, 2, 2)), half=False,
-                                           constant=squares.sum())
+        cells, totals = _correlation_sums((np.ones_like(vals), squares, vals),
+                                          ((1.0, 0, 1), (-2.0, 2, 2)), half=False,
+                                          constant=squares.sum())
     else:
         shifts, totals = _direct_difference_sums(vals, p, second)
+        cells = np.sqrt((shifts ** 2).sum(axis=1))
     norms = totals if np.isinf(p) else (totals * u.grid.h ** u.grid.ndim) ** (1.0 / p)
-    return np.sqrt((shifts ** 2).sum(axis=1)), norms
+    return cells, norms
 
 
 def besov_seminorm(u, sigma, p, q):
@@ -473,15 +529,18 @@ def besov_seminorm(u, sigma, p, q):
             level = 2.0 * up_norm   # the p -> inf limit of (2 + 2^p)^(1/p)
         else:
             level = (2.0 + 2.0 ** p) ** (1.0 / p) * up_norm
-        sg = sig[pick][:, None]
+        sg = sig[pick]
+        # one exponent at a time, with no (exponents x shifts) array; numpy
+        # takes the correctly rounded square root for the exponent 0.5
         if np.isinf(q):
-            out[pick] = np.maximum((norms / ynorm ** sg).max(axis=1),
-                                   level / tail_radius ** sg[:, 0])
+            out[pick] = np.maximum([(norms / ynorm ** e).max() for e in sg],
+                                   level / tail_radius ** sg)
             continue
+        powered = norms ** q
         # the second-difference norms stand for both k and -k
-        acc = (2.0 if second else 1.0) * h ** ndim * (
-            norms ** q * ynorm ** (-(ndim + q * sg))).sum(axis=1)
-        acc += level ** q * surface * tail_radius ** (-q * sg[:, 0]) / (q * sg[:, 0])
+        acc = (2.0 if second else 1.0) * h ** ndim * np.array(
+            [(powered * ynorm ** -(ndim + q * e)).sum() for e in sg])
+        acc += level ** q * surface * tail_radius ** (-q * sg) / (q * sg)
         out[pick] = acc ** (1.0 / q)
     return _result(out, scalar)
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid
+from fraclab.gridfn import CutoffSpec, Grid, GridFunction, build_cutoff, build_grid
 from fraclab.operator import FractionalParams
 from fraclab.regions import Ball
 
@@ -43,3 +43,23 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def refine_at_most(monkeypatch, calls):
+    """Make Grid.refine fail after `calls` calls; returns the list of the n it refined.
+
+    A test of a guard against too deep a refinement ladder then stops
+    after a few levels if the guard regresses, instead of running the
+    ladder until memory runs out.
+    """
+    refined = []
+    refine = Grid.refine
+
+    def bounded(self):
+        refined.append(self.n)
+        if len(refined) > calls:
+            raise AssertionError(f"Grid.refine called more than {calls} times")
+        return refine(self)
+
+    monkeypatch.setattr(Grid, "refine", bounded)
+    return refined

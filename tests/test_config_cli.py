@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from fraclab import experiments
+from fraclab import experiments, probe
 from fraclab.cli import main
 from fraclab.errors import ConfigError
 from fraclab.experiments import PROFILE_KEYS, source_profile
 from fraclab.gridfn import build_grid
 from fraclab.regions import Ball, Box
 from fraclab.runconfig import _SCHEMA, REGION_KEYS, RunConfig, parse_config_text
+
+from conftest import refine_at_most
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "fraclab"
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -172,6 +174,29 @@ def test_cli_run_unknown_experiment_exits_2(tmp_path, capsys):
     cfg_path.write_text("[experiment]\nname = not-a-recipe\n")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert f"{cfg_path}:2:8: unknown experiment 'not-a-recipe'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe", ["elliptic-regularity", "regularity-sweep"])
+@pytest.mark.parametrize("text, bound, where, message", [
+    ("[probe]\nlevels = 1000\n", None, ":4:10:",
+     "levels must be at most 16 from n = 129 in 1D"),
+    # without [probe] levels, the error sits at the base grid's n
+    ("[grid]\nn = 129\n", 500, ":4:5:", "levels must be at most 2 from n = 129 in 1D"),
+], ids=["levels", "default-levels"])
+def test_cli_run_probe_ladder_past_the_node_bound_exits_2(tmp_path, capsys, monkeypatch,
+                                                         recipe, text, bound, where, message):
+    # Grid.refine fails after two calls, so a regressed guard cannot run the ladder far
+    refined = refine_at_most(monkeypatch, 2)
+    if bound is not None:
+        monkeypatch.setattr(probe, "_MAX_LADDER_NODES", bound)
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text(f"[experiment]\nname = {recipe}\n{text}")
+    with pytest.raises(ConfigError, match=message):
+        experiments.run_experiment(recipe, parse_config_text(cfg_path.read_text()),
+                                   str(tmp_path / "direct"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg_path}{where} {message}" in capsys.readouterr().err
+    assert refined == []
 
 
 def test_cli_run_numerical_failure_exits_3(tmp_path, capsys):

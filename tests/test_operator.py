@@ -299,3 +299,27 @@ def test_parity_spectrum_peaks_below_twice_the_basis_it_keeps(ndim, n, bound):
                                         *basis.orbits))
     assert len(basis.vectors) == 2 ** ndim
     assert peak <= bound * kept
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_restricted_operator_rejects_params_of_the_other_dimension(ndim, monkeypatch):
+    # the 2D params on the 1D unit ball once gave apply(ones) half the 1D value, with no error
+    from fraclab.elliptic import solve_dirichlet
+    from fraclab.parabolic import semigroup_apply, solve_parabolic
+
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, 17, Ball((0.0,) * ndim, 1.0))
+    swapped = FractionalParams(3 - ndim, 0.5)
+    f = np.ones(grid.n_omega)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built before the dimension check")
+
+    monkeypatch.setattr(operator, "toeplitz_operator", no_kernel)
+    calls = [lambda: assemble_operator_matrix(grid, swapped),
+             lambda: operator.OperatorMatrix(grid, swapped),
+             lambda: solve_dirichlet(f, swapped, grid),
+             lambda: solve_parabolic(f, 1.0, 4, 1.0, swapped, grid),
+             lambda: semigroup_apply([f], 0.5, 3, swapped, grid)]
+    for call in calls:
+        with pytest.raises(ValueError, match="params dimension does not match the grid"):
+            call()

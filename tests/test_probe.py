@@ -6,17 +6,20 @@ import pytest
 
 from fraclab.elliptic import solve_dirichlet
 from fraclab.errors import InconclusiveVerdictError
-from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid
+from fraclab.gridfn import _MAX_LADDER_NODES, CutoffSpec, GridFunction, build_cutoff, build_grid
 from fraclab.operator import FractionalParams
 from fraclab.probe import (
     DEFAULT_RATE_THRESHOLD,
     DEFAULT_SWEEP,
     _clean_verdicts,
+    _ladder_problem,
     estimate_local_exponent,
     estimator_problem,
     growth_rate,
 )
 from fraclab.regions import Ball, Box, DisjointUnion
+
+from conftest import refine_at_most
 
 
 def test_protocol_growth_rate():
@@ -221,6 +224,40 @@ def test_probe_validates_inputs():
     with pytest.raises(ValueError, match="method"):
         estimate_local_exponent(_bump_resolver(), base, 2.0, Box((-0.4,), (0.4,)),
                                 method="besvo")
+
+
+def test_probe_rejects_a_ladder_past_the_node_bound_before_refining(monkeypatch):
+    refined = refine_at_most(monkeypatch, 2)
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+
+    def resolve(grid):
+        raise AssertionError("solved before the ladder was checked")
+
+    for levels in (18, 1000, 10 ** 12):
+        with pytest.raises(ValueError, match="levels must be at most 17 from n = 65 in 1D"):
+            estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), levels=levels)
+    assert refined == []
+
+
+def test_ladder_bound_allows_2049_squared():
+    assert _MAX_LADDER_NODES >= 2049 ** 2
+    assert _ladder_problem(129, 2, 5) is None        # 129 -> 2049 per axis
+    assert _ladder_problem(129, 2, 6) is not None    # 4097^2
+    assert _ladder_problem(65, 1, 17) is None        # 1D: 64 * 2^16 + 1 = 4194305 nodes
+    assert _ladder_problem(65, 1, 18) is not None
+
+
+def test_probe_builds_each_level_grid_when_it_is_reached(monkeypatch):
+    refined = refine_at_most(monkeypatch, 2)
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    bump, seen = _bump_resolver(), []
+
+    def resolve(grid):
+        seen.append((grid.n, len(refined)))
+        return bump(grid)
+
+    estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), levels=3)
+    assert seen == [(65, 0), (129, 1), (257, 2)]
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])

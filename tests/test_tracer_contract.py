@@ -99,12 +99,15 @@ def test_corner_weight_cache_info_read_by_worker():
 
 
 # install() patches every fraclab module in the process, so it runs in a child.
-def _traced_stats(script):
-    """Run script in a child with this fraclab on its path; return the stats it prints."""
+def _traced_stats(script, *args):
+    """Run script in a child with this fraclab on its path; return the stats it prints.
+
+    The script reads the tracer's path as sys.argv[1], then any args.
+    """
     src = str(Path(fraclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", script, str(TRACER_PATH)],
+    done = subprocess.run([sys.executable, "-c", script, str(TRACER_PATH), *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -167,3 +170,25 @@ def test_traced_time_layer_counts_steps():
         assert stats[f"parabolic.{name}"]["calls"] == calls, name
         assert stats[f"parabolic.{name}"]["steps"] == steps, name
     assert all(st["self_s"] >= 0.0 for st in stats.values()), stats
+
+
+# No bytecode is cached, so the run writes nothing under the checkout.
+TRACED_PARTS = "import sys\nsys.dont_write_bytecode = True\n" + INSTALL_TRACER + """
+import os
+
+spec = importlib.util.spec_from_file_location(
+    "fraclab_bench_workloads", os.path.join(os.path.dirname(sys.argv[1]), "workloads.py"))
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+for part, (setup, run) in workloads.PARTS.items():
+    run(setup(0), os.path.join(sys.argv[2], part), workloads.Gates())
+print(json.dumps(tracer.stats))
+"""
+
+
+def test_benchmark_parts_call_every_traced_function(tracer, tmp_path):
+    # the per-layer metrics of a traced function nobody calls read 0 calls
+    stats = _traced_stats(TRACED_PARTS, tmp_path)
+    names = [f"{short}.{name}" for short, fns in tracer.TRACED.items() for name in fns]
+    assert [name for name in names if stats[name]["calls"] < 1] == []
+    assert os.listdir(tmp_path)  # the parts wrote their artifacts here
