@@ -200,6 +200,8 @@ def build_grid(ndim, box, n, omega):
     box = tuple((float(lo), float(hi)) for lo, hi in np.atleast_2d(box))
     if len(box) != ndim:
         raise ValueError(f"expected {ndim} box axes, got {len(box)}")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer number of nodes per axis, got {n}")
     n = int(n)
     if n < MIN_NODES:
         raise GridSizeError(f"n={n} is below the minimum of {MIN_NODES} nodes per axis")

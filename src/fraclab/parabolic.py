@@ -23,27 +23,24 @@ a constant source; for a callable one, read once per t_k into the
 trajectory's source rows, the (nt, m) drive transformed _LEDGER_ROWS
 rows at a time.  A Trajectory is the one record of a run: it records the
 scheme (the per-mode ratios, the drive, the modes of u_0, the source
-rows and the Eigenbasis), not its rows, and steps the recurrence again,
-_LEDGER_ROWS rows at a time, whenever rows are read.  Two reads form and
-keep (nt+1, m) rows: `modes`, the c_k, and `values`, `from_modes` of
-them.  The others stream and hold a block of rows whatever nt is:
-`form`, B[u_k, u_k] = sum(lam c_k^2) per step; `final()`, `from_modes`
-of c_nt alone; and the energy ledger, which squares each block in place
-and needs no product by Q: Q is orthonormal, so |u_k|^2 = |c_k|^2 and
-|u_{k+1} - u_k|^2 = |c_{k+1} - c_k|^2.  A read steps the scheme at most
-once, and every read gives the same floats.  A batch of semigroup images is
-Q (1 + tau lam)^(-nt) Q^T phi, returned as its (k, m) Omega rows.  The
-spectrum's eigh stays within the dense cap (MemoryBudgetError above it),
-unlike the matrix-free elliptic solve.  A failed eigendecomposition, or
-a step matrix I + c A that is not positive definite, raises
-SingularOperatorError.
+rows and the Eigenbasis), not its rows, and its one read,
+`Trajectory.blocks()`, steps the recurrence again, _LEDGER_ROWS rows at
+a time, whenever rows are read.  `final()` is `from_modes` of c_nt
+alone; the energy ledger squares each block in place and needs no
+product by Q: Q is orthonormal, so |u_k|^2 = |c_k|^2 and
+|u_{k+1} - u_k|^2 = |c_{k+1} - c_k|^2.  Each read steps the scheme once
+and holds a block of rows whatever nt is, and every read gives the same
+floats.  A batch of semigroup images is Q (1 + tau lam)^(-nt) Q^T phi,
+returned as its (k, m) Omega rows.  The spectrum's eigh stays within the
+dense cap (MemoryBudgetError above it), unlike the matrix-free elliptic
+solve.  A failed eigendecomposition, or a step matrix I + c A that is
+not positive definite, raises SingularOperatorError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +51,6 @@ from .gridfn import extend_by_zero
 _LEDGER_ROWS = 64  # trajectory rows per block: of a callable source's drive, of each stepped read
 
 
-def _form(rows, lam):
-    """B[u_k, u_k] = sum(lam c_k^2) per row of mode coefficients, with no temporary of rows' size."""
-    return np.einsum("km,km,m->k", rows, rows, lam)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """The theta scheme of one run, stepped whenever its rows are read.
@@ -66,11 +58,8 @@ class Trajectory:
     Holds the read-only source rows f_k (Omega values) per t_k = k tau,
     the Eigenbasis of A, the per-mode ratios (1 - tau (1-theta) lam) /
     (1 + tau theta lam), the per-step drive in that basis and the modes
-    c_0 of u_0 (`initial`, zero for no datum).  The mode coefficients c_k of
-    u_k = Q c_k, their Omega values and B[u_k, u_k] are read as `modes`,
-    `values` and `form`; `final()` is u_nt.  Row 0 carries the datum's
-    energy h^N (B[u_0, u_0] + |u_0|^2), the E_0 that energy_report
-    bounds each step's dissipation plus energy by, beside the source.
+    c_0 of u_0 (`initial`, zero for no datum).  `blocks()` steps the mode
+    coefficients c_k of u_k = Q c_k; `final()` is u_nt.
     """
 
     grid: object
@@ -82,10 +71,14 @@ class Trajectory:
     drive: np.ndarray
     initial: np.ndarray
 
-    def _blocks(self):
-        """(start, rows c_start .. c_{hi-1}) per block of _LEDGER_ROWS new rows, lo .. hi - 1:
-        each block repeats the row before it (start = lo - 1; the first starts at c_0) and
-        steps on from it.  The reader may overwrite the rows."""
+    def blocks(self):
+        """Yield (start, rows c_start .. c_{hi-1}) per block of _LEDGER_ROWS new rows lo .. hi - 1.
+
+        Each block repeats the row before it (start = lo - 1; the first
+        starts at c_0) and steps on from it, so a reader can difference
+        across blocks.  The reader may overwrite the rows: the next block
+        steps on from a copy of the last one.
+        """
         ratio, drive, count = self.ratio, self.drive, len(self.times)
         prev = self.initial
         for lo in range(0, count, _LEDGER_ROWS):
@@ -98,34 +91,9 @@ class Trajectory:
             yield start, rows
             del rows  # before the next block is stepped
 
-    @cached_property
-    def modes(self):
-        """Mode coefficients c_k, (nt+1, m), stepped and kept on first read."""
-        modes = np.empty((len(self.times), len(self.ratio)))
-        for start, rows in self._blocks():
-            modes[start:start + len(rows)] = rows
-        modes.setflags(write=False)
-        return modes
-
-    @cached_property
-    def values(self):
-        """Omega values u_k, (nt+1, m), formed from `modes` on first read."""
-        values = self.basis.from_modes(self.modes)
-        values.setflags(write=False)
-        return values
-
-    @cached_property
-    def form(self):
-        """B[u_k, u_k] per step, (nt+1,), summed block by block as the rows are stepped."""
-        form = np.empty(len(self.times))
-        for start, rows in self._blocks():
-            form[start:start + len(rows)] = _form(rows, self.basis.lam)
-        form.setflags(write=False)
-        return form
-
     def final(self):
         """u_nt as an exterior-zero GridFunction; only a block of rows is held while stepping."""
-        for _, rows in self._blocks():
+        for _, rows in self.blocks():
             last = rows[-1]
         return extend_by_zero(self.basis.from_modes(last), self.grid)
 
@@ -149,7 +117,8 @@ def solve_parabolic(f, T, nt, theta, params, grid, matrix=None, u0=None):
         raise ValueError(f"end time T must be finite and positive, got {T}")
     matrix = _operator(matrix, params, grid)
     tau = T / nt
-    times = np.arange(nt + 1) * tau
+    times = np.arange(nt + 1.0)
+    times *= tau  # k tau, with no integer temporary beside the times
     basis, shifted = _modes(matrix, tau * theta)
     m = len(shifted)
 
@@ -215,26 +184,29 @@ def energy_report(traj, slack=None):
     The energy is hN (e^(-2t) B[u_k, u_k] + |v_k|^2), so energy[0] is the
     initial energy E_0.  Flags a violation when dissipation-so-far plus
     current energy exceeds (1 + slack) times E_0 plus the source term, at
-    any step where that bound is positive; the default slack is
-    proportional to tau, reflecting the O(tau) perturbation the damping
-    transform introduces in the discrete identity.  The trajectory is
-    stepped _LEDGER_ROWS rows at a time and each block is squared in
-    place, by the same operations, row for row, as on the whole (nt+1, m)
-    array, so no temporary grows with nt.  v_k and its steps are summed
-    over their mode coefficients, which Q, being orthonormal, maps to
-    Omega values of the same sums of squares.
+    any step where that bound is positive.  slack is None or a finite
+    number >= 0; the default is proportional to tau, reflecting the O(tau)
+    perturbation the damping transform introduces in the discrete
+    identity.  The trajectory is read through `blocks()`, _LEDGER_ROWS
+    rows at a time, and each block is squared in place, by the same
+    operations, row for row, as on the whole (nt+1, m) array, so no
+    temporary grows with nt.  v_k and its steps are summed over their
+    mode coefficients, which Q, being orthonormal, maps to Omega values
+    of the same sums of squares.
     """
     grid, tau = traj.grid, traj.tau
     hN = grid.h ** grid.ndim
     if slack is None:
         slack = max(0.05, 2.0 * tau)
+    elif not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be None or a finite number >= 0, got {slack}")
     damping = np.exp(-traj.times)
     rows = len(damping)
     # per row: B[u_k, u_k], |dv_k|^2 with dv_k = (v_{k+1} - v_k) / tau, |v_k|^2, and |g_{k+1}|^2
     form, steps, held, fed = np.empty(rows), np.empty(rows - 1), np.empty(rows), np.empty(rows - 1)
-    for start, v in traj._blocks():  # row `start` repeats the last of the block before
+    for start, v in traj.blocks():  # row `start` repeats the last of the block before
         hi = start + len(v)
-        form[start:hi] = _form(v, traj.basis.lam)
+        form[start:hi] = np.einsum("km,km,m->k", v, v, traj.basis.lam)  # sum(lam c_k^2)
         v *= damping[start:hi, None]
         dv = np.diff(v, axis=0)
         dv /= tau

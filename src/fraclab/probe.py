@@ -159,8 +159,8 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     seminorms are all 0 carries no data on the region and raises
     InconclusiveVerdictError.
     """
-    if levels < 3:
-        raise ValueError("need at least 3 refinement levels")
+    if not isinstance(levels, (int, np.integer)) or levels < 3:
+        raise ValueError(f"levels must be an integer >= 3, got {levels}")
     too_fine = _ladder_problem(base_grid.n, base_grid.ndim, levels)
     if too_fine:
         raise ValueError(too_fine)
@@ -199,4 +199,4 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     star = _sigma_star(sweep, verdicts)
     flipped = [sg for sg, a, b in zip(sweep, raw, verdicts) if a != b]
     return RegularityEstimate(str(inner.describe()), float(p), method, sweep,
-                              values, rates, verdicts, star, levels, mode, flipped)
+                              values, rates, verdicts, star, int(levels), mode, flipped)

@@ -38,6 +38,19 @@ def test_too_few_nodes_rejected():
         build_grid(1, ((-2.0, 2.0),), 7, Ball((0.0,), 1.0))
 
 
+@pytest.mark.parametrize("n", [33.7, 33.0, "33", None])
+def test_non_integer_node_count_rejected(n):
+    # int(33.7) would quietly build a 33-node grid
+    with pytest.raises(ValueError, match="n must be an integer number of nodes per axis"):
+        build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
+
+
+def test_numpy_integer_node_count_accepted():
+    g = build_grid(1, ((-2.0, 2.0),), np.int64(33), Ball((0.0,), 1.0))
+    assert g.n == 33 and type(g.n) is int
+    assert np.array_equal(g.mask, build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0)).mask)
+
+
 def test_rho_is_distance_to_omega_boundary(grid65):
     x = grid65.axes[0]
     i = grid65.node_index((0.5,))

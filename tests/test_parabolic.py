@@ -37,45 +37,95 @@ def setup():
     return grid, params, matrix
 
 
+def _modes(traj):
+    """The mode coefficients c_k, (nt+1, m), gathered from traj.blocks()."""
+    modes = np.empty((len(traj.times), len(traj.ratio)))
+    for start, rows in traj.blocks():
+        modes[start:start + len(rows)] = rows
+    return modes
+
+
+def _values(traj):
+    """The Omega values u_k, (nt+1, m): the gathered modes back in Omega."""
+    return traj.basis.from_modes(_modes(traj))
+
+
 def test_zero_source_stays_zero(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.zeros(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
-    assert not traj.values.any()
+    assert not _values(traj).any()
 
 
 def test_initial_datum_is_zero(setup):
     grid, params, matrix = setup
     traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 4, 0.5, params, grid, matrix=matrix)
-    for arr in (traj.modes, traj.values):
+    for arr in (_modes(traj), _values(traj)):
         assert arr.shape == (5, grid.n_omega)
-        assert not arr.flags.writeable
         assert not arr[0].any()
-    assert traj.values is traj.values  # formed once
     assert traj.final().dirichlet
 
 
-def test_values_and_final_are_the_modes_back_in_omega(setup):
+def test_final_is_the_last_mode_row_back_in_omega(setup):
     grid, params, matrix = setup
     basis = matrix.spectrum
     traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
     assert traj.basis is basis
-    assert np.array_equal(traj.values, basis.from_modes(traj.modes))
-    assert np.array_equal(traj.final().values[grid.mask], basis.from_modes(traj.modes[-1]))
-    assert _rel_gap(traj.final().values[grid.mask], traj.values[-1]) <= 1e-14
+    assert np.array_equal(traj.final().values[grid.mask], basis.from_modes(_modes(traj)[-1]))
+    assert _rel_gap(traj.final().values[grid.mask], _values(traj)[-1]) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["constant", "callable"])
-def test_trajectory_source_and_form_are_read_only(setup, kind):
+def test_trajectory_source_is_read_only(setup, kind):
     grid, params, matrix = setup
     g = np.ones(grid.n_omega)
     f = g if kind == "constant" else (lambda t: (1.0 + t) * g)
     traj = solve_parabolic(f, 1.0, 4, 0.5, params, grid, matrix=matrix)
     assert traj.source.shape == (5, grid.n_omega)
-    assert traj.form.shape == (5,)
-    for arr in (traj.source, traj.form):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[-1] = 0.0
+    assert not traj.source.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        traj.source[-1] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["constant", "callable-with-u0"])
+def test_every_read_gives_the_same_floats_in_any_order(setup, kind):
+    # energy_report squares the rows of each block in place; no later read may see that
+    grid, params, matrix = setup
+    rng = np.random.default_rng(35)
+    g = rng.standard_normal(grid.n_omega)
+    if kind == "constant":
+        f, u0 = g, None
+    else:
+        f, u0 = (lambda t: g * (1.0 + 0.5 * math.sin(3.0 * t))), rng.standard_normal(grid.n_omega)
+    traj = solve_parabolic(f, 0.8, 2 * _LEDGER_ROWS + 5, 0.5, params, grid, matrix=matrix,
+                           u0=u0)
+    first_final = traj.final().values
+    first_modes = _modes(traj)
+    ledgers = [energy_report(traj), energy_report(traj)]
+    assert np.array_equal(traj.final().values, first_final)
+    assert np.array_equal(_modes(traj), first_modes)
+    for name in ("dissipation", "energy", "source"):
+        assert np.array_equal(getattr(ledgers[0], name), getattr(ledgers[1], name))
+    for start, rows in traj.blocks():
+        assert rows.flags.writeable  # the reader may overwrite its rows
+        assert np.array_equal(rows, first_modes[start:start + len(rows)])
+        rows[:] = np.nan
+    assert np.array_equal(_modes(traj), first_modes)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
+def test_energy_report_rejects_a_slack_that_is_not_finite_and_nonnegative(setup, slack):
+    # nan and inf never flagged a violation, and -1 flagged every step
+    grid, params, matrix = setup
+    traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
+    with pytest.raises(ValueError, match="slack must be None or a finite number >= 0"):
+        energy_report(traj, slack=slack)
+
+
+def test_energy_report_accepts_zero_and_default_slack(setup):
+    grid, params, matrix = setup
+    traj = solve_parabolic(np.ones(grid.n_omega), 1.0, 8, 1.0, params, grid, matrix=matrix)
+    assert energy_report(traj, slack=0.0).slack == 0.0
+    assert energy_report(traj, slack=None).slack == max(0.05, 2.0 * traj.tau)
 
 
 def _row_block(grid):
@@ -95,16 +145,14 @@ def test_constant_source_drives_every_step_by_one_row(setup):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = traj.modes.nbytes + traj.times.nbytes + traj.form.nbytes
-    assert peak <= held + _row_block(grid)
-    assert "values" not in vars(traj)  # no Omega values formed
+    assert peak <= traj.times.nbytes + _row_block(grid)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("kind", ["constant", "callable"])
 def test_time_layer_peaks_at_m_511(theta, kind):
-    # evolve-1d's size: the stepper holds its modes (and a callable source's rows) and a few
-    # row blocks, the ledger 1.33 MB of its own sums and blocks
+    # evolve-1d's size: the stepper holds its times, or a callable source's rows and drive,
+    # and a few row blocks; the ledger 1.33 MB of its own sums and blocks
     grid = build_grid(1, ((-2.0, 2.0),), 1025, Ball((0.0,), 1.0))
     params = FractionalParams(1, 0.5)
     matrix = assemble_operator_matrix(grid, params)
@@ -123,9 +171,9 @@ def test_time_layer_peaks_at_m_511(theta, kind):
     finally:
         tracemalloc.stop()
     if kind == "constant":
-        assert solve_peak <= traj.modes.nbytes + _row_block(grid)
-    else:  # the source rows, transformed and stepped one row block at a time
-        assert solve_peak <= traj.modes.nbytes + traj.source.nbytes + 3 * _row_block(grid)
+        assert solve_peak <= traj.times.nbytes + _row_block(grid)
+    else:  # the source rows, transformed one row block at a time into the drive
+        assert solve_peak <= traj.source.nbytes + traj.drive.nbytes + 3 * _row_block(grid)
     assert ledger_peak <= 1.4e6
 
 
@@ -140,9 +188,10 @@ def test_callable_source_stepped_in_row_blocks_matches_one_block(setup, theta, m
 
     nt = 3 * _LEDGER_ROWS + 5
     blocked = solve_parabolic(f, 0.8, nt, theta, params, grid, matrix=matrix, u0=u0)
+    blocked_modes = _modes(blocked)
     monkeypatch.setattr(parabolic, "_LEDGER_ROWS", nt + 1)
     whole = solve_parabolic(f, 0.8, nt, theta, params, grid, matrix=matrix, u0=u0)
-    assert _rel_gap(blocked.modes, whole.modes) <= 1e-14
+    assert _rel_gap(blocked_modes, _modes(whole)) <= 1e-14
     assert np.array_equal(blocked.source, whole.source)
 
 
@@ -281,8 +330,9 @@ def _ledger_by_steps(traj, f, A):
     grid, tau = traj.grid, traj.tau
     hN = grid.h ** grid.ndim
     diss, energy, source = [0.0], [], [0.0]
+    values = _values(traj)
     for k, t in enumerate(traj.times):
-        v = traj.values[k] * math.exp(-t)
+        v = values[k] * math.exp(-t)
         energy.append(hN * float(v @ (A @ v)) + hN * float(v @ v))
         if k:
             g = (f(t) if callable(f) else f) * math.exp(-t)
@@ -312,15 +362,17 @@ def test_energy_ledger_matches_step_by_step_ledger(setup, theta, kind):
 
 
 def _unblocked_ledger(traj, rows):
-    """energy_report's sums over the whole (nt+1, m) array `rows` at once: traj.modes for its
-    blocks' oracle, traj.values for the node-space ledger that the mode sums stand for."""
+    """energy_report's sums over the whole (nt+1, m) array `rows` at once: _modes(traj) for its
+    blocks' oracle, _values(traj) for the node-space ledger that the mode sums stand for."""
     tau, hN = traj.tau, traj.grid.h ** traj.grid.ndim
     damping = np.exp(-traj.times)
+    modes = _modes(traj)
+    form = np.einsum("km,km,m->k", modes, modes, traj.basis.lam)
     v = rows * damping[:, None]
     g = traj.source[1:] * damping[1:, None]
     dv = np.diff(v, axis=0) / tau
     diss = np.concatenate(([0.0], np.cumsum(tau * hN * (dv * dv).sum(axis=1))))
-    energy = hN * (damping ** 2 * traj.form + (v * v).sum(axis=1))
+    energy = hN * (damping ** 2 * form + (v * v).sum(axis=1))
     source = np.concatenate(([0.0], np.cumsum(tau * hN * (g * g).sum(axis=1))))
     return diss, energy, source
 
@@ -339,7 +391,7 @@ def test_blocked_ledger_equals_the_unblocked_formula_bit_for_bit(setup, nt, kind
     traj = solve_parabolic(f, 0.8, nt, 0.5, params, grid, matrix=matrix, u0=u0)
     ledger = energy_report(traj)
     for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
-                         _unblocked_ledger(traj, traj.modes)):
+                         _unblocked_ledger(traj, _modes(traj))):
         assert np.array_equal(got, want)
 
 
@@ -380,7 +432,7 @@ def test_mode_space_ledger_matches_node_space_ledger(small_problem, theta):
                            params, grid, matrix=matrix, u0=u0)
     ledger = energy_report(traj)
     for got, want in zip((ledger.dissipation, ledger.energy, ledger.source),
-                         _unblocked_ledger(traj, traj.values)):
+                         _unblocked_ledger(traj, _values(traj))):
         assert _rel_gap(got, want) <= 1e-12
 
 
@@ -393,12 +445,11 @@ def test_spectral_theta_scheme_matches_cholesky_stepper(small_problem, theta, ki
     f = g if kind == "constant" else (lambda t: g * (1.0 + 0.5 * math.sin(3.0 * t)))
     traj = solve_parabolic(f, 0.8, 24, theta, params, grid, matrix=matrix, u0=u0)
     slow = _theta_steps_by_cholesky(f, 0.8, 24, theta, matrix.matrix, u0)
-    assert _rel_gap(traj.values, slow) <= 1e-12
-    form = [row @ (matrix.matrix @ row) for row in traj.values]
-    assert _rel_gap(traj.form, np.array(form)) <= 1e-12
+    values = _values(traj)
+    assert _rel_gap(values, slow) <= 1e-12
     ledger = energy_report(traj)
     hN = grid.h ** grid.ndim
-    v = traj.values * np.exp(-traj.times)[:, None]
+    v = values * np.exp(-traj.times)[:, None]
     energy = [hN * (row @ matrix.apply(row) + row @ row) for row in v]
     assert _rel_gap(ledger.energy, np.array(energy)) <= 1e-12
 
@@ -603,7 +654,7 @@ def test_nonzero_initial_datum_mode(setup):
     u0 = np.ones(grid.n_omega)
     traj = solve_parabolic(np.zeros(grid.n_omega), 0.5, 8, 1.0, params, grid,
                            matrix=matrix, u0=u0)
-    assert traj.values[0] == pytest.approx(u0)
+    assert _values(traj)[0] == pytest.approx(u0)
     assert traj.final().linf() < 1.0
 
 
@@ -635,15 +686,12 @@ def test_ledger_and_final_state_memory_does_not_grow_with_nt(theta):
 
     def stepped(nt, read):
         traj = solve_parabolic(f, 1.0, nt, theta, params, grid, matrix=matrix)
-        energy_report(traj) if read == "ledger" else traj.final()
-        return traj
+        return energy_report(traj) if read == "ledger" else traj.final()
 
     for read in ("ledger", "final"):
         peaks = []
         for nt in (512, 4096):
-            traj, peak = traced_peak(stepped, nt, read)
-            assert "modes" not in vars(traj) and "values" not in vars(traj)
-            peaks.append(peak)
+            peaks.append(traced_peak(stepped, nt, read)[1])
         assert abs(peaks[1] - peaks[0]) < 0.5e6
 
 
@@ -660,7 +708,7 @@ def test_theta_scheme_converges_to_an_exact_space_time_solution(s, theta):
         w = np.clip(1.0 - x ** 2, 0.0, None) ** s / getoor_constant(1, s)
         traj = solve_parabolic(lambda t: w + t, 1.0, (n - 1) // 2, theta, params, grid)
         exact = traj.times[:, None] * w
-        errs.append(np.linalg.norm(traj.values - exact) / np.linalg.norm(exact))
+        errs.append(np.linalg.norm(_values(traj) - exact) / np.linalg.norm(exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 3e-3
 

@@ -226,6 +226,26 @@ def test_probe_validates_inputs():
                                 method="besvo")
 
 
+@pytest.mark.parametrize("levels", [3.5, 3.0, "3"])
+def test_probe_rejects_non_integer_levels_before_resolving(levels):
+    # range(3.5) used to raise a TypeError from inside the ladder
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+
+    def resolve(grid):
+        raise AssertionError("solved before levels was checked")
+
+    with pytest.raises(ValueError, match="levels must be an integer >= 3"):
+        estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), levels=levels)
+
+
+def test_probe_accepts_numpy_integer_levels():
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    inner = Box((-0.4,), (0.4,))
+    est = estimate_local_exponent(_bump_resolver(), base, 2.0, inner, levels=np.int64(3))
+    assert est.to_json() == estimate_local_exponent(_bump_resolver(), base, 2.0, inner,
+                                                    levels=3).to_json()
+
+
 def test_probe_rejects_a_ladder_past_the_node_bound_before_refining(monkeypatch):
     refined = refine_at_most(monkeypatch, 2)
     base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
