@@ -144,9 +144,12 @@ class CutoffSpec:
     order: int = 3
 
     def __post_init__(self):
+        if not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"cut-off smoothness order must be an integer, got {self.order}")
         if not 2 <= self.order <= MAX_RAMP_ORDER:
             raise ValueError(f"cut-off smoothness order must lie in [2, {MAX_RAMP_ORDER}], "
                              f"got {self.order}")
+        object.__setattr__(self, "order", int(self.order))
         require_nested(self.inner, self.outer, "cut-off inner/outer")
         if self.omega2 is not None:
             require_nested(self.outer, self.omega2, "cut-off outer/omega2")
@@ -195,8 +198,9 @@ def build_grid(ndim, box, n, omega):
     the box boundary must be at least 25% of omega's diameter per side and
     Omega nodes must stay MIN_COLLAR_CELLS cells away from the box edge.
     """
-    if ndim not in (1, 2):
-        raise ValueError("only 1D and 2D grids are supported")
+    if not isinstance(ndim, (int, np.integer)) or ndim not in (1, 2):
+        raise ValueError(f"only 1D and 2D grids are supported: ndim must be 1 or 2, got {ndim}")
+    ndim = int(ndim)
     box = tuple((float(lo), float(hi)) for lo, hi in np.atleast_2d(box))
     if len(box) != ndim:
         raise ValueError(f"expected {ndim} box axes, got {len(box)}")

@@ -14,7 +14,7 @@ kernel.  Every image, on the box or on Omega, is C h^(-2s) times
 _image, d v - t * v given the convolution t * v.
 apply_fractional_laplacian evaluates it at every box node with one
 convolution on the grid box, after the operand checks of _kernel_for,
-which remainder_Is shares.  assemble_operator_matrix returns the
+which localization's cut-off pass shares.  assemble_operator_matrix returns the
 operator restricted to Omega (OperatorMatrix): every product with it is
 apply(), the same convolution on Omega's bounding box, and solve() runs
 conjugate gradients on apply() with the circulant of that box's

@@ -60,11 +60,14 @@ def _ladder_problem(n, ndim, levels):
 def estimator_problem(method, p, sweep=DEFAULT_SWEEP, region_mode=False):
     """The [probe] key an estimate cannot run with, and why; None if it can run.
 
-    Region mode runs gagliardo whatever the method; gagliardo takes p in
-    (1, inf), besov takes p >= 1 (inf allowed) and skips sigma = 1.
+    The sweep holds at least one exponent.  Region mode runs gagliardo
+    whatever the method; gagliardo takes p in (1, inf), besov takes p >= 1
+    (inf allowed) and skips sigma = 1.
     """
     if method not in METHODS:
         return "method", f"method must be {' or '.join(METHODS)}, got {method!r}"
+    if not len(sweep):
+        return "sweep", "sweep must hold at least one exponent"
     runs = "gagliardo" if region_mode else method
     where = " in region mode, which runs gagliardo whatever the method" if region_mode else ""
     if runs == "besov":
@@ -155,12 +158,15 @@ def estimate_local_exponent(resolve, base_grid, p, inner, sweep=DEFAULT_SWEEP,
     method is one of METHODS: the cut-off target's order-sigma Sobolev
     seminorm ("gagliardo") or its Besov (p, max(p, 2)) seminorm, and
     estimator_problem rejects what cannot run.  A sweep entry is
-    divergent when its growth_rate meets rate_threshold.  A level whose
+    divergent when its growth_rate meets rate_threshold, which must be
+    finite (nan or inf would give every entry one verdict).  A level whose
     seminorms are all 0 carries no data on the region and raises
     InconclusiveVerdictError.
     """
     if not isinstance(levels, (int, np.integer)) or levels < 3:
         raise ValueError(f"levels must be an integer >= 3, got {levels}")
+    if not math.isfinite(rate_threshold):
+        raise ValueError(f"rate_threshold must be finite, got {rate_threshold}")
     too_fine = _ladder_problem(base_grid.n, base_grid.ndim, levels)
     if too_fine:
         raise ValueError(too_fine)

@@ -23,6 +23,9 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
         object.__setattr__(self, "radius", float(self.radius))
+        if not all(map(math.isfinite, self.center + (self.radius,))):
+            raise ValueError(f"ball center and radius must be finite, "
+                             f"got {self.center} and {self.radius}")
         if self.radius <= 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
 
@@ -65,6 +68,8 @@ class Box:
         object.__setattr__(self, "hi", tuple(float(v) for v in np.atleast_1d(self.hi)))
         if len(self.lo) != len(self.hi):
             raise ValueError("box lo/hi dimension mismatch")
+        if not all(map(math.isfinite, self.lo + self.hi)):
+            raise ValueError(f"box bounds must be finite, got lo={self.lo} hi={self.hi}")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ValueError(f"box must have positive extent, got lo={self.lo} hi={self.hi}")
 

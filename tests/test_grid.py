@@ -45,6 +45,19 @@ def test_non_integer_node_count_rejected(n):
         build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
 
 
+@pytest.mark.parametrize("ndim", [1.0, 1.5, "1", None])
+def test_non_integer_dimension_rejected(ndim):
+    # 1.0 passed the dimension check and raised TypeError from range(ndim)
+    with pytest.raises(ValueError, match="ndim must be 1 or 2"):
+        build_grid(ndim, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+
+
+def test_numpy_integer_dimension_accepted():
+    g = build_grid(np.int64(1), ((-2.0, 2.0),), 33, Ball((0.0,), 1.0))
+    assert g.ndim == 1 and type(g.ndim) is int
+    assert np.array_equal(g.mask, build_grid(1, ((-2.0, 2.0),), 33, Ball((0.0,), 1.0)).mask)
+
+
 def test_numpy_integer_node_count_accepted():
     g = build_grid(1, ((-2.0, 2.0),), np.int64(33), Ball((0.0,), 1.0))
     assert g.n == 33 and type(g.n) is int
@@ -145,6 +158,20 @@ def test_cutoff_order_above_max_ramp_order_raises(order):
     want = f"order must lie in \\[2, {MAX_RAMP_ORDER}\\], got {order}"
     with pytest.raises(ValueError, match=want):
         CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=order)
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, "3", None])
+def test_cutoff_order_must_be_an_integer(order):
+    # order 2.5 built a spec whose build_cutoff raised TypeError from range()
+    with pytest.raises(ValueError, match="order must be an integer"):
+        CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=order)
+
+
+def test_cutoff_order_accepts_a_numpy_integer(grid65):
+    spec = CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=np.int64(4))
+    assert spec.order == 4 and type(spec.order) is int
+    want = build_cutoff(grid65, CutoffSpec(Ball((0.0,), 0.3), Ball((0.0,), 0.8), order=4))
+    assert np.array_equal(build_cutoff(grid65, spec).values, want.values)
 
 
 def test_cutoff_outer_must_nest_in_omega(grid65):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab.elliptic import solve_dirichlet
-from fraclab import localization
+from fraclab import localization, operator
 from fraclab.errors import FracLabError, LengthMismatchError, LocalizationError
 from fraclab.gridfn import CutoffSpec, GridFunction, build_cutoff, build_grid, extend_by_zero
 from fraclab.localization import (
@@ -18,6 +18,7 @@ from fraclab.operator import (
     toeplitz_operator,
 )
 from fraclab.regions import Ball
+from fraclab.spaces import lp_norm
 
 from conftest import random_dirichlet
 
@@ -106,7 +107,7 @@ def test_localized_rhs_degenerate_cutoff(grid129, params_half):
     u = build_cutoff(grid129, CutoffSpec(Ball((0.0,), 0.2), Ball((0.0,), 0.4), order=3))
     eta = build_cutoff(grid129, CutoffSpec(Ball((0.0,), 0.5), Ball((0.0,), 0.85), order=3))
     f = apply_fractional_laplacian(u, params_half)
-    F = localized_rhs(u, eta, f, params_half, verify=False)
+    F = localized_rhs(u, eta, f, params_half)
     scale = max(1.0, f.linf())
     ones_region = eta.values == 1.0
     assert np.abs((F.values - f.values)[ones_region]).max() <= 1e-12 * scale
@@ -114,7 +115,7 @@ def test_localized_rhs_degenerate_cutoff(grid129, params_half):
 
 def test_localized_rhs_zero_state(grid65, eta65, params_half):
     zero = extend_by_zero(np.zeros(grid65.n_omega), grid65)
-    F = localized_rhs(zero, eta65, zero, params_half, verify=False)
+    F = localized_rhs(zero, eta65, zero, params_half)
     assert F.linf() == 0.0
 
 
@@ -123,11 +124,12 @@ def test_localized_rhs_consistency_check(params_half):
     f = np.ones(grid.n_omega)
     u = solve_dirichlet(f, params_half, grid)
     eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.8), order=3))
-    F = localized_rhs(u, eta, f, params_half, verify=True)
+    F = localized_rhs(u, eta, f, params_half)
     assert np.isfinite(F.values).all()
-    # an impossible residual bound must trip the check
-    with pytest.raises(LocalizationError):
-        localized_rhs(u, eta, f, params_half, verify=True, residual_bound=0.0)
+    # u solves 2f, not f: (-Delta)^s(2 eta u) - F = 2 eta f peaks at 2 where 2 eta = 2, past
+    # the product-rule residual (2.4e-3) plus the solve gap |(-Delta)^s u - f| = 1
+    with pytest.raises(LocalizationError, match="gap 2.000e"):
+        localized_rhs(solve_dirichlet(2.0 * f, params_half, grid), eta * 2.0, f, params_half)
 
 
 def test_localized_rhs_rejects_a_source_nan_or_of_the_wrong_length(grid65, eta65, params_half):
@@ -135,20 +137,18 @@ def test_localized_rhs_rejects_a_source_nan_or_of_the_wrong_length(grid65, eta65
     f = np.ones(grid65.n_omega)
     f[3] = np.nan
     with pytest.raises(FracLabError, match="1 of"):
-        localized_rhs(u, eta65, f, params_half, verify=False)
+        localized_rhs(u, eta65, f, params_half)
     with pytest.raises(LengthMismatchError, match=f"for {grid65.n_omega} Omega nodes"):
-        localized_rhs(u, eta65, np.ones(grid65.n_omega + 1), params_half, verify=False)
+        localized_rhs(u, eta65, np.ones(grid65.n_omega + 1), params_half)
 
 
 def test_localized_rhs_norm_stable_under_refinement(params_half):
-    from fraclab.spaces import lp_norm
-
     norms = []
     for n in (129, 257):
         grid = build_grid(1, ((-2.0, 2.0),), n, Ball((0.0,), 1.0))
         u = solve_dirichlet(np.ones(grid.n_omega), params_half, grid)
         eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.8), order=3))
-        F = localized_rhs(u, eta, np.ones(grid.n_omega), params_half, verify=False)
+        F = localized_rhs(u, eta, np.ones(grid.n_omega), params_half)
         norms.append(lp_norm(F, 2.0))
     assert norms[1] / norms[0] == pytest.approx(1.0, abs=0.1)
 
@@ -202,21 +202,55 @@ def test_operator_and_remainder_reject_params_of_the_other_dimension(ndim):
         remainder_Is(u, eta, other)
 
 
-def test_localized_rhs_forms_each_image_once(monkeypatch, params_half):
+def _count_convolutions(monkeypatch):
+    # every grid-box convolution, whether the operator's apply or localization makes it
+    calls = []
+    for module in (operator, localization):
+        monkeypatch.setattr(module, "convolve",
+                            lambda op, values: calls.append(values.shape) or convolve(op, values))
+    return calls
+
+
+def test_localized_rhs_and_g_bound_form_each_image_once(monkeypatch, params_half):
+    # u, eta - c and u (eta - c): one convolution each, the consistency check included
     grid = build_grid(1, ((-2.0, 2.0),), 129, Ball((0.0,), 1.0))
     f = np.ones(grid.n_omega)
     u = solve_dirichlet(f, params_half, grid)
-    eta = build_cutoff(grid, CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.8), order=3))
-    calls = []
+    spec = CutoffSpec(Ball((0.0,), 0.4), Ball((0.0,), 0.6), omega2=Ball((0.0,), 0.8))
+    calls = _count_convolutions(monkeypatch)
+    localized_rhs(u, build_cutoff(grid, spec), f, params_half)
+    assert len(calls) == 3
+    calls.clear()
+    g_bound_monitor(u, spec, params_half, 2.0)
+    assert len(calls) == 3
 
-    def counted(name):
-        inner = getattr(localization, name)
-        return lambda *args: calls.append(name) or inner(*args)
 
-    for name in ("apply_fractional_laplacian", "remainder_Is"):
-        monkeypatch.setattr(localization, name, counted(name))
-    localized_rhs(u, eta, f, params_half, verify=True)
-    assert sorted(calls) == ["apply_fractional_laplacian"] * 3 + ["remainder_Is"]
+def test_localized_rhs_rejects_eta_with_edge_value_before_convolving(
+        monkeypatch, grid65, bump65, params_half):
+    # eta = 0.7 on the box edge is no exterior-zero function: (-Delta)^s eta is undefined
+    const = GridFunction(grid65, np.full(grid65.shape, 0.7))
+    calls = _count_convolutions(monkeypatch)
+    with pytest.raises(ValueError, match="exterior-zero"):
+        localized_rhs(bump65, const, np.ones(grid65.n_omega), params_half)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ndim, n", [(1, 257), (2, 65)])
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_localized_rhs_and_g_bound_equal_the_public_composition_bit_for_bit(ndim, n, s):
+    # F = eta f + (u (-Delta)^s eta - I_s) and g = u (-Delta)^s eta - I_s from the public calls
+    z = (0.0,) * ndim
+    grid = build_grid(ndim, ((-2.0, 2.0),) * ndim, n, Ball(z, 1.0))
+    params = FractionalParams(ndim, s)
+    f = np.linspace(0.5, 1.5, grid.n_omega)
+    u = solve_dirichlet(f, params, grid)
+    spec = CutoffSpec(Ball(z, 0.4), Ball(z, 0.6), omega2=Ball(z, 0.8))
+    eta = build_cutoff(grid, spec)
+    a_eta = apply_fractional_laplacian(eta, params).values
+    g = u.values * a_eta - remainder_Is(u, eta, params).values
+    F = eta.values * extend_by_zero(f, grid).values + g
+    assert np.array_equal(localized_rhs(u, eta, f, params).values, F)
+    assert g_bound_monitor(u, spec, params, 2.0).g_norm == lp_norm(GridFunction(grid, g), 2.0)
 
 
 @pytest.mark.parametrize("ndim, n", [(1, 65), (1, 129), (1, 257),

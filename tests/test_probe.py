@@ -32,7 +32,7 @@ def test_protocol_growth_rate():
     est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, shell, sweep=(0.5, 1.5))
     assert est.verdicts == [False, True]
     est = estimate_local_exponent(_cusp_resolver(0.5), base, 2.0, shell, sweep=(0.5, 1.5),
-                                  rate_threshold=math.inf)
+                                  rate_threshold=100.0)
     assert est.verdicts == [False, False]
 
 
@@ -92,6 +92,9 @@ def test_clean_verdicts_is_its_two_cases(length):
     ("besov", 2.0, (1.0,), True, "method"),
     ("besov", math.inf, DEFAULT_SWEEP, True, "p"),
     ("besov", 1.0, DEFAULT_SWEEP, True, "p"),
+    ("gagliardo", 2.0, (), False, "sweep"),
+    ("besov", 2.0, (), False, "sweep"),
+    ("gagliardo", 2.0, (), True, "sweep"),
 ])
 def test_estimator_problem_names_the_key(method, p, sweep, region_mode, key):
     # region mode runs gagliardo whatever the method; besov skips sigma = 1
@@ -105,6 +108,28 @@ def test_probe_rejects_besov_sweep_of_sigma_1_only_before_solving():
     with pytest.raises(ValueError, match="sigma = 1"):
         estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), method="besov",
                                 sweep=(1.0,))
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["gagliardo", "besov"])
+def test_probe_rejects_an_empty_sweep_before_solving(method):
+    # gagliardo solved a level and found "no data"; besov blamed sigma = 1
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_bump_resolver())
+    with pytest.raises(ValueError, match="sweep must hold at least one exponent"):
+        estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)), method=method,
+                                sweep=())
+    assert calls == []
+
+
+@pytest.mark.parametrize("rate_threshold", [math.nan, math.inf, -math.inf])
+def test_probe_rejects_a_rate_threshold_that_is_not_finite_before_solving(rate_threshold):
+    # nan and inf marked every verdict convergent: sigma* 1.9 on a jump source
+    base = build_grid(1, ((-2.0, 2.0),), 65, Ball((0.0,), 1.0))
+    resolve, calls = _counting(_bump_resolver())
+    with pytest.raises(ValueError, match="rate_threshold must be finite"):
+        estimate_local_exponent(resolve, base, 2.0, Box((-0.4,), (0.4,)),
+                                rate_threshold=rate_threshold)
     assert calls == []
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,22 @@ def test_degenerate_regions_rejected():
         Ball((0.0,), 0.0)
     with pytest.raises(ValueError):
         Box((1.0,), (1.0,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ball((0.0,), math.nan),
+    lambda: Ball((math.nan,), 1.0),
+    lambda: Ball((0.0,), math.inf),
+    lambda: Ball((0.0, -math.inf), 1.0),
+    lambda: Box((math.nan,), (1.0,)),
+    lambda: Box((0.0,), (math.inf,)),
+    lambda: Box((-math.inf, 0.0), (1.0, 1.0)),
+], ids=["ball-nan-radius", "ball-nan-center", "ball-inf-radius", "ball-inf-center",
+        "box-nan-lo", "box-inf-hi", "box-inf-lo"])
+def test_non_finite_regions_rejected(make):
+    # they used to build, and build_grid then reported "omega contains no grid nodes"
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 def test_separation_ball_ball():
